@@ -14,6 +14,8 @@ present.  Save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +31,7 @@ __all__ = ["Checkpoint", "MetricRow", "load_checkpoint", "model_from_checkpoint"
 
 MAGIC = b"CLINLI01"
 FORMAT_VERSION = 1
+_HEADER_KEYS = {"format_version", "kind", "config", "vocab", "tokenizer_mode", "provenance", "adam_t", "blocks"}
 
 
 @dataclass
@@ -92,23 +95,74 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(f"{row.step}\t{row.train_loss!r}\t{row.dev_loss!r}\t{row.dev_accuracy!r}\n")
 
 
+def _read_exact(path, fh, count: int, what: str) -> bytes:
+    # checked against the file size first, so a garbled length never
+    # allocates more than the file holds
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count > left:
+        raise ParseError(f"{path}: truncated {what} ({count} bytes expected, {left} left)")
+    return fh.read(count)
+
+
+def _read_header(path, fh) -> dict:
+    (header_len,) = struct.unpack("<I", _read_exact(path, fh, 4, "header length"))
+    raw = _read_exact(path, fh, header_len, "header")
+    try:
+        header = json.loads(raw.decode("ascii"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: garbled header ({exc})") from None
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: header is not a JSON object")
+    missing = _HEADER_KEYS - set(header)
+    if missing:
+        raise ParseError(f"{path}: header lacks {sorted(missing)}")
+    if header["format_version"] != FORMAT_VERSION:
+        raise ParseError(f"{path}: unsupported format version {header['format_version']}")
+    if not isinstance(header["blocks"], list):
+        raise ParseError(f"{path}: header blocks is not a list")
+    return header
+
+
+def _block_layout(path, desc) -> tuple[str, tuple[int, ...]]:
+    try:
+        name, shape = desc["name"], tuple(desc["shape"])
+    except (KeyError, TypeError):
+        raise ParseError(f"{path}: malformed block descriptor {desc!r}") from None
+    if not isinstance(name, str) or not all(isinstance(n, int) and n >= 0 for n in shape):
+        raise ParseError(f"{path}: malformed block descriptor {desc!r}")
+    return name, shape
+
+
+def _read_history(mpath: Path) -> list[MetricRow]:
+    history: list[MetricRow] = []
+    lines = mpath.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            step, tl, dl, da = line.split("\t")
+            history.append(MetricRow(int(step), float(tl), float(dl), float(da)))
+        except ValueError:
+            raise ParseError(
+                f"{mpath}:{lineno}: expected step, train_loss, dev_loss and dev_accuracy, got {line!r}"
+            ) from None
+    return history
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint and its metric sidecar; any malformed content ends
+    in a ParseError naming the file (and the sidecar line)."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != MAGIC:
             raise ParseError(f"{path}: not a checkpoint file (magic {magic!r})")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("ascii"))
-        if header.get("format_version") != FORMAT_VERSION:
-            raise ParseError(f"{path}: unsupported format version {header.get('format_version')}")
+        header = _read_header(path, fh)
         arrays: dict[str, np.ndarray] = {}
         for desc in header["blocks"]:
-            shape = tuple(desc["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ParseError(f"{path}: truncated block {desc['name']}")
-            arrays[desc["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+            name, shape = _block_layout(path, desc)
+            count = math.prod(shape)
+            buf = _read_exact(path, fh, count * 8, f"block {name}")
+            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+        if fh.read(1):
+            raise ParseError(f"{path}: trailing bytes after the last block")
 
     params, adam_m, adam_v = {}, {}, {}
     for name, arr in arrays.items():
@@ -119,13 +173,8 @@ def load_checkpoint(path) -> Checkpoint:
         else:
             params[name] = arr
 
-    history: list[MetricRow] = []
     mpath = metrics_path(path)
-    if mpath.exists():
-        lines = mpath.read_text(encoding="utf-8").splitlines()
-        for line in lines[1:]:
-            step, tl, dl, da = line.split("\t")
-            history.append(MetricRow(int(step), float(tl), float(dl), float(da)))
+    history = _read_history(mpath) if mpath.exists() else []
 
     return Checkpoint(
         kind=header["kind"],

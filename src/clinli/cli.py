@@ -273,15 +273,16 @@ def cmd_predict(args) -> int:
         report["n_errors"] = len(errors)
     else:
         triples, _ = group_into_triples(examples, key=args.group_key)
-        in_triples = {id(ex) for t in triples for ex in t.examples}
-        leftovers = [ex for ex in examples if id(ex) not in in_triples]
+        in_triples = {i for t in triples for i in t.positions}
+        left_positions = [i for i in range(len(examples)) if i not in in_triples]
+        leftovers = [examples[i] for i in left_positions]
         rows = []
         for t in triples:
             result = predict_listwise(model, t)
             for pid, label, probs in zip(result.pair_ids, result.labels, result.probs):
                 rows.append(FilePrediction(pid, probs, label))
         errors = []
-        for p in predict_pointwise(model, leftovers, error_log=errors):
+        for p in predict_pointwise(model, leftovers, error_log=errors, positions=left_positions):
             rows.append(FilePrediction(p.pair_id, p.probs, p.predicted_label))
         if leftovers:
             print(f"warning: {len(leftovers)} examples not in complete triples; fell back to pointwise")

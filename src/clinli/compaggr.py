@@ -172,7 +172,12 @@ def nll_loss(predicted, gold_onehot) -> T.Tensor:
         if g.ndim != 1 or not np.isclose(g.sum(), 1.0) or not set(np.unique(g)) <= {0.0, 1.0}:
             raise DataError(f"labels must be one-hot vectors, got {g}")
         gold_ids.append(int(np.argmax(g)))
-    return T.nll_from_probs(rows, gold_ids)
+    return T.nll_from_probs(_stack_rows(rows), gold_ids)
+
+
+def _stack_rows(rows) -> T.Tensor:
+    """Per-example probability vectors as one (batch, classes) matrix."""
+    return T.reshape(T.concat(rows, axis=0), (len(rows), -1))
 
 
 class CompAggrModel:
@@ -276,16 +281,10 @@ class CompAggrModel:
         return self.forward(premise, hypothesis).data.copy()
 
     def batch_loss(self, batch, training: bool = False, rng: np.random.Generator | None = None):
-        rows, gold = [], []
-        correct = 0
-        for ex in batch:
-            probs = self.forward(ex.premise, ex.hypothesis, training=training, rng=rng)
-            g = label_id(ex.gold_label)
-            rows.append(probs)
-            gold.append(g)
-            if int(np.argmax(probs.data)) == g:
-                correct += 1
-        return T.nll_from_probs(rows, gold), correct
+        probs = _stack_rows([self.forward(ex.premise, ex.hypothesis, training=training, rng=rng) for ex in batch])
+        gold = [label_id(ex.gold_label) for ex in batch]
+        correct = int((probs.data.argmax(axis=1) == gold).sum())
+        return T.nll_from_probs(probs, gold), correct
 
     def config_dict(self) -> dict:
         return self.config.to_dict()

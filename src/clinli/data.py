@@ -43,9 +43,12 @@ class NLIExample:
 
 @dataclass
 class NLITriple:
-    """Three examples sharing one premise, one per class."""
+    """Three examples sharing one premise, one per class.  ``positions`` are
+    the examples' indices in the dataset they came from; pairs without a
+    pair id are named ``idx-<position>``."""
 
     examples: tuple[NLIExample, NLIExample, NLIExample]
+    positions: tuple[int, int, int] = (0, 1, 2)
 
     def __post_init__(self):
         premises = {e.premise for e in self.examples}
@@ -71,6 +74,8 @@ def load_jsonl(path) -> list[NLIExample]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
             try:
                 examples.append(
                     NLIExample(

@@ -107,11 +107,13 @@ def _pair_id(ex: NLIExample, index: int) -> str:
     return ex.pair_id if ex.pair_id is not None else f"idx-{index}"
 
 
-def predict_pointwise(model, examples, error_log: list | None = None) -> list[Prediction]:
+def predict_pointwise(model, examples, error_log: list | None = None, positions=None) -> list[Prediction]:
     """One prediction per example, order preserved.  Examples the model
-    cannot encode are recorded (or logged) and skipped; the run continues."""
+    cannot encode are recorded (or logged) and skipped; the run continues.
+    ``positions`` are the examples' indices in their dataset (by default
+    their order here); pairs without a pair id are named by them."""
     out: list[Prediction] = []
-    for i, ex in enumerate(examples):
+    for i, ex in zip(itertools.count() if positions is None else positions, examples):
         pid = _pair_id(ex, i)
         try:
             probs = model.predict_proba(ex.premise, ex.hypothesis)
@@ -157,7 +159,7 @@ class ListwiseResult:
 
 def predict_listwise(model, triple: NLITriple) -> ListwiseResult:
     """Assign the three labels exclusively across the triple's pairs."""
-    pair_ids = tuple(_pair_id(ex, i) for i, ex in enumerate(triple.examples))
+    pair_ids = tuple(_pair_id(ex, i) for i, ex in zip(triple.positions, triple.examples))
     probs = np.stack([model.predict_proba(ex.premise, ex.hypothesis) for ex in triple.examples])
     perm, score = best_label_assignment(probs)
     return ListwiseResult(
@@ -182,9 +184,9 @@ def group_into_triples(examples, key: str = "premise") -> tuple[list[NLITriple],
         key_fn = lambda ex, i: (_pair_id(ex, i).rsplit("-", 1)[0])
     else:
         raise DataError(f"unknown grouping key {key!r}")
-    groups: dict[str, list[NLIExample]] = {}
+    groups: dict[str, list[int]] = {}
     for i, ex in enumerate(examples):
-        groups.setdefault(key_fn(ex, i), []).append(ex)
+        groups.setdefault(key_fn(ex, i), []).append(i)
     triples: list[NLITriple] = []
     skipped = 0
     for members in groups.values():
@@ -192,7 +194,7 @@ def group_into_triples(examples, key: str = "premise") -> tuple[list[NLITriple],
             skipped += 1
             continue
         try:
-            triples.append(NLITriple(examples=tuple(members)))
+            triples.append(NLITriple(examples=tuple(examples[i] for i in members), positions=tuple(members)))
         except DataError:
             skipped += 1
     return triples, skipped
@@ -201,11 +203,19 @@ def group_into_triples(examples, key: str = "premise") -> tuple[list[NLITriple],
 def _gold_map(golds) -> dict[str, str]:
     out = {}
     for i, ex in enumerate(golds):
-        out[_pair_id(ex, i)] = ex.gold_label
+        pid = _pair_id(ex, i)
+        if pid in out:
+            raise DataError(f"gold examples repeat pair id {pid!r}")
+        out[pid] = ex.gold_label
     return out
 
 
 def _check_aligned(predictions, gold_by_id) -> None:
+    seen: set[str] = set()
+    for p in predictions:
+        if p.pair_id in seen:
+            raise DataError(f"predictions repeat pair id {p.pair_id!r}")
+        seen.add(p.pair_id)
     missing = [p.pair_id for p in predictions if p.pair_id not in gold_by_id]
     if missing:
         raise DataError(f"predictions without matching gold examples: {missing[:5]}")

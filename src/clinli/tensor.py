@@ -11,9 +11,13 @@ recomputes every node's forward value, reusing saved intermediates such as
 dropout masks, and reproduces the original outputs bit for bit.
 
 Only the operations the two sentence-pair classifiers need are implemented.
-The single broadcasting rule is bias-style: a 1-D vector may combine with a
-2-D matrix along the matrix's last axis, and the vector's gradient is the
-sum over rows.  General broadcasting is deliberately absent.
+Shape-changing ops work on the last axes, so a batch of B matrices is one
+(B, rows, cols) tensor: ``matmul`` treats leading axes as batch axes,
+``transpose`` swaps the last two axes, ``slice_rows``/``slice_cols`` slice
+the second-to-last/last axis and ``layer_norm`` normalizes the last axis.
+``add`` and ``mul`` follow numpy broadcasting, and each operand's gradient
+is summed back to that operand's own shape, so a bias vector shared by every
+row of a (B, L, d) batch receives the sum over all B x L rows.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ __all__ = [
     "record",
     "relu",
     "replay",
+    "reshape",
     "reset_nll_clamp_count",
     "scale",
     "sigmoid",
@@ -217,49 +222,42 @@ def zero_grads(tensors) -> None:
 
 
 # ---------------------------------------------------------------------------
-# binary elementwise ops with the single bias-style broadcast rule
+# binary elementwise ops with numpy broadcasting
 
 
-def _binary_plan(a: Tensor, b: Tensor, op: str) -> str:
-    if a.shape == b.shape:
-        return "same"
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        return "b_is_bias"
-    if a.data.ndim == 1 and b.data.ndim == 2 and b.shape[1] == a.shape[0]:
-        return "a_is_bias"
-    raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
+        try:
+            np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum the gradient of a broadcast result back to an operand's shape."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
+    return g.sum(axis=axes).reshape(shape)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    plan = _binary_plan(a, b, "add")
+    _check_broadcast(a, b, "add")
 
     def backward_fn(g: np.ndarray) -> None:
-        if plan == "same":
-            _accumulate(a, g)
-            _accumulate(b, g)
-        elif plan == "b_is_bias":
-            _accumulate(a, g)
-            _accumulate(b, g.sum(axis=0))
-        else:
-            _accumulate(a, g.sum(axis=0))
-            _accumulate(b, g)
+        _accumulate(a, _unbroadcast(g, a.shape))
+        _accumulate(b, _unbroadcast(g, b.shape))
 
     return _result(a.data + b.data, (a, b), "add", backward_fn, lambda: a.data + b.data)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    plan = _binary_plan(a, b, "mul")
+    _check_broadcast(a, b, "mul")
 
     def backward_fn(g: np.ndarray) -> None:
-        if plan == "same":
-            _accumulate(a, g * b.data)
-            _accumulate(b, g * a.data)
-        elif plan == "b_is_bias":
-            _accumulate(a, g * b.data)
-            _accumulate(b, (g * a.data).sum(axis=0))
-        else:
-            _accumulate(a, (g * b.data).sum(axis=0))
-            _accumulate(b, g * a.data)
+        _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _result(a.data * b.data, (a, b), "mul", backward_fn, lambda: a.data * b.data)
 
@@ -325,37 +323,46 @@ def relu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product.  A 1-D operand is a vector multiplying a matrix; the
+    leading axes of N-D operands are batch axes and broadcast.  A 2-D right
+    operand is shared by the whole batch, so its gradient sums over it."""
     na, nb = a.data.ndim, b.data.ndim
-    ok = (
-        (na == 2 and nb == 2 and a.shape[1] == b.shape[0])
-        or (na == 2 and nb == 1 and a.shape[1] == b.shape[0])
-        or (na == 1 and nb == 2 and a.shape[0] == b.shape[0])
-    )
-    if not ok:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    try:
+        if min(na, nb) == 0 or (min(na, nb) == 1 and max(na, nb) != 2):
+            raise ValueError
+        out_data = a.data @ b.data
+    except ValueError:
+        raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
 
     def backward_fn(g: np.ndarray) -> None:
-        if na == 2 and nb == 2:
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
-        elif na == 2 and nb == 1:
-            _accumulate(a, np.outer(g, b.data))
-            _accumulate(b, a.data.T @ g)
+        if na == 1:
+            ga, gb = b.data @ g, np.outer(a.data, g)
+        elif nb == 1:
+            ga, gb = np.outer(g, b.data), a.data.T @ g
         else:
-            _accumulate(a, b.data @ g)
-            _accumulate(b, np.outer(a.data, g))
+            ga = g @ np.swapaxes(b.data, -1, -2)
+            if nb == 2:
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = np.swapaxes(a.data, -1, -2) @ g
+        _accumulate(a, _unbroadcast(ga, a.shape))
+        _accumulate(b, _unbroadcast(gb, b.shape))
 
-    return _result(a.data @ b.data, (a, b), "matmul", backward_fn, lambda: a.data @ b.data)
+    return _result(out_data, (a, b), "matmul", backward_fn, lambda: a.data @ b.data)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got shape {a.shape}")
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise DimensionError(f"transpose expects at least a matrix, got shape {a.shape}")
+
+    def fwd() -> np.ndarray:
+        return np.swapaxes(a.data, -1, -2).copy()
 
     def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g.T)
+        _accumulate(a, np.swapaxes(g, -1, -2))
 
-    return _result(a.data.T.copy(), (a,), "transpose", backward_fn, lambda: a.data.T.copy())
+    return _result(fwd(), (a,), "transpose", backward_fn, fwd)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -434,11 +441,11 @@ def stack_cols(cols: Sequence[Tensor]) -> Tensor:
 
 
 def _slice_axis(a: Tensor, start: int, stop: int, axis: int, op: str) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"{op} expects a matrix, got shape {a.shape}")
+    if a.data.ndim < 2:
+        raise DimensionError(f"{op} expects at least a matrix, got shape {a.shape}")
     if not (0 <= start < stop <= a.shape[axis]):
         raise DimensionError(f"{op}: range [{start}, {stop}) invalid for shape {a.shape}")
-    sl = (slice(start, stop), slice(None)) if axis == 0 else (slice(None), slice(start, stop))
+    sl = (Ellipsis, slice(start, stop)) if axis == -1 else (Ellipsis, slice(start, stop), slice(None))
 
     def backward_fn(g: np.ndarray) -> None:
         buf = np.zeros_like(a.data)
@@ -449,11 +456,13 @@ def _slice_axis(a: Tensor, start: int, stop: int, axis: int, op: str) -> Tensor:
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    return _slice_axis(a, start, stop, 0, "slice_rows")
+    """Rows [start, stop) along the second-to-last axis."""
+    return _slice_axis(a, start, stop, -2, "slice_rows")
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    return _slice_axis(a, start, stop, 1, "slice_cols")
+    """Columns [start, stop) along the last axis."""
+    return _slice_axis(a, start, stop, -1, "slice_cols")
 
 
 def ravel(a: Tensor) -> Tensor:
@@ -463,11 +472,27 @@ def ravel(a: Tensor) -> Tensor:
     return _result(a.data.reshape(-1).copy(), (a,), "ravel", backward_fn, lambda: a.data.reshape(-1).copy())
 
 
-def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Gather rows of ``table`` by index; gradients scatter-add back."""
+def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
+    """The same entries in row-major order under a new shape (one axis may
+    be -1)."""
+    shape = tuple(shape)
+    try:
+        out_data = a.data.reshape(shape).copy()
+    except ValueError:
+        raise DimensionError(f"reshape: cannot view shape {a.shape} as {shape}") from None
+
+    def backward_fn(g: np.ndarray) -> None:
+        _accumulate(a, g.reshape(a.shape))
+
+    return _result(out_data, (a,), "reshape", backward_fn, lambda: a.data.reshape(shape).copy())
+
+
+def take_rows(table: Tensor, ids) -> Tensor:
+    """Gather rows of ``table`` by index; gradients scatter-add back.  An id
+    array of shape S gives a result of shape S + (table width,)."""
     if table.data.ndim != 2:
         raise DimensionError(f"take_rows expects a matrix, got shape {table.shape}")
-    idx = np.asarray(list(ids), dtype=np.int64)
+    idx = np.asarray(ids, dtype=np.int64)
     if idx.size == 0:
         raise ContractError("take_rows with no indices")
     if idx.min() < 0 or idx.max() >= table.shape[0]:
@@ -488,18 +513,19 @@ def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row of ``x`` to zero mean and unit variance, then apply
-    a per-feature affine transform."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"layer_norm expects a matrix, got shape {x.shape}")
-    if gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
+    """Normalize ``x`` to zero mean and unit variance along its last axis,
+    then apply a per-feature affine transform."""
+    if x.data.ndim < 2:
+        raise DimensionError(f"layer_norm expects at least a matrix, got shape {x.shape}")
+    width = x.shape[-1]
+    if gain.shape != (width,) or bias.shape != (width,):
         raise DimensionError(
-            f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match width {x.shape[1]}"
+            f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match width {width}"
         )
 
     def stats():
-        mu = x.data.mean(axis=1, keepdims=True)
-        var = x.data.var(axis=1, keepdims=True)
+        mu = x.data.mean(axis=-1, keepdims=True)
+        var = x.data.var(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + eps)
         xhat = (x.data - mu) * inv
         return xhat, inv
@@ -510,11 +536,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def backward_fn(g: np.ndarray) -> None:
         xhat, inv = stats()
-        _accumulate(gain, (g * xhat).sum(axis=0))
-        _accumulate(bias, g.sum(axis=0))
+        _accumulate(gain, _unbroadcast(g * xhat, gain.shape))
+        _accumulate(bias, _unbroadcast(g, bias.shape))
         dxhat = g * gain.data
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         _accumulate(x, inv * (dxhat - m1 - xhat * m2))
 
     return _result(fwd(), (x, gain, bias), "layer_norm", backward_fn, fwd)
@@ -613,43 +639,41 @@ def reset_nll_clamp_count() -> None:
     _nll_clamp_count = 0
 
 
-def nll_from_probs(prob_rows: Sequence[Tensor], gold: Sequence[int]) -> Tensor:
+def nll_from_probs(probs: Tensor, gold: Sequence[int]) -> Tensor:
     """Summed negative log-likelihood of the gold classes.
 
-    ``prob_rows`` are per-example probability vectors; ``gold`` the matching
-    class indices.  Zero probabilities at the gold class are clamped at 1e-12
-    (counted via ``nll_clamp_count``); clamped entries get zero gradient.
+    ``probs`` is a (batch, classes) matrix of per-example probability rows;
+    ``gold`` the matching class indices.  Zero probabilities at the gold
+    class are clamped at 1e-12 (counted via ``nll_clamp_count``); clamped
+    entries get zero gradient.
     """
     global _nll_clamp_count
-    rows = list(prob_rows)
-    gold = [int(g) for g in gold]
-    if len(rows) != len(gold) or not rows:
-        raise ContractError(f"nll_from_probs: {len(rows)} probability rows vs {len(gold)} labels")
-    for r, g in zip(rows, gold):
-        if r.data.ndim != 1:
-            raise DimensionError(f"probability row must be a vector, got shape {r.shape}")
-        if not 0 <= g < r.shape[0]:
-            raise DataError(f"gold class {g} out of range for {r.shape[0]} classes")
+    gold = np.asarray([int(g) for g in gold], dtype=np.int64)
+    if probs.data.ndim != 2:
+        raise DimensionError(f"probabilities must be a (batch, classes) matrix, got shape {probs.shape}")
+    if probs.shape[0] != gold.size or not gold.size:
+        raise ContractError(f"nll_from_probs: {probs.shape[0]} probability rows vs {gold.size} labels")
+    if gold.min() < 0 or gold.max() >= probs.shape[1]:
+        raise DataError(f"gold class out of range for {probs.shape[1]} classes (labels {gold.tolist()})")
+    rows = np.arange(gold.size)
 
     def fwd() -> np.ndarray:
+        # sequential sum in batch order; a pairwise np.sum would change the loss bits
         total = 0.0
-        for r, g in zip(rows, gold):
-            total -= math.log(max(float(r.data[g]), _NLL_EPS))
+        for p in probs.data[rows, gold].tolist():
+            total -= math.log(max(p, _NLL_EPS))
         return np.asarray(total)
 
-    for r, g in zip(rows, gold):
-        if float(r.data[g]) < _NLL_EPS:
-            _nll_clamp_count += 1
+    _nll_clamp_count += int((probs.data[rows, gold] < _NLL_EPS).sum())
 
     def backward_fn(gout: np.ndarray) -> None:
-        for r, g in zip(rows, gold):
-            p = float(r.data[g])
-            buf = np.zeros_like(r.data)
-            if p >= _NLL_EPS:
-                buf[g] = -float(gout) / p
-            _accumulate(r, buf)
+        picked = probs.data[rows, gold]
+        kept = picked >= _NLL_EPS
+        buf = np.zeros_like(probs.data)
+        buf[rows[kept], gold[kept]] = -float(gout) / picked[kept]
+        _accumulate(probs, buf)
 
-    return _result(fwd(), rows, "nll", backward_fn, fwd)
+    return _result(fwd(), (probs,), "nll", backward_fn, fwd)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ layer norm, position-wise feed-forward, residual, layer norm), and the
 hidden state at the leading [CLS] position feeds an affine three-way
 softmax head.
 
+A batch runs as one graph.  Every pair is padded to ``max_len`` = L, so B
+pairs embed to one (B, L, d_e) tensor; each head's queries, keys and values
+are (B, L, d_k) column slices, its attention weights are (B, L, L), and the
+head returns a (B, num_classes) probability matrix.  The block and attention
+functions also accept a single unbatched (L, d_e) sequence with an (L,) mask.
+
 Padded key positions receive -1e9 attention logits before the softmax, so
 appending padding to an input never changes the classification.  Position
 embeddings are learned.  Head width is the embedding width divided by the
@@ -15,13 +21,14 @@ head count.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .data import label_id
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, ContractError, DataError, DimensionError
 from .tokenizer import EncodedPair, Vocabulary, encode_pair
 
 __all__ = [
@@ -96,19 +103,20 @@ class BlockParams:
     ln2_bias: T.Tensor
 
 
-def embed(encoded: EncodedPair, token_table: T.Tensor, pos_table: T.Tensor, seg_table: T.Tensor) -> T.Tensor:
-    """Per-position sum of token, position, and segment embedding rows."""
-    length = len(encoded.token_ids)
+def embed(batch: Sequence[EncodedPair], token_table: T.Tensor, pos_table: T.Tensor, seg_table: T.Tensor) -> T.Tensor:
+    """(B, L, d_e) per-position sums of token, position, and segment
+    embedding rows for a batch of encoded pairs of one padded length L."""
+    if not batch:
+        raise ContractError("embed of an empty batch")
+    length = len(batch[0].token_ids)
+    if any(len(e.token_ids) != length for e in batch):
+        raise DimensionError("encoded pairs in one batch must share one padded length")
     if length > pos_table.shape[0]:
         raise DataError(f"sequence length {length} exceeds position table {pos_table.shape[0]}")
-    tok = T.take_rows(token_table, encoded.token_ids)
-    pos = T.take_rows(pos_table, encoded.position_ids)
-    seg = T.take_rows(seg_table, encoded.segment_ids)
+    tok = T.take_rows(token_table, [e.token_ids for e in batch])
+    pos = T.take_rows(pos_table, [e.position_ids for e in batch])
+    seg = T.take_rows(seg_table, [e.segment_ids for e in batch])
     return T.add(T.add(tok, pos), seg)
-
-
-def _mask_bias(mask) -> T.Tensor:
-    return T.Tensor(np.where(np.asarray(mask, dtype=bool), 0.0, MASK_LOGIT))
 
 
 def multi_head_attention(
@@ -121,18 +129,22 @@ def multi_head_attention(
     """Scaled dot-product attention over ``num_heads`` column slices of the
     projected queries/keys/values, concatenated and projected back.
 
-    ``mask`` marks valid key positions with 1; masked keys get -1e9 logits.
+    ``x`` is (L, d_e) or a (B, L, d_e) batch; ``mask`` has the shape of
+    ``x`` without its last axis and marks valid key positions with 1.
+    Masked keys get -1e9 logits.
     """
-    length, d_e = x.shape
+    d_e = x.shape[-1]
     if d_e % num_heads != 0:
         raise DimensionError(f"width {d_e} not divisible by {num_heads} heads")
-    if len(mask) != length:
-        raise DimensionError(f"mask length {len(mask)} does not match sequence length {length}")
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != x.shape[:-1]:
+        raise DimensionError(f"mask shape {mask.shape} does not match sequence shape {x.shape[:-1]}")
     d_k = d_e // num_heads
     q = T.add(T.matmul(x, p.wq), p.bq)
     k = T.add(T.matmul(x, p.wk), p.bk)
     v = T.add(T.matmul(x, p.wv), p.bv)
-    bias = _mask_bias(mask)
+    # one row of key biases per sequence, shared by all its query positions
+    bias = T.Tensor(np.where(mask, 0.0, MASK_LOGIT)[..., None, :])
     heads = []
     weights = []
     for h in range(num_heads):
@@ -141,11 +153,11 @@ def multi_head_attention(
         kh = T.slice_cols(k, lo, hi)
         vh = T.slice_cols(v, lo, hi)
         logits = T.add(T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(d_k)), bias)
-        attn = T.softmax(logits, axis=1)
+        attn = T.softmax(logits, axis=-1)
         if return_weights:
             weights.append(attn.data.copy())
         heads.append(T.matmul(attn, vh))
-    out = T.add(T.matmul(T.concat(heads, axis=1), p.wo), p.bo)
+    out = T.add(T.matmul(T.concat(heads, axis=-1), p.wo), p.bo)
     return (out, weights) if return_weights else out
 
 
@@ -266,34 +278,29 @@ class TransformerClassifier:
             mode=self.tokenizer_mode, label=label,
         )
 
-    def forward(self, encoded: EncodedPair, training: bool = False, rng: np.random.Generator | None = None) -> T.Tensor:
-        """Class probability vector for one encoded pair."""
-        x = embed(encoded, self.token_table, self.pos_table, self.seg_table)
+    def forward(self, batch: Sequence[EncodedPair], training: bool = False, rng: np.random.Generator | None = None) -> T.Tensor:
+        """(B, num_classes) class probabilities for a list of B encoded pairs."""
+        x = embed(batch, self.token_table, self.pos_table, self.seg_table)
+        mask = [e.attention_mask for e in batch]
         for bp in self.blocks:
             x = transformer_block(
-                x, encoded.attention_mask, bp, self.config.num_heads,
+                x, mask, bp, self.config.num_heads,
                 dropout=self.dropout, training=training, rng=rng,
             )
-        pooled = T.ravel(T.slice_rows(x, 0, 1))
+        pooled = T.reshape(T.slice_rows(x, 0, 1), (len(batch), self.config.d_e))
         logits = T.add(T.matmul(pooled, self.cls_w), self.cls_b)
-        return T.softmax(logits, axis=0)
+        return T.softmax(logits, axis=-1)
 
     def predict_proba(self, premise: str, hypothesis: str) -> np.ndarray:
-        return self.forward(self.encode(premise, hypothesis)).data.copy()
+        return self.forward([self.encode(premise, hypothesis)]).data[0].copy()
 
     def batch_loss(self, batch, training: bool = False, rng: np.random.Generator | None = None):
         """Summed negative log-likelihood over a batch of examples, plus the
         number of correct argmax predictions."""
-        rows, gold = [], []
-        correct = 0
-        for ex in batch:
-            probs = self.forward(self.encode(ex.premise, ex.hypothesis), training=training, rng=rng)
-            g = label_id(ex.gold_label)
-            rows.append(probs)
-            gold.append(g)
-            if int(np.argmax(probs.data)) == g:
-                correct += 1
-        return T.nll_from_probs(rows, gold), correct
+        probs = self.forward([self.encode(ex.premise, ex.hypothesis) for ex in batch], training=training, rng=rng)
+        gold = [label_id(ex.gold_label) for ex in batch]
+        correct = int((probs.data.argmax(axis=1) == gold).sum())
+        return T.nll_from_probs(probs, gold), correct
 
     def config_dict(self) -> dict:
         return self.config.to_dict()

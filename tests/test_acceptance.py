@@ -474,3 +474,31 @@ class TestSerialization:
             dataset_ok and ckpt_ok and e2e_ok,
             f"dataset={dataset_ok}, checkpoint={ckpt_ok}, end-to-end={e2e_ok}",
         )
+
+    def test_transformer_end_to_end_runs_are_byte_identical(self, tmp_path):
+        # dropout on: batched training draws its masks per (B, L, d) tensor,
+        # and a fixed seed must still give identical artifacts
+        data_dir = tmp_path / "data"
+        assert cli_main(["synth", "--out-dir", str(data_dir), "--count", "30", "--seed", "4"]) == 0
+        run_cfg = tmp_path / "run.json"
+        run_cfg.write_text(
+            '{"model": "transformer", "vocab_size": 120,'
+            ' "model_config": {"d_e": 16, "num_heads": 2, "num_blocks": 2, "d_ff": 32, "max_len": 24,'
+            ' "dropout": 0.1},'
+            ' "train_config": {"learning_rate": 2e-3, "batch_size": 6, "max_epochs": 2},'
+            f' "datasets": {{"train": "{data_dir}/train.jsonl", "dev": "{data_dir}/dev.jsonl"}}}}'
+        )
+        outs = []
+        for name in ("runA", "runB"):
+            out = tmp_path / name
+            assert cli_main(["train", "--config", str(run_cfg), "--out-dir", str(out), "--seed", "9"]) == 0
+            for mode in ("pointwise", "listwise"):
+                assert cli_main([
+                    "predict", "--checkpoint", str(out / "model.ckpt"), "--mode", mode,
+                    "--dataset", str(data_dir / "test.jsonl"), "--out-dir", str(out / mode),
+                ]) == 0
+            outs.append(out)
+        files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+        assert len(files) == 7
+        same = all((outs[0] / f).read_bytes() == (outs[1] / f).read_bytes() for f in files)
+        criterion("serialization-transformer", same, f"{len(files)} artifacts compared")

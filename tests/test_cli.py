@@ -231,6 +231,42 @@ class TestPredictEval:
         assert report["n_fallback_pointwise"] == "1"
         assert report["n_triples"] == "1"
 
+    def test_listwise_ids_without_pair_ids_follow_dataset_positions(self, tmp_path, trained):
+        data, ckpt = trained
+        # two complete triples, then one pair left for the point-wise fallback
+        examples = load_jsonl(data / "train.jsonl")[:7]
+        no_ids = tmp_path / "no_ids.jsonl"
+        no_ids.write_text("".join(
+            json.dumps({"sentence1": ex.premise, "sentence2": ex.hypothesis, "gold_label": ex.gold_label},
+                       sort_keys=True) + "\n"
+            for ex in examples
+        ))
+        pred_dir = tmp_path / "noid"
+        assert run_cli("predict", "--checkpoint", ckpt, "--dataset", no_ids,
+                       "--mode", "listwise", "--out-dir", pred_dir) == 0
+        preds = read_predictions(pred_dir / "predictions.tsv")
+        assert [p.pair_id for p in preds] == [f"idx-{i}" for i in range(7)]
+        point_dir = tmp_path / "noid_point"
+        assert run_cli("predict", "--checkpoint", ckpt, "--dataset", no_ids,
+                       "--mode", "pointwise", "--out-dir", point_dir) == 0
+        point = {p.pair_id: p.probs for p in read_predictions(point_dir / "predictions.tsv")}
+        for p in preds:
+            assert (p.probs == point[p.pair_id]).all()
+        assert run_cli("eval", "--predictions", pred_dir / "predictions.tsv",
+                       "--dataset", no_ids, "--out-dir", tmp_path / "noid_eval") == 0
+
+    def test_eval_rejects_duplicate_pair_ids(self, tmp_path, trained, capsys):
+        data, ckpt = trained
+        pred_dir = tmp_path / "dup"
+        assert run_cli("predict", "--checkpoint", ckpt, "--dataset", data / "test.jsonl",
+                       "--out-dir", pred_dir) == 0
+        rows = (pred_dir / "predictions.tsv").read_text().splitlines()
+        (pred_dir / "dup.tsv").write_text("\n".join(rows + rows[:1]) + "\n")
+        capsys.readouterr()
+        assert run_cli("eval", "--predictions", pred_dir / "dup.tsv",
+                       "--dataset", data / "test.jsonl", "--out-dir", tmp_path / "dup_eval") == 2
+        assert "repeat pair id" in capsys.readouterr().err
+
     def test_agreement_report_matches_hand_count(self, tmp_path):
         # 10-example fixture with known agreement pattern
         gold_path = tmp_path / "gold.jsonl"

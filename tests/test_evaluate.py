@@ -160,6 +160,15 @@ class TestGroupIntoTriples:
         with pytest.raises(DataError):
             ev.group_into_triples([], key="nope")
 
+    def test_pairs_without_ids_named_by_dataset_position(self):
+        examples = [
+            NLIExample(ex.premise, ex.hypothesis, ex.gold_label)
+            for ex in self._triple_examples("first") + self._triple_examples("second")
+        ]
+        triples, _ = ev.group_into_triples(examples)
+        ids = [pid for t in triples for pid in ev.predict_listwise(DictModel({}), t).pair_ids]
+        assert ids == [f"idx-{i}" for i in range(6)]
+
 
 class TestAccuracy:
     def test_all_correct(self):
@@ -189,6 +198,14 @@ class TestAccuracy:
         preds = [ev.Prediction("nope", np.array([0.8, 0.1, 0.1]))]
         with pytest.raises(DataError):
             ev.accuracy(preds, golds)
+
+    def test_duplicate_pair_ids_rejected(self):
+        golds = make_examples(["entailment", "neutral"])
+        pred = ev.Prediction("p0", np.array([0.8, 0.1, 0.1]))
+        with pytest.raises(DataError, match="predictions repeat pair id 'p0'"):
+            ev.accuracy([pred, pred], golds)
+        with pytest.raises(DataError, match="gold examples repeat pair id 'p0'"):
+            ev.accuracy([pred], golds + golds[:1])
 
     def test_order_invariance(self):
         golds = make_examples(["entailment", "neutral", "contradiction"])

@@ -5,7 +5,7 @@ import pytest
 
 from clinli import synth
 from clinli.data import LABELS, load_jsonl, save_jsonl
-from clinli.errors import ConfigError
+from clinli.errors import ConfigError, DataError
 
 
 class TestGenerateCorpus:
@@ -118,3 +118,10 @@ class TestJsonlRoundtrip:
         save_jsonl(path, corpus)
         first = json.loads(path.read_text().splitlines()[0])
         assert set(first) == {"sentence1", "sentence2", "gold_label", "pairID"}
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"x"', "3", "null"])
+    def test_non_object_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"sentence1": "a", "sentence2": "b", "gold_label": "neutral"}\n' + line + "\n")
+        with pytest.raises(DataError, match=r"bad.jsonl:2: expected a JSON object"):
+            load_jsonl(path)

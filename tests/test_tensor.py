@@ -136,6 +136,99 @@ class TestElementwise:
         assert rel_err(x.grad, finite_diff_grad(f, x0.copy())) < 1e-4
 
 
+class TestBatchedShapes:
+    """Ops on (batch, rows, cols) tensors: broadcast operands get gradients
+    summed back to their own shapes."""
+
+    @pytest.mark.parametrize("op", [T.add, T.mul])
+    @pytest.mark.parametrize("shape_b", [(4,), (1, 3, 4), (2, 1, 4), (2, 3, 1)])
+    def test_broadcast_grads_match_finite_differences(self, op, shape_b):
+        rng = np.random.default_rng(61)
+        a0 = rng.uniform(-1, 1, size=(2, 3, 4))
+        b0 = rng.uniform(-1, 1, size=shape_b)
+        c = rng.uniform(-1, 1, size=(2, 3, 4))
+        a = T.Tensor(a0, requires_grad=True)
+        b = T.Tensor(b0, requires_grad=True)
+        T.sum_all(T.mul(op(a, b), T.Tensor(c))).backward()
+        assert a.grad.shape == a0.shape and b.grad.shape == b0.shape
+
+        def f(x, y):
+            return float((op(T.Tensor(x), T.Tensor(y)).data * c).sum())
+
+        assert rel_err(a.grad, finite_diff_grad(lambda x: f(x, b0), a0.copy())) < 1e-6
+        assert rel_err(b.grad, finite_diff_grad(lambda y: f(a0, y), b0.copy())) < 1e-6
+
+    @pytest.mark.parametrize("shape_b", [(4, 5), (3, 4, 5)])
+    def test_batched_matmul_grads(self, shape_b):
+        rng = np.random.default_rng(62)
+        a = param(rng, 3, 2, 4)
+        b = param(rng, *shape_b)
+        c = rng.uniform(-1, 1, size=(3, 2, 5))
+        out = T.matmul(a, b)
+        for i in range(3):
+            np.testing.assert_allclose(out.data[i], a.data[i] @ (b.data if b.data.ndim == 2 else b.data[i]), atol=1e-12)
+        T.sum_all(T.mul(out, T.Tensor(c))).backward()
+        fd_a = finite_diff_grad(lambda x: ((x @ b.data) * c).sum(), a.data.copy())
+        fd_b = finite_diff_grad(lambda y: ((a.data @ y) * c).sum(), b.data.copy())
+        assert rel_err(a.grad, fd_a) < 1e-6
+        assert rel_err(b.grad, fd_b) < 1e-6
+
+    def test_batch_axes_must_broadcast(self):
+        with pytest.raises(DimensionError):
+            T.matmul(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((3, 4, 5))))
+        with pytest.raises(DimensionError):
+            T.matmul(T.Tensor(np.zeros(4)), T.Tensor(np.zeros((2, 4, 5))))
+
+    def test_last_axis_ops_act_per_batch_element(self):
+        rng = np.random.default_rng(63)
+        x0 = rng.uniform(-1, 1, size=(2, 3, 4))
+        gain, bias = T.Tensor(rng.uniform(0.5, 1.5, 4)), T.Tensor(rng.uniform(-0.2, 0.2, 4))
+        x = T.Tensor(x0)
+        for i in range(2):
+            one = T.Tensor(x0[i])
+            np.testing.assert_array_equal(T.transpose(x).data[i], T.transpose(one).data)
+            np.testing.assert_array_equal(T.slice_cols(x, 1, 3).data[i], T.slice_cols(one, 1, 3).data)
+            np.testing.assert_array_equal(T.slice_rows(x, 1, 3).data[i], T.slice_rows(one, 1, 3).data)
+            np.testing.assert_array_equal(
+                T.layer_norm(x, gain, bias).data[i], T.layer_norm(one, gain, bias).data
+            )
+
+    def test_batched_shape_op_grads(self):
+        rng = np.random.default_rng(64)
+        x0 = rng.uniform(-1, 1, size=(2, 3, 4))
+        g0, b0 = rng.uniform(0.5, 1.5, 4), rng.uniform(-0.2, 0.2, 4)
+        c = rng.uniform(-1, 1, size=(2, 4, 3))
+
+        def f(a, g, b):
+            y = T.layer_norm(T.Tensor(a), T.Tensor(g), T.Tensor(b))
+            return float((T.transpose(y).data * c).sum())
+
+        x = T.Tensor(x0, requires_grad=True)
+        gain, bias = T.Tensor(g0, requires_grad=True), T.Tensor(b0, requires_grad=True)
+        T.sum_all(T.mul(T.transpose(T.layer_norm(x, gain, bias)), T.Tensor(c))).backward()
+        assert rel_err(x.grad, finite_diff_grad(lambda a: f(a, g0, b0), x0.copy())) < 1e-4
+        assert rel_err(gain.grad, finite_diff_grad(lambda g: f(x0, g, b0), g0.copy())) < 1e-4
+        assert rel_err(bias.grad, finite_diff_grad(lambda b: f(x0, g0, b), b0.copy())) < 1e-4
+
+    def test_take_rows_with_id_matrix(self):
+        table = T.Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
+        out = T.take_rows(table, [[1, 3], [1, 0]])
+        assert out.shape == (2, 2, 3)
+        np.testing.assert_array_equal(out.data[1, 0], table.data[1])
+        T.sum_all(out).backward()
+        np.testing.assert_array_equal(table.grad.sum(axis=1), [3.0, 6.0, 0.0, 3.0])
+
+    def test_reshape_roundtrip_grad(self):
+        rng = np.random.default_rng(65)
+        a = param(rng, 2, 3, 4)
+        r = T.reshape(a, (2, -1))
+        assert r.shape == (2, 12)
+        T.sum_all(T.mul(r, r)).backward()
+        np.testing.assert_allclose(a.grad, 2 * a.data, atol=1e-12)
+        with pytest.raises(DimensionError):
+            T.reshape(a, (5, 5))
+
+
 class TestConvMaxpool:
     def test_constant_input_unit_filter(self):
         x = T.Tensor(np.full((1, 4), 2.5))
@@ -320,13 +413,13 @@ class TestLayerNorm:
 
 class TestNll:
     def test_perfect_prediction_zero_loss(self):
-        row = T.Tensor([0.0, 1.0, 0.0])
-        loss = T.nll_from_probs([row], [1])
+        probs = T.Tensor([[0.0, 1.0, 0.0]])
+        loss = T.nll_from_probs(probs, [1])
         assert float(loss.data) == 0.0
 
     def test_uniform_prediction_ln3(self):
-        row = T.Tensor([1 / 3, 1 / 3, 1 / 3])
-        loss = T.nll_from_probs([row], [0])
+        probs = T.Tensor([[1 / 3, 1 / 3, 1 / 3]])
+        loss = T.nll_from_probs(probs, [0])
         np.testing.assert_allclose(float(loss.data), np.log(3.0), rtol=1e-12)
 
     def test_batch_matches_direct_summation(self):
@@ -335,29 +428,37 @@ class TestNll:
         for _ in range(4):
             p = rng.dirichlet(np.ones(3))
             g = int(rng.integers(3))
-            rows.append(T.Tensor(p))
+            rows.append(p)
             gold.append(g)
             expected -= np.log(p[g])
-        loss = T.nll_from_probs(rows, gold)
+        loss = T.nll_from_probs(T.Tensor(np.stack(rows)), gold)
         np.testing.assert_allclose(float(loss.data), expected, rtol=1e-12)
 
     def test_zero_probability_clamped_and_counted(self):
         T.reset_nll_clamp_count()
-        row = T.Tensor([0.0, 1.0, 0.0], requires_grad=True)
-        loss = T.nll_from_probs([row], [0])
+        probs = T.Tensor([[0.0, 1.0, 0.0]], requires_grad=True)
+        loss = T.nll_from_probs(probs, [0])
         assert float(loss.data) == pytest.approx(-np.log(1e-12))
         assert T.nll_clamp_count() == 1
         loss.backward()
-        np.testing.assert_array_equal(row.grad, np.zeros(3))
+        np.testing.assert_array_equal(probs.grad, np.zeros((1, 3)))
         T.reset_nll_clamp_count()
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(33)
-        p0 = rng.dirichlet(np.ones(3))
-        row = T.Tensor(p0, requires_grad=True)
-        T.nll_from_probs([row], [2]).backward()
-        fd = finite_diff_grad(lambda a: -np.log(a[2]), p0.copy())
-        assert rel_err(row.grad, fd) < 1e-6
+        p0 = rng.dirichlet(np.ones(3), size=2)
+        probs = T.Tensor(p0, requires_grad=True)
+        T.nll_from_probs(probs, [2, 0]).backward()
+        fd = finite_diff_grad(lambda a: -np.log(a[0, 2]) - np.log(a[1, 0]), p0.copy())
+        assert rel_err(probs.grad, fd) < 1e-6
+
+    def test_rejects_vector_and_mismatched_labels(self):
+        with pytest.raises(DimensionError):
+            T.nll_from_probs(T.Tensor([0.2, 0.3, 0.5]), [0])
+        with pytest.raises(ContractError):
+            T.nll_from_probs(T.Tensor([[0.2, 0.3, 0.5]]), [0, 1])
+        with pytest.raises(DataError):
+            T.nll_from_probs(T.Tensor([[0.2, 0.3, 0.5]]), [3])
 
 
 class TestRecordReplay:

@@ -7,7 +7,7 @@ from clinli import training as tr
 from clinli.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from clinli.compaggr import CompAggrConfig, CompAggrModel
 from clinli.data import NLIExample
-from clinli.errors import ConfigError, DataError, NumericError
+from clinli.errors import ConfigError, DataError, NumericError, ParseError
 from clinli.synth import SynthSpec, generate_corpus
 from clinli.tokenizer import build_word_vocab
 
@@ -328,3 +328,47 @@ class TestCheckpointIO:
             restored.predict_proba(ex.premise, ex.hypothesis),
             model.predict_proba(ex.premise, ex.hypothesis),
         )
+
+
+class TestCheckpointParseErrors:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        corpus = generate_corpus(SynthSpec(count=12, seed=12))
+        model = small_compaggr(corpus, seed=8)
+        ckpt = tr.train(model, corpus[:9], corpus[9:], tr.TrainConfig(batch_size=4, max_epochs=1, seed=7))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        return path
+
+    @pytest.mark.parametrize("keep", [10, 40])
+    def test_truncated_header(self, saved, keep):
+        saved.write_bytes(saved.read_bytes()[:keep])
+        with pytest.raises(ParseError, match="m.ckpt: truncated header"):
+            load_checkpoint(saved)
+
+    def test_garbled_header(self, saved):
+        raw = bytearray(saved.read_bytes())
+        raw[12:14] = b"\xff]"
+        saved.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="m.ckpt: garbled header"):
+            load_checkpoint(saved)
+
+    def test_impossible_header_length(self, saved):
+        raw = bytearray(saved.read_bytes())
+        raw[8:12] = (2**32 - 1).to_bytes(4, "little")
+        saved.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="m.ckpt: truncated header"):
+            load_checkpoint(saved)
+
+    def test_trailing_bytes(self, saved):
+        saved.write_bytes(saved.read_bytes() + b"\0")
+        with pytest.raises(ParseError, match="m.ckpt: trailing bytes"):
+            load_checkpoint(saved)
+
+    def test_malformed_metrics_row(self, saved):
+        sidecar = saved.with_name(saved.name + ".metrics.tsv")
+        lines = sidecar.read_text().splitlines()
+        lines[1] = lines[1].replace("\t", " ", 1)
+        sidecar.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"m.ckpt.metrics.tsv:2: expected step"):
+            load_checkpoint(saved)

@@ -6,7 +6,8 @@ import pytest
 from clinli import tensor as T
 from clinli import tokenizer as tk
 from clinli import transformer as tr
-from clinli.errors import ConfigError, DataError
+from clinli.data import label_id
+from clinli.errors import ConfigError, DataError, DimensionError
 from clinli.synth import SynthSpec, generate_corpus
 
 from oracles import finite_diff_grad, loop_multi_head_attention, rel_err
@@ -40,8 +41,8 @@ class TestEmbed:
         zt = T.Tensor(np.zeros((len(model.vocab), 8)))
         zp = T.Tensor(np.zeros((8, 8)))
         zs = T.Tensor(np.zeros((2, 8)))
-        out = tr.embed(enc, zt, zp, zs)
-        np.testing.assert_array_equal(out.data, np.zeros((8, 8)))
+        out = tr.embed([enc], zt, zp, zs)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 8, 8)))
 
     def test_rows_are_triple_sums(self):
         rng = np.random.default_rng(2)
@@ -50,7 +51,7 @@ class TestEmbed:
         tok = rng.normal(size=(len(model.vocab), 8))
         pos = rng.normal(size=(8, 8))
         seg = rng.normal(size=(2, 8))
-        out = tr.embed(enc, T.Tensor(tok), T.Tensor(pos), T.Tensor(seg)).data
+        out = tr.embed([enc], T.Tensor(tok), T.Tensor(pos), T.Tensor(seg)).data[0]
         for i in range(8):
             expected = tok[enc.token_ids[i]] + pos[enc.position_ids[i]] + seg[enc.segment_ids[i]]
             np.testing.assert_allclose(out[i], expected, atol=0)
@@ -60,7 +61,7 @@ class TestEmbed:
         enc = model.encode("a", "b")
         enc.token_ids[1] = 999
         with pytest.raises(DataError):
-            tr.embed(enc, model.token_table, model.pos_table, model.seg_table)
+            tr.embed([enc], model.token_table, model.pos_table, model.seg_table)
 
 
 def random_attention_params(rng, d_e):
@@ -230,8 +231,8 @@ class TestClassify:
         enc_long = tk.encode_pair("a b", "c", model.vocab, max_len=16)
         # same content, more padding
         assert enc_long.token_ids[:8] == enc_short.token_ids
-        p_short = model.forward(enc_short).data
-        p_long = model.forward(enc_long).data
+        p_short = model.forward([enc_short]).data
+        p_long = model.forward([enc_long]).data
         np.testing.assert_allclose(p_long, p_short, atol=1e-9)
 
     def test_deterministic_inference(self):
@@ -239,6 +240,64 @@ class TestClassify:
         a = model.predict_proba("a b c", "d")
         b = model.predict_proba("a b c", "d")
         np.testing.assert_array_equal(a, b)
+
+
+class TestBatching:
+    PAIRS = [("a", "b"), ("a b", "c"), ("h g c", "d"), ("b c d", "e f")]
+
+    def test_batch_rows_match_single_forwards(self):
+        model = tiny_model(seed=13)
+        encoded = [model.encode(p, h) for p, h in self.PAIRS]
+        assert len({sum(e.attention_mask) for e in encoded}) == len(encoded)
+        batched = model.forward(encoded).data
+        assert batched.shape == (len(encoded), 3)
+        for row, enc in zip(batched, encoded):
+            np.testing.assert_allclose(row, model.forward([enc]).data[0], rtol=0, atol=1e-12)
+
+    def test_padding_invariance_in_mixed_batch(self):
+        model = tiny_model(seed=7, max_len=16)
+        short = [tk.encode_pair(p, h, model.vocab, max_len=8) for p, h in self.PAIRS]
+        long = [tk.encode_pair(p, h, model.vocab, max_len=16) for p, h in self.PAIRS]
+        np.testing.assert_allclose(model.forward(long).data, model.forward(short).data, atol=1e-9)
+
+    def test_batched_attention_matches_loop_oracle_per_sequence(self):
+        rng = np.random.default_rng(29)
+        d_e, length = 4, 5
+        p = random_attention_params(rng, d_e)
+        x0 = rng.uniform(-1, 1, (3, length, d_e))
+        masks = [[1, 1, 1, 1, 1], [1, 1, 0, 0, 0], [1, 0, 1, 1, 0]]
+        out = tr.multi_head_attention(T.Tensor(x0), masks, p, num_heads=2).data
+        for i in range(3):
+            oracle = loop_multi_head_attention(
+                x0[i], masks[i],
+                p.wq.data, p.bq.data, p.wk.data, p.bk.data,
+                p.wv.data, p.bv.data, p.wo.data, p.bo.data,
+                num_heads=2,
+            )
+            assert np.max(np.abs(out[i] - oracle)) <= 1e-10
+
+    def test_mask_shape_must_match(self):
+        p = random_attention_params(np.random.default_rng(1), 4)
+        with pytest.raises(DimensionError):
+            tr.multi_head_attention(T.Tensor(np.zeros((2, 3, 4))), [1, 1, 1], p, num_heads=2)
+
+    def test_tape_size_does_not_grow_with_batch(self):
+        model = tiny_model(seed=3)
+        corpus = generate_corpus(SynthSpec(count=16, seed=4))
+        sizes = []
+        for n in (4, 16):
+            loss, _ = model.batch_loss(corpus[:n], training=True, rng=np.random.default_rng(0))
+            sizes.append(len(T.record(loss)))
+        assert sizes[0] == sizes[1]
+
+    def test_batch_loss_sums_rows(self):
+        model = tiny_model(seed=5)
+        corpus = generate_corpus(SynthSpec(count=6, seed=2))
+        loss, correct = model.batch_loss(corpus)
+        probs = np.stack([model.predict_proba(ex.premise, ex.hypothesis) for ex in corpus])
+        gold = [label_id(ex.gold_label) for ex in corpus]
+        np.testing.assert_allclose(float(loss.data), -np.log(probs[np.arange(6), gold]).sum(), rtol=1e-12)
+        assert correct == int((probs.argmax(axis=1) == gold).sum())
 
 
 class TestParameterPlumbing:
