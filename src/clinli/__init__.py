@@ -16,7 +16,6 @@ from .compaggr import (
     compare,
     contextual_encode,
     cross_attention,
-    nll_loss,
 )
 from .data import LABELS, NLIExample, NLITriple, label_id, load_jsonl, save_jsonl
 from .evaluate import (

@@ -22,16 +22,35 @@ from pathlib import Path
 
 import numpy as np
 
-from .compaggr import CompAggrConfig, CompAggrModel
+from .compaggr import CompAggrModel
 from .errors import ConfigError, ParseError
+from .model import check_config_keys
 from .tokenizer import Vocabulary
-from .transformer import TransformerClassifier, TransformerConfig
+from .transformer import TransformerClassifier
 
-__all__ = ["Checkpoint", "MetricRow", "load_checkpoint", "model_from_checkpoint", "save_checkpoint"]
+__all__ = [
+    "MODEL_KINDS", "Checkpoint", "MetricRow", "load_checkpoint", "make_model_config", "model_from_checkpoint",
+    "save_checkpoint",
+]
 
 MAGIC = b"CLINLI01"
 FORMAT_VERSION = 1
 _HEADER_KEYS = {"format_version", "kind", "config", "vocab", "tokenizer_mode", "provenance", "adam_t", "blocks"}
+
+# The one place a model kind is decided: checkpoint headers, run configs and
+# the command line name a kind, and its class gives the config class and the
+# tokenizer modes it accepts (the first is the default).
+MODEL_KINDS = {cls.kind: cls for cls in (TransformerClassifier, CompAggrModel)}
+
+
+def make_model_config(kind, raw, where):
+    """The config object of model ``kind`` from a JSON object read from
+    ``where``; an unknown kind or key ends in a ConfigError naming it."""
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"{where}: model must be one of {list(MODEL_KINDS)}, got {kind!r}")
+    config_class = MODEL_KINDS[kind].config_class
+    check_config_keys(config_class, raw, where)
+    return config_class(**raw)
 
 
 @dataclass
@@ -120,6 +139,7 @@ def _read_header(path, fh) -> dict:
         raise ParseError(f"{path}: unsupported format version {header['format_version']}")
     if not isinstance(header["blocks"], list):
         raise ParseError(f"{path}: header blocks is not a list")
+    make_model_config(header["kind"], header["config"], path)  # here the error can name the file
     return header
 
 
@@ -192,16 +212,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 def model_from_checkpoint(ckpt: Checkpoint):
     """Rebuild a model of the checkpointed kind and restore its parameters."""
-    vocab = Vocabulary(list(ckpt.vocab_tokens))
-    if ckpt.kind == "transformer":
-        model = TransformerClassifier(
-            TransformerConfig(**ckpt.model_config), vocab, tokenizer_mode=ckpt.tokenizer_mode
-        )
-    elif ckpt.kind == "compaggr":
-        cfg = dict(ckpt.model_config)
-        cfg["filter_widths"] = tuple(cfg["filter_widths"])
-        model = CompAggrModel(CompAggrConfig(**cfg), vocab)
-    else:
-        raise ConfigError(f"unknown model kind {ckpt.kind!r}")
+    config = make_model_config(ckpt.kind, ckpt.model_config, "checkpoint")
+    model = MODEL_KINDS[ckpt.kind](config, Vocabulary(list(ckpt.vocab_tokens)), tokenizer_mode=ckpt.tokenizer_mode)
     model.load_parameters(ckpt.params)
     return model

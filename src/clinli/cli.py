@@ -16,11 +16,14 @@ Training runs are described by a declarative JSON run config::
       "datasets": {"train": "t.jsonl", "dev": "d.jsonl"},   # train command
       "chain": [{"name": "S", "train": "...", "dev": "...",
                  "train_config": { ... }}, ...],             # transfer command
-      "head_reset": "keep" | "reset",
+      "head_reset": "keep" | "reset",             # transfer command
       "abbrev_table": "table.tsv",                 # optional pre-expansion
       "out_dir": "runs/exp1",
       "seed": 0
     }
+
+``train`` runs its ``datasets`` as a one-stage chain named after the train
+file's stem: ``train`` and ``transfer`` share one path.
 
 The optional ``"preset": "paper"`` in a train_config selects the fixed
 2e-5 learning rate used when fine-tuning from large pretrained weights.
@@ -36,12 +39,11 @@ from pathlib import Path
 import numpy as np
 
 from .abbrev import expand_dataset, load_table
-from .checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
-from .compaggr import CompAggrConfig, CompAggrModel
+from .checkpoint import MODEL_KINDS, load_checkpoint, make_model_config, model_from_checkpoint, save_checkpoint
 from .data import load_jsonl, save_jsonl
 from .errors import ClinliError, ConfigError, DataError, ParseError
 from .evaluate import (
-    FilePrediction,
+    Prediction,
     accuracy,
     agreement_partition,
     group_into_triples,
@@ -52,10 +54,10 @@ from .evaluate import (
     write_metrics,
     write_predictions,
 )
+from .model import check_config_keys
 from .synth import SynthSpec, generate_corpus, generate_transfer_pair
 from .tokenizer import build_word_vocab, train_wordpiece
-from .training import Stage, TrainConfig, TransferChain, run_chain, train
-from .transformer import TransformerClassifier, TransformerConfig
+from .training import Stage, TrainConfig, TransferChain, run_chain
 
 USAGE_ERRORS = (ConfigError, ParseError, DataError, FileNotFoundError)
 
@@ -91,35 +93,22 @@ def _require_file(path_str: str, what: str) -> Path:
     return path
 
 
-def _make_train_config(raw: dict | None, seed: int) -> TrainConfig:
-    raw = dict(raw or {})
+def _make_train_config(raw: dict, where) -> TrainConfig:
     preset = raw.pop("preset", None)
-    raw.setdefault("seed", seed)
-    if preset == "paper":
-        return TrainConfig.paper_preset(**raw)
-    if preset is not None:
-        raise ConfigError(f"unknown train preset {preset!r}")
-    return TrainConfig(**raw)
+    if preset not in (None, "paper"):
+        raise ConfigError(f"{where}: unknown train preset {preset!r}")
+    check_config_keys(TrainConfig, raw, where)
+    return TrainConfig.paper_preset(**raw) if preset else TrainConfig(**raw)
 
 
-def _build_model(cfg: dict, corpora_sentences: list[str], seed: int):
-    kind = cfg.get("model")
-    if kind not in ("transformer", "compaggr"):
-        raise ConfigError(f"model must be 'transformer' or 'compaggr', got {kind!r}")
-    tokenizer = cfg.get("tokenizer") or ("wordpiece" if kind == "transformer" else "word")
-    model_cfg = dict(cfg.get("model_config") or {})
-    if kind == "transformer":
-        if tokenizer == "wordpiece":
-            vocab = train_wordpiece(corpora_sentences, target_size=int(cfg.get("vocab_size", 200)))
-        else:
-            vocab = build_word_vocab(corpora_sentences)
-        return TransformerClassifier(TransformerConfig(**model_cfg), vocab, seed=seed, tokenizer_mode=tokenizer)
-    if tokenizer != "word":
-        raise ConfigError("the compaggr model is word-level; set tokenizer to 'word'")
-    if "filter_widths" in model_cfg:
-        model_cfg["filter_widths"] = tuple(model_cfg["filter_widths"])
-    vocab = build_word_vocab(corpora_sentences)
-    return CompAggrModel(CompAggrConfig(**model_cfg), vocab, seed=seed)
+def _build_model(cfg: dict, config, corpora_sentences: list[str], seed: int):
+    cls = MODEL_KINDS[cfg["model"]]
+    tokenizer = cfg.get("tokenizer") or cls.tokenizer_modes[0]
+    if tokenizer == "wordpiece":
+        vocab = train_wordpiece(corpora_sentences, target_size=int(cfg.get("vocab_size", 200)))
+    else:
+        vocab = build_word_vocab(corpora_sentences)
+    return cls(config, vocab, seed=seed, tokenizer_mode=tokenizer)
 
 
 def _sentences(datasets) -> list[str]:
@@ -194,44 +183,24 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(_require_file(args.config, "run config"))
+    """``train`` and ``transfer``: every run is a chain of stages."""
+    config_path = _require_file(args.config, "run config")
+    cfg = load_run_config(config_path)
     if args.model:
         cfg["model"] = args.model
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     out_dir = _out_dir(args, cfg)
+    model_config = make_model_config(cfg.get("model"), cfg.get("model_config") or {}, config_path)
 
-    datasets = cfg.get("datasets")
-    if not isinstance(datasets, dict) or "train" not in datasets or "dev" not in datasets:
-        raise ConfigError("train needs config datasets.train and datasets.dev")
-    train_path = _require_file(datasets["train"], "train dataset")
-    dev_path = _require_file(datasets["dev"], "dev dataset")
-    table = load_table(_require_file(cfg["abbrev_table"], "abbreviation table")) if cfg.get("abbrev_table") else None
-
-    train_set = _load_and_expand(train_path, table)
-    dev_set = _load_and_expand(dev_path, table)
-    model = _build_model(cfg, _sentences([train_set, dev_set]), seed)
-    config = _make_train_config(cfg.get("train_config"), seed)
-
-    ckpt = train(model, train_set, dev_set, config, dataset_name=Path(train_path).stem)
-    ckpt_path = out_dir / "model.ckpt"
-    save_checkpoint(ckpt, ckpt_path)
-    summary = _summarize(ckpt)
-    (out_dir / "summary.txt").write_text(summary + "\n", encoding="utf-8")
-    print(f"wrote {ckpt_path}")
-    print(summary)
-    return 0
-
-
-def cmd_transfer(args) -> int:
-    cfg = load_run_config(_require_file(args.config, "run config"))
-    if args.model:
-        cfg["model"] = args.model
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    out_dir = _out_dir(args, cfg)
-
-    chain_cfg = cfg.get("chain")
-    if not isinstance(chain_cfg, list) or not chain_cfg:
-        raise ConfigError("transfer needs a non-empty config chain")
+    if args.command == "train":
+        datasets = cfg.get("datasets")
+        if not isinstance(datasets, dict) or "train" not in datasets or "dev" not in datasets:
+            raise ConfigError("train needs config datasets.train and datasets.dev")
+        chain_cfg = [{"name": Path(datasets["train"]).stem, "train": datasets["train"], "dev": datasets["dev"]}]
+    else:
+        chain_cfg = cfg.get("chain")
+        if not isinstance(chain_cfg, list) or not chain_cfg:
+            raise ConfigError("transfer needs a non-empty config chain")
     table = load_table(_require_file(cfg["abbrev_table"], "abbreviation table")) if cfg.get("abbrev_table") else None
 
     stages = []
@@ -241,14 +210,13 @@ def cmd_transfer(args) -> int:
         name = stage_cfg.get("name", f"stage{i}")
         train_set = _load_and_expand(_require_file(stage_cfg["train"], f"stage {name} train dataset"), table)
         dev_set = _load_and_expand(_require_file(stage_cfg["dev"], f"stage {name} dev dataset"), table)
-        stage_train_cfg = dict(cfg.get("train_config") or {})
-        stage_train_cfg.update(stage_cfg.get("train_config") or {})
-        stages.append(Stage(name, train_set, dev_set, _make_train_config(stage_train_cfg, seed)))
+        stage_train_cfg = {"seed": seed, **(cfg.get("train_config") or {}), **(stage_cfg.get("train_config") or {})}
+        stages.append(Stage(name, train_set, dev_set, _make_train_config(stage_train_cfg, config_path)))
 
     # vocabulary from the union of all chain corpora, built up front
     union_sentences = _sentences([s.train_set for s in stages] + [s.dev_set for s in stages])
     chain = TransferChain(stages=stages, head_reset=cfg.get("head_reset", "keep"))
-    ckpt = run_chain(lambda: _build_model(cfg, union_sentences, seed), chain)
+    ckpt = run_chain(lambda: _build_model(cfg, model_config, union_sentences, seed), chain)
 
     ckpt_path = out_dir / "model.ckpt"
     save_checkpoint(ckpt, ckpt_path)
@@ -266,29 +234,26 @@ def cmd_predict(args) -> int:
     out_dir = _out_dir(args)
 
     report = {"mode": args.mode, "n_examples": len(examples)}
+    errors = []
     if args.mode == "pointwise":
-        errors = []
-        preds = predict_pointwise(model, examples, error_log=errors)
-        rows = [FilePrediction(p.pair_id, p.probs, p.predicted_label) for p in preds]
-        report["n_errors"] = len(errors)
+        rows = predict_pointwise(model, examples, error_log=errors)
     else:
         triples, _ = group_into_triples(examples, key=args.group_key)
-        in_triples = {i for t in triples for i in t.positions}
-        left_positions = [i for i in range(len(examples)) if i not in in_triples]
-        leftovers = [examples[i] for i in left_positions]
-        rows = []
+        rows, assigned = [], set()
         for t in triples:
-            result = predict_listwise(model, t)
-            for pid, label, probs in zip(result.pair_ids, result.labels, result.probs):
-                rows.append(FilePrediction(pid, probs, label))
-        errors = []
-        for p in predict_pointwise(model, leftovers, error_log=errors, positions=left_positions):
-            rows.append(FilePrediction(p.pair_id, p.probs, p.predicted_label))
-        if leftovers:
-            print(f"warning: {len(leftovers)} examples not in complete triples; fell back to pointwise")
-        report["n_triples"] = len(triples)
-        report["n_fallback_pointwise"] = len(leftovers)
-        report["n_errors"] = len(errors)
+            try:
+                result = predict_listwise(model, t)
+            except ClinliError:
+                continue  # a pair the model cannot encode sends its triple point-wise
+            rows += [Prediction(*row) for row in zip(result.pair_ids, result.probs, result.labels)]
+            assigned.update(t.positions)
+        fallback = [i for i in range(len(examples)) if i not in assigned]
+        rows += predict_pointwise(model, [examples[i] for i in fallback], error_log=errors, positions=fallback)
+        if fallback:
+            print(f"warning: {len(fallback)} examples fell back to pointwise")
+        report["n_triples"] = len(assigned) // 3
+        report["n_fallback_pointwise"] = len(fallback)
+    report["n_errors"] = len(errors)
 
     pred_path = out_dir / "predictions.tsv"
     write_predictions(pred_path, rows)
@@ -383,19 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-count", type=int, default=None)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train one model from a run config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--model", choices=("transformer", "compaggr"), default=None)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("transfer", help="run a sequential transfer chain")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--model", choices=("transformer", "compaggr"), default=None)
-    p.set_defaults(func=cmd_transfer)
+    for name, text in (("train", "train one model from a run config"), ("transfer", "run a sequential transfer chain")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out-dir", default=None)
+        p.add_argument("--model", choices=tuple(MODEL_KINDS), default=None)
+        p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="write predictions for a dataset")
     p.add_argument("--checkpoint", required=True)

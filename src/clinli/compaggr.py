@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import label_id
 from .errors import ConfigError, DataError, DimensionError
+from .model import PairClassifier, initializers
 from .tokenizer import Vocabulary, word_tokenize
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "compare",
     "contextual_encode",
     "cross_attention",
-    "nll_loss",
 ]
 
 
@@ -47,6 +46,7 @@ class CompAggrConfig:
     dropout: float = 0.7
 
     def __post_init__(self):
+        self.filter_widths = tuple(self.filter_widths)
         if self.repr_dim < 2 or self.repr_dim % 2 != 0:
             raise ConfigError(f"repr_dim must be even and >= 2, got {self.repr_dim}")
         if self.word_dim < 1 or self.filters_per_width < 1:
@@ -64,16 +64,6 @@ class CompAggrConfig:
     def full_scale(cls) -> "CompAggrConfig":
         """100-wide representations and 100 filters per width (500 total)."""
         return cls(word_dim=100, repr_dim=100, filters_per_width=100)
-
-    def to_dict(self) -> dict:
-        return {
-            "word_dim": self.word_dim,
-            "repr_dim": self.repr_dim,
-            "filter_widths": list(self.filter_widths),
-            "filters_per_width": self.filters_per_width,
-            "num_classes": self.num_classes,
-            "dropout": self.dropout,
-        }
 
 
 @dataclass
@@ -160,50 +150,23 @@ def aggregate_classify(
     return T.softmax(logits, axis=0)
 
 
-def nll_loss(predicted, gold_onehot) -> T.Tensor:
-    """Summed cross-entropy between predicted distributions and one-hot
-    labels: the negative sum of log-probabilities at the gold classes."""
-    rows = list(predicted)
-    onehots = [np.asarray(g, dtype=np.float64) for g in gold_onehot]
-    if len(rows) != len(onehots) or not rows:
-        raise DataError(f"nll_loss: {len(rows)} predictions vs {len(onehots)} labels")
-    gold_ids = []
-    for g in onehots:
-        if g.ndim != 1 or not np.isclose(g.sum(), 1.0) or not set(np.unique(g)) <= {0.0, 1.0}:
-            raise DataError(f"labels must be one-hot vectors, got {g}")
-        gold_ids.append(int(np.argmax(g)))
-    return T.nll_from_probs(_stack_rows(rows), gold_ids)
-
-
 def _stack_rows(rows) -> T.Tensor:
     """Per-example probability vectors as one (batch, classes) matrix."""
     return T.reshape(T.concat(rows, axis=0), (len(rows), -1))
 
 
-class CompAggrModel:
+class CompAggrModel(PairClassifier):
     """Three-way sentence-pair classifier with align/compare/aggregate flow."""
 
     kind = "compaggr"
-    tokenizer_mode = "word"
+    config_class = CompAggrConfig
+    tokenizer_modes = ("word",)
 
-    def __init__(self, config: CompAggrConfig, vocab: Vocabulary, seed: int = 0):
-        self.config = config
-        self.vocab = vocab
-        self.dropout = config.dropout
+    def __init__(self, config: CompAggrConfig, vocab: Vocabulary, seed: int = 0, tokenizer_mode: str = "word"):
+        super().__init__(config, vocab, tokenizer_mode)
         self.freeze_encoder = False
-        rng = np.random.default_rng(seed)
+        mat, zeros, _ = initializers(seed)
         hidden = config.repr_dim // 2
-
-        def mat(*shape, fans=None):
-            if fans is None:
-                arr = T.xavier_uniform(rng, shape)
-            else:
-                arr = T.xavier_uniform(rng, shape, fan_in=fans[0], fan_out=fans[1])
-            return T.Tensor(arr, requires_grad=True)
-
-        def zeros(n):
-            return T.Tensor(np.zeros(n), requires_grad=True)
-
         self.emb_table = mat(len(vocab), config.word_dim)
         self.enc_fwd = EncoderDirection(
             wx=mat(hidden, config.word_dim), wh=mat(hidden, hidden), b=zeros(hidden)
@@ -232,22 +195,6 @@ class CompAggrModel:
         params["cls.w"] = self.cls_w
         params["cls.b"] = self.cls_b
         return params
-
-    def load_parameters(self, arrays: dict[str, np.ndarray]) -> None:
-        params = self.parameters()
-        if set(arrays) != set(params):
-            missing = set(params) - set(arrays)
-            extra = set(arrays) - set(params)
-            raise DataError(f"parameter name mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-        for name, p in params.items():
-            if arrays[name].shape != p.shape:
-                raise DataError(f"parameter {name}: shape {arrays[name].shape} != expected {p.shape}")
-            p.data = np.array(arrays[name], dtype=np.float64)
-
-    def reset_head(self, seed: int = 0) -> None:
-        rng = np.random.default_rng(seed)
-        self.cls_w.data = T.xavier_uniform(rng, self.cls_w.shape)
-        self.cls_b.data = np.zeros(self.cls_b.shape)
 
     def _ids(self, text: str) -> list[int]:
         ids = word_tokenize(text, self.vocab)
@@ -282,9 +229,4 @@ class CompAggrModel:
 
     def batch_loss(self, batch, training: bool = False, rng: np.random.Generator | None = None):
         probs = _stack_rows([self.forward(ex.premise, ex.hypothesis, training=training, rng=rng) for ex in batch])
-        gold = [label_id(ex.gold_label) for ex in batch]
-        correct = int((probs.data.argmax(axis=1) == gold).sum())
-        return T.nll_from_probs(probs, gold), correct
-
-    def config_dict(self) -> dict:
-        return self.config.to_dict()
+        return self._scored(probs, batch)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .errors import ClinliError, DataError
 
 __all__ = [
     "AgreementPartition",
-    "FilePrediction",
     "ListwiseResult",
     "Prediction",
     "PredictionError",
@@ -50,51 +49,33 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class Prediction:
-    """Per-pair class probabilities with the argmax label (ties resolved by
-    the fixed class order entailment < contradiction < neutral)."""
+    """Per-pair class probabilities and the predicted label.  The label
+    defaults to the argmax (ties resolved by the fixed class order
+    entailment < contradiction < neutral); a list-wise assignment may give
+    any label of LABELS."""
 
     pair_id: str
     probs: np.ndarray
-    predicted_label: str = field(default="")
+    predicted_label: str | None = None
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.shape != (3,):
             raise DataError(f"prediction needs 3 probabilities, got shape {self.probs.shape}")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-6:
+        if not abs(float(self.probs.sum()) - 1.0) <= 1e-6:
             raise DataError(f"probabilities sum to {self.probs.sum()}, not 1")
-        argmax_label = LABELS[int(np.argmax(self.probs))]
-        if not self.predicted_label:
-            self.predicted_label = argmax_label
-        elif self.predicted_label != argmax_label:
-            raise DataError(
-                f"predicted label {self.predicted_label!r} is not the argmax {argmax_label!r}"
-            )
-
-    @property
-    def confidence(self) -> float:
-        return float(self.probs[label_id(self.predicted_label)])
-
-
-@dataclass
-class FilePrediction:
-    """A prediction file row.  Unlike Prediction, the label is free: list-wise
-    assignments may legitimately differ from the per-pair argmax."""
-
-    pair_id: str
-    probs: np.ndarray
-    predicted_label: str
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.shape != (3,):
-            raise DataError(f"prediction needs 3 probabilities, got shape {self.probs.shape}")
-        if self.predicted_label not in LABELS:
+        if self.predicted_label is None:
+            self.predicted_label = LABELS[int(np.argmax(self.probs))]
+        elif self.predicted_label not in LABELS:
             raise DataError(f"unknown label {self.predicted_label!r}")
 
     @property
     def confidence(self) -> float:
         return float(self.probs[label_id(self.predicted_label)])
+
+
+# perfbench/bench.py builds prediction rows positionally under this older name.
+FilePrediction = Prediction
 
 
 @dataclass
@@ -284,7 +265,9 @@ def write_predictions(path, predictions) -> None:
             fh.write(f"{p.pair_id}\t{pe!r}\t{pc!r}\t{pn!r}\t{p.predicted_label}\n")
 
 
-def read_predictions(path) -> list[FilePrediction]:
+def read_predictions(path) -> list[Prediction]:
+    """Rows written by ``write_predictions``; any malformed row ends in a
+    DataError naming ``path:line``."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -295,9 +278,14 @@ def read_predictions(path) -> list[FilePrediction]:
             if len(fields) != 5:
                 raise DataError(f"{path}:{lineno}: expected 5 tab-separated fields")
             pid, pe, pc, pn, label = fields
-            out.append(
-                FilePrediction(pair_id=pid, probs=np.array([float(pe), float(pc), float(pn)]), predicted_label=label)
-            )
+            try:
+                probs = np.array([float(pe), float(pc), float(pn)])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: probabilities must be numbers, got {[pe, pc, pn]}") from None
+            try:
+                out.append(Prediction(pid, probs, label))
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .checkpoint import Checkpoint, MetricRow
 from .data import LABELS
 from .errors import ConfigError, DataError, NumericError
-from .tensor import Tensor
+from .tensor import Tensor, zero_grads
 
 __all__ = [
     "AdamState",
@@ -199,8 +199,7 @@ def train(
         order = shuffle_rng.permutation(len(train_set))
         for start in range(0, len(order), config.batch_size):
             batch = [train_set[i] for i in order[start : start + config.batch_size]]
-            for p in params.values():
-                p.grad = None
+            zero_grads(params.values())
             loss, _ = model.batch_loss(batch, training=True, rng=dropout_rng)
             loss.backward()
             clip_gradients(params, config.clip_norm)

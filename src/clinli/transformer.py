@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import label_id
 from .errors import ConfigError, ContractError, DataError, DimensionError
+from .model import PairClassifier, initializers
 from .tokenizer import EncodedPair, Vocabulary, encode_pair
 
 __all__ = [
@@ -65,17 +65,6 @@ class TransformerConfig:
     @property
     def d_k(self) -> int:
         return self.d_e // self.num_heads
-
-    def to_dict(self) -> dict:
-        return {
-            "d_e": self.d_e,
-            "num_heads": self.num_heads,
-            "num_blocks": self.num_blocks,
-            "d_ff": self.d_ff,
-            "max_len": self.max_len,
-            "num_classes": self.num_classes,
-            "dropout": self.dropout,
-        }
 
 
 @dataclass
@@ -180,10 +169,12 @@ def transformer_block(
     return T.layer_norm(T.add(x, f), bp.ln2_gain, bp.ln2_bias)
 
 
-class TransformerClassifier:
+class TransformerClassifier(PairClassifier):
     """Three-way sentence-pair classifier over sub-word encodings."""
 
     kind = "transformer"
+    config_class = TransformerConfig
+    tokenizer_modes = ("wordpiece", "word")
 
     def __init__(
         self,
@@ -192,24 +183,9 @@ class TransformerClassifier:
         seed: int = 0,
         tokenizer_mode: str = "wordpiece",
     ):
-        if tokenizer_mode not in ("wordpiece", "word"):
-            raise ConfigError(f"unknown tokenizer mode {tokenizer_mode!r}")
-        self.config = config
-        self.vocab = vocab
-        self.tokenizer_mode = tokenizer_mode
-        self.dropout = config.dropout
-        rng = np.random.default_rng(seed)
+        super().__init__(config, vocab, tokenizer_mode)
+        mat, zeros, ones = initializers(seed)
         d_e, d_ff = config.d_e, config.d_ff
-
-        def mat(*shape):
-            return T.Tensor(T.xavier_uniform(rng, shape), requires_grad=True)
-
-        def zeros(n):
-            return T.Tensor(np.zeros(n), requires_grad=True)
-
-        def ones(n):
-            return T.Tensor(np.ones(n), requires_grad=True)
-
         self.token_table = mat(len(vocab), d_e)
         self.pos_table = mat(config.max_len, d_e)
         self.seg_table = mat(2, d_e)
@@ -256,22 +232,6 @@ class TransformerClassifier:
         params["cls.b"] = self.cls_b
         return params
 
-    def load_parameters(self, arrays: dict[str, np.ndarray]) -> None:
-        params = self.parameters()
-        if set(arrays) != set(params):
-            missing = set(params) - set(arrays)
-            extra = set(arrays) - set(params)
-            raise DataError(f"parameter name mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-        for name, p in params.items():
-            if arrays[name].shape != p.shape:
-                raise DataError(f"parameter {name}: shape {arrays[name].shape} != expected {p.shape}")
-            p.data = np.array(arrays[name], dtype=np.float64)
-
-    def reset_head(self, seed: int = 0) -> None:
-        rng = np.random.default_rng(seed)
-        self.cls_w.data = T.xavier_uniform(rng, self.cls_w.shape)
-        self.cls_b.data = np.zeros(self.cls_b.shape)
-
     def encode(self, premise: str, hypothesis: str, label: int | None = None) -> EncodedPair:
         return encode_pair(
             premise, hypothesis, self.vocab, self.config.max_len,
@@ -298,9 +258,4 @@ class TransformerClassifier:
         """Summed negative log-likelihood over a batch of examples, plus the
         number of correct argmax predictions."""
         probs = self.forward([self.encode(ex.premise, ex.hypothesis) for ex in batch], training=training, rng=rng)
-        gold = [label_id(ex.gold_label) for ex in batch]
-        correct = int((probs.data.argmax(axis=1) == gold).sum())
-        return T.nll_from_probs(probs, gold), correct
-
-    def config_dict(self) -> dict:
-        return self.config.to_dict()
+        return self._scored(probs, batch)

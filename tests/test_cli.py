@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from clinli import cli
+from clinli.checkpoint import load_checkpoint, save_checkpoint
 from clinli.data import load_jsonl
 from clinli.evaluate import read_predictions
 
@@ -89,6 +90,17 @@ class TestTrain:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": "compaggr", "mystery": 1}))
         assert run_cli("train", "--config", path, "--out-dir", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("section,key", [("model_config", "bogus"), ("train_config", "learning_rte")])
+    def test_unknown_section_key_exits_2_naming_file_and_key(self, tmp_path, capsys, section, key):
+        data = synth_dir(tmp_path, count=30, seed=1)
+        config = compaggr_run_config(tmp_path, data)
+        cfg = json.loads(config.read_text())
+        cfg[section][key] = 1
+        config.write_text(json.dumps(cfg))
+        assert run_cli("train", "--config", config, "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and key in err
 
     def test_overfit_config_reports_full_accuracy(self, tmp_path, capsys):
         # dev pointed at the training data: the summary's best_dev_acc is
@@ -231,6 +243,24 @@ class TestPredictEval:
         assert report["n_fallback_pointwise"] == "1"
         assert report["n_triples"] == "1"
 
+    def test_listwise_unencodable_pair_falls_back_to_pointwise(self, tmp_path, trained):
+        data, ckpt = trained
+        examples = load_jsonl(data / "train.jsonl")[:6]  # two complete triples
+        docs = [{"sentence1": ex.premise, "sentence2": ex.hypothesis,
+                 "gold_label": ex.gold_label, "pairID": ex.pair_id} for ex in examples]
+        docs[4]["sentence2"] = "   "  # tokenizes to nothing
+        dataset = tmp_path / "blank.jsonl"
+        dataset.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in docs))
+        pred_dir = tmp_path / "blank"
+        assert run_cli("predict", "--checkpoint", ckpt, "--dataset", dataset,
+                       "--mode", "listwise", "--out-dir", pred_dir) == 0
+        report = dict(
+            line.split("=", 1) for line in (pred_dir / "predict_report.txt").read_text().splitlines()
+        )
+        assert (report["n_triples"], report["n_fallback_pointwise"], report["n_errors"]) == ("1", "3", "1")
+        preds = read_predictions(pred_dir / "predictions.tsv")
+        assert [p.pair_id for p in preds] == [ex.pair_id for i, ex in enumerate(examples) if i != 4]
+
     def test_listwise_ids_without_pair_ids_follow_dataset_positions(self, tmp_path, trained):
         data, ckpt = trained
         # two complete triples, then one pair left for the point-wise fallback
@@ -266,6 +296,15 @@ class TestPredictEval:
         assert run_cli("eval", "--predictions", pred_dir / "dup.tsv",
                        "--dataset", data / "test.jsonl", "--out-dir", tmp_path / "dup_eval") == 2
         assert "repeat pair id" in capsys.readouterr().err
+
+    def test_eval_non_numeric_probability_exits_2(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps({"sentence1": "a", "sentence2": "b", "gold_label": "neutral",
+                                    "pairID": "p1"}) + "\n")
+        preds = tmp_path / "bad.tsv"
+        preds.write_text("p1\t0.2\tabc\t0.3\tneutral\n")
+        assert run_cli("eval", "--predictions", preds, "--dataset", gold, "--out-dir", tmp_path / "e") == 2
+        assert f"{preds}:1:" in capsys.readouterr().err
 
     def test_agreement_report_matches_hand_count(self, tmp_path):
         # 10-example fixture with known agreement pattern
@@ -304,6 +343,17 @@ class TestPredictEval:
         bogus.write_bytes(b"NOTMAGIC" + bytes(16))
         assert run_cli("predict", "--checkpoint", bogus, "--dataset", data / "test.jsonl",
                        "--out-dir", tmp_path / "p") == 2
+
+    def test_checkpoint_config_extra_key_exits_2(self, tmp_path, trained, capsys):
+        data, ckpt = trained
+        loaded = load_checkpoint(ckpt)
+        loaded.model_config["bogus"] = 1
+        bad = tmp_path / "extra_key.ckpt"
+        save_checkpoint(loaded, bad)
+        assert run_cli("predict", "--checkpoint", bad, "--dataset", data / "test.jsonl",
+                       "--out-dir", tmp_path / "p") == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "bogus" in err
 
 
 class TestExpand:

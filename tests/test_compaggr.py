@@ -203,29 +203,25 @@ class TestAggregateClassify:
 
 class TestNllLoss:
     def test_perfect_prediction(self):
-        loss = ca.nll_loss([T.Tensor([0.0, 1.0, 0.0])], [np.array([0.0, 1.0, 0.0])])
+        loss = T.nll_from_probs(ca._stack_rows([T.Tensor([0.0, 1.0, 0.0])]), [1])
         assert float(loss.data) == 0.0
 
     def test_uniform_single(self):
-        loss = ca.nll_loss([T.Tensor([1 / 3, 1 / 3, 1 / 3])], [np.array([1.0, 0.0, 0.0])])
+        loss = T.nll_from_probs(ca._stack_rows([T.Tensor([1 / 3, 1 / 3, 1 / 3])]), [0])
         np.testing.assert_allclose(float(loss.data), np.log(3.0), rtol=1e-12)
 
     def test_batch_matches_direct_sum(self):
+        # per-example rows stacked as batch_loss stacks them, then scored
         rng = np.random.default_rng(12)
-        preds, onehots, expected = [], [], 0.0
+        preds, gold, expected = [], [], 0.0
         for _ in range(4):
             p = rng.dirichlet(np.ones(3))
             g = int(rng.integers(3))
-            onehot = np.zeros(3)
-            onehot[g] = 1.0
             preds.append(T.Tensor(p))
-            onehots.append(onehot)
+            gold.append(g)
             expected -= np.log(p[g])
-        np.testing.assert_allclose(float(ca.nll_loss(preds, onehots).data), expected, rtol=1e-12)
-
-    def test_non_onehot_rejected(self):
-        with pytest.raises(DataError):
-            ca.nll_loss([T.Tensor([0.5, 0.5, 0.0])], [np.array([0.5, 0.5, 0.0])])
+        loss = T.nll_from_probs(ca._stack_rows(preds), gold)
+        np.testing.assert_allclose(float(loss.data), expected, rtol=1e-12)
 
 
 class TestFullModel:

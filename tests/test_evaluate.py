@@ -45,9 +45,16 @@ class TestPrediction:
         with pytest.raises(DataError):
             ev.Prediction("x", np.array([0.5, 0.5, 0.5]))
 
-    def test_non_argmax_label_rejected(self):
+    def test_assigned_label_kept_and_unknown_label_rejected(self):
+        p = ev.Prediction("x", np.array([0.8, 0.1, 0.1]), "neutral")
+        assert p.predicted_label == "neutral"
+        assert p.confidence == pytest.approx(0.1)
         with pytest.raises(DataError):
-            ev.Prediction("x", np.array([0.8, 0.1, 0.1]), predicted_label="neutral")
+            ev.Prediction("x", np.array([0.8, 0.1, 0.1]), "maybe")
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(DataError):
+            ev.Prediction("x", np.array([0.5, 0.5]))
 
 
 class TestPredictPointwise:
@@ -281,6 +288,23 @@ class TestPredictionFiles:
         path2 = tmp_path / "preds2.tsv"
         ev.write_predictions(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("p1\t0.2\tabc\t0.3\tneutral", "must be numbers"),
+            ("p1\t0.2\t0.5\t0.3\tmaybe", "unknown label"),
+            ("p1\t0.2\t0.5\t0.5\tneutral", "sum to"),
+            ("p1\tnan\t0.5\t0.5\tneutral", "sum to"),
+            ("p1\t0.2\t0.5\t0.3", "5 tab-separated fields"),
+        ],
+    )
+    def test_malformed_row_names_path_and_line(self, tmp_path, row, message):
+        path = tmp_path / "preds.tsv"
+        path.write_text(f"p0\t0.2\t0.5\t0.3\tneutral\n{row}\n")
+        with pytest.raises(DataError, match=message) as info:
+            ev.read_predictions(path)
+        assert f"{path}:2:" in str(info.value)
 
     def test_metrics_file_format(self, tmp_path):
         path = tmp_path / "metrics.txt"
