@@ -30,7 +30,7 @@ from .evaluate import (
     read_predictions,
     write_predictions,
 )
-from .synth import SynthSpec, generate_corpus, generate_transfer_pair, generate_triples
+from .synth import SynthSpec, generate_corpus, generate_transfer_pair
 from .tensor import Tensor
 from .tokenizer import Vocabulary, build_word_vocab, encode_pair, tokenize, train_wordpiece
 from .training import (

@@ -24,7 +24,7 @@ import numpy as np
 
 from .compaggr import CompAggrModel
 from .errors import ConfigError, ParseError
-from .model import check_config_keys
+from .model import check_config
 from .tokenizer import Vocabulary
 from .transformer import TransformerClassifier
 
@@ -49,7 +49,7 @@ def make_model_config(kind, raw, where):
     if kind not in MODEL_KINDS:
         raise ConfigError(f"{where}: model must be one of {list(MODEL_KINDS)}, got {kind!r}")
     config_class = MODEL_KINDS[kind].config_class
-    check_config_keys(config_class, raw, where)
+    check_config(config_class, raw, where)
     return config_class(**raw)
 
 

@@ -54,7 +54,7 @@ from .evaluate import (
     write_metrics,
     write_predictions,
 )
-from .model import check_config_keys
+from .model import check_config
 from .synth import SynthSpec, generate_corpus, generate_transfer_pair
 from .tokenizer import build_word_vocab, train_wordpiece
 from .training import Stage, TrainConfig, TransferChain, run_chain
@@ -93,11 +93,21 @@ def _require_file(path_str: str, what: str) -> Path:
     return path
 
 
+def _section(cfg: dict, key: str, where) -> dict:
+    """The JSON object at ``cfg[key]``; an absent or null section is empty."""
+    raw = cfg.get(key)
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: {key} must be a JSON object, got {raw!r}")
+    return raw
+
+
 def _make_train_config(raw: dict, where) -> TrainConfig:
     preset = raw.pop("preset", None)
     if preset not in (None, "paper"):
         raise ConfigError(f"{where}: unknown train preset {preset!r}")
-    check_config_keys(TrainConfig, raw, where)
+    check_config(TrainConfig, raw, where)
     return TrainConfig.paper_preset(**raw) if preset else TrainConfig(**raw)
 
 
@@ -190,7 +200,7 @@ def cmd_train(args) -> int:
         cfg["model"] = args.model
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     out_dir = _out_dir(args, cfg)
-    model_config = make_model_config(cfg.get("model"), cfg.get("model_config") or {}, config_path)
+    model_config = make_model_config(cfg.get("model"), _section(cfg, "model_config", config_path), config_path)
 
     if args.command == "train":
         datasets = cfg.get("datasets")
@@ -210,7 +220,9 @@ def cmd_train(args) -> int:
         name = stage_cfg.get("name", f"stage{i}")
         train_set = _load_and_expand(_require_file(stage_cfg["train"], f"stage {name} train dataset"), table)
         dev_set = _load_and_expand(_require_file(stage_cfg["dev"], f"stage {name} dev dataset"), table)
-        stage_train_cfg = {"seed": seed, **(cfg.get("train_config") or {}), **(stage_cfg.get("train_config") or {})}
+        stage_train_cfg = {
+            "seed": seed, **_section(cfg, "train_config", config_path), **_section(stage_cfg, "train_config", config_path)
+        }
         stages.append(Stage(name, train_set, dev_set, _make_train_config(stage_train_cfg, config_path)))
 
     # vocabulary from the union of all chain corpora, built up front

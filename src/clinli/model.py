@@ -4,13 +4,15 @@ A model is built from a config dataclass, a vocabulary, a seed and a
 tokenizer mode.  It names its trainable tensors in ``parameters()`` and
 keeps its classification head in ``cls_w``/``cls_b``.  ``forward``,
 ``batch_loss`` and ``predict_proba`` are defined in each model's own class;
-the base class, the parameter initializers and the config key check here
+the base class, the parameter initializers and the config check here
 do not depend on the architecture.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields
+from dataclasses import asdict
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -19,17 +21,36 @@ from .data import label_id
 from .errors import ConfigError, DataError
 from .tokenizer import Vocabulary
 
-__all__ = ["PairClassifier", "check_config_keys", "initializers"]
+__all__ = ["PairClassifier", "check_config", "initializers"]
+
+# resolving the string annotations of a config class takes about 0.15 ms
+# (Python 3.11, 2-core x86 VM), a sizeable share of loading a small
+# checkpoint; there are only three config classes
+_field_types = cache(get_type_hints)
 
 
-def check_config_keys(config_class, raw, where) -> None:
+def check_config(config_class, raw, where) -> None:
     """Reject a config read from ``where`` unless it is a JSON object whose
-    keys all name fields of the dataclass ``config_class``."""
+    keys all name fields of the dataclass ``config_class`` and whose values
+    have the fields' types (an integer is accepted for a float)."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: {config_class.__name__} must be a JSON object, got {raw!r}")
-    unknown = set(raw) - {f.name for f in fields(config_class)}
+    hints = _field_types(config_class)
+    unknown = set(raw) - set(hints)
     if unknown:
         raise ConfigError(f"{where}: unknown {config_class.__name__} keys {sorted(unknown)}")
+    for key, value in raw.items():
+        if not _has_type(value, hints[key]):
+            expected = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
+            raise ConfigError(f"{where}: {config_class.__name__} key {key!r} must be {expected}, got {value!r}")
+
+
+def _has_type(value, hint) -> bool:
+    if get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_has_type(v, get_args(hint)[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def initializers(seed: int):

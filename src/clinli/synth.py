@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NLIExample, NLITriple
+from .data import NLIExample
 from .errors import ConfigError
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "content_words",
     "generate_corpus",
     "generate_transfer_pair",
-    "generate_triples",
     "pseudo_lexicon",
 ]
 
@@ -179,26 +178,6 @@ def generate_transfer_pair(
     source = generate_corpus(src_spec, pool=source_pool, prefix="src")
     target = generate_corpus(tgt_spec, pool=target_pool, prefix="tgt")
     return source, target
-
-
-def generate_triples(corpus) -> tuple[list[NLITriple], int]:
-    """Group examples by premise and emit one triple per complete group.
-
-    A group is complete when it holds exactly one example per class; others
-    are skipped and counted in the second return value.
-    """
-    groups: dict[str, list[NLIExample]] = {}
-    for ex in corpus:
-        groups.setdefault(ex.premise, []).append(ex)
-    triples: list[NLITriple] = []
-    skipped = 0
-    for members in groups.values():
-        labels = sorted(ex.gold_label for ex in members)
-        if len(members) == 3 and labels == ["contradiction", "entailment", "neutral"]:
-            triples.append(NLITriple(examples=tuple(members)))
-        else:
-            skipped += 1
-    return triples, skipped
 
 
 def content_words(examples) -> set[str]:

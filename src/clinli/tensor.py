@@ -6,9 +6,14 @@ and a backward closure on the output; calling ``backward()`` on a scalar
 walks the recorded graph in reverse topological order and accumulates
 gradients additively into every tensor that has ``requires_grad`` set.
 
-The recorded graph doubles as a replayable computation record: ``replay()``
-recomputes every node's forward value, reusing saved intermediates such as
-dropout masks, and reproduces the original outputs bit for bit.
+Each op writes its forward once, as a closure that the node keeps: the
+closure computes the node's value when the op is called, and ``replay()``
+calls it again over the recorded graph.  Only dropout masks are drawn once
+and reused, so a replay on unchanged inputs reproduces the original outputs
+bit for bit; everything else a backward needs, such as ``conv1d_maxpool``'s
+pooling indices, is recomputed from the current inputs.  A backward closure
+never refers to its own output node, so a finished graph holds no reference
+cycle and is freed as soon as the last reference to it goes.
 
 Only the operations the two sentence-pair classifiers need are implemented.
 Shape-changing ops work on the last axes, so a batch of B matrices is one
@@ -38,7 +43,6 @@ from .errors import (
 __all__ = [
     "Tensor",
     "add",
-    "as_tensor",
     "backward",
     "concat",
     "conv1d_maxpool",
@@ -46,7 +50,6 @@ __all__ = [
     "layer_norm",
     "matmul",
     "mul",
-    "neg",
     "nll_clamp_count",
     "nll_from_probs",
     "ravel",
@@ -61,7 +64,6 @@ __all__ = [
     "slice_rows",
     "softmax",
     "stack_cols",
-    "sub",
     "sum_all",
     "take_rows",
     "tanh",
@@ -93,14 +95,11 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
 
-    def backward(self, order_rng: np.random.Generator | None = None) -> None:
-        backward(self, order_rng=order_rng)
+    def backward(self) -> None:
+        backward(self)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return matmul(self, other)
@@ -115,10 +114,6 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
@@ -129,13 +124,14 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _result(
-    data: np.ndarray,
+    forward_fn: Callable[[], np.ndarray],
     parents: Sequence[Tensor],
     op: str,
     backward_fn: Callable[[np.ndarray], None],
-    forward_fn: Callable[[], np.ndarray],
 ) -> Tensor:
-    out = Tensor(data)
+    """The output node of an op: its value is ``forward_fn()``, and the node
+    keeps ``forward_fn`` for ``replay`` when any parent requires grad."""
+    out = Tensor(forward_fn())
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.op = op
@@ -149,66 +145,50 @@ def _result(
 # graph walking
 
 
-def backward(loss: Tensor, order_rng: np.random.Generator | None = None) -> None:
+def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
-    ``loss`` must be a scalar.  Gradients accumulate additively across every
-    use of a tensor.  ``order_rng``, when given, shuffles the order in which
-    independent branches are processed; the result is identical up to
-    floating-point summation order.
+    ``loss`` must be a scalar.  Nodes run their backward in reverse
+    ``record`` order, so a node's gradient is complete before it is passed
+    on; gradients accumulate additively across every use of a tensor.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-
-    consumers: dict[int, int] = {}
-    stack = [loss]
-    seen = {id(loss)}
-    while stack:
-        node = stack.pop()
-        for p in {id(q): q for q in node._parents}.values():
-            consumers[id(p)] = consumers.get(id(p), 0) + 1
-            if id(p) not in seen:
-                seen.add(id(p))
-                stack.append(p)
-
     loss.grad = np.ones_like(loss.data)
-    ready: list[Tensor] = [loss]
-    while ready:
-        if order_rng is None:
-            node = ready.pop()
-        else:
-            node = ready.pop(int(order_rng.integers(len(ready))))
+    for node in reversed(record(loss)):
         if node._backward is not None:
             node._backward(node.grad)
-        for p in {id(q): q for q in node._parents}.values():
-            consumers[id(p)] -= 1
-            if consumers[id(p)] == 0 and p._backward is not None:
-                ready.append(p)
 
 
 def record(root: Tensor) -> list[Tensor]:
     """The computation record reaching ``root``: nodes in forward topological
-    order (every node's inputs precede it).  Leaves are included."""
+    order (every node's inputs precede it).  Leaves are included.  The walk
+    is an iterative depth-first post-order, so graph depth is not limited by
+    the interpreter's recursion limit."""
     order: list[Tensor] = []
-    seen: set[int] = set()
-
-    def visit(n: Tensor) -> None:
-        if id(n) in seen:
-            return
-        seen.add(id(n))
-        for p in n._parents:
-            visit(p)
-        order.append(n)
-
-    visit(root)
+    seen = {id(root)}
+    stack = [(root, iter(root._parents))]
+    while stack:
+        node, parents = stack[-1]
+        for p in parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append((p, iter(p._parents)))
+                break
+        else:
+            stack.pop()
+            order.append(node)
     return order
 
 
 def replay(root: Tensor) -> np.ndarray:
-    """Re-run the recorded forward pass for ``root``.
+    """Re-run the recorded forward pass for ``root`` on the current leaf
+    values.
 
-    Deterministic intermediates (dropout masks, pooling indices) are reused,
-    so the recomputed values are bit-identical to the original run.
+    Dropout masks are reused; every other intermediate, pooling indices
+    included, is recomputed, so a later ``backward`` sees the replayed
+    values.  On unchanged inputs the result is bit-identical to the
+    original run.
     """
     for n in record(root):
         if n._forward is not None:
@@ -249,7 +229,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, _unbroadcast(g, a.shape))
         _accumulate(b, _unbroadcast(g, b.shape))
 
-    return _result(a.data + b.data, (a, b), "add", backward_fn, lambda: a.data + b.data)
+    return _result(lambda: a.data + b.data, (a, b), "add", backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -259,7 +239,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, _unbroadcast(g * b.data, a.shape))
         _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
-    return _result(a.data * b.data, (a, b), "mul", backward_fn, lambda: a.data * b.data)
+    return _result(lambda: a.data * b.data, (a, b), "mul", backward_fn)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
@@ -268,15 +248,7 @@ def scale(a: Tensor, factor: float) -> Tensor:
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(a, g * f)
 
-    return _result(a.data * f, (a,), "scale", backward_fn, lambda: a.data * f)
-
-
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, neg(b))
+    return _result(lambda: a.data * f, (a,), "scale", backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +256,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(a, g * (1.0 - np.tanh(a.data) ** 2))
 
-    return _result(out_data, (a,), "tanh", backward_fn, lambda: np.tanh(a.data))
+    return _result(lambda: np.tanh(a.data), (a,), "tanh", backward_fn)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -302,20 +272,18 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out_data = _stable_sigmoid(a.data)
-
     def backward_fn(g: np.ndarray) -> None:
         s = _stable_sigmoid(a.data)
         _accumulate(a, g * s * (1.0 - s))
 
-    return _result(out_data, (a,), "sigmoid", backward_fn, lambda: _stable_sigmoid(a.data))
+    return _result(lambda: _stable_sigmoid(a.data), (a,), "sigmoid", backward_fn)
 
 
 def relu(a: Tensor) -> Tensor:
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(a, g * (a.data > 0))
 
-    return _result(np.maximum(a.data, 0.0), (a,), "relu", backward_fn, lambda: np.maximum(a.data, 0.0))
+    return _result(lambda: np.maximum(a.data, 0.0), (a,), "relu", backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +295,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     leading axes of N-D operands are batch axes and broadcast.  A 2-D right
     operand is shared by the whole batch, so its gradient sums over it."""
     na, nb = a.data.ndim, b.data.ndim
-    try:
-        if min(na, nb) == 0 or (min(na, nb) == 1 and max(na, nb) != 2):
-            raise ValueError
-        out_data = a.data @ b.data
-    except ValueError:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
 
     def backward_fn(g: np.ndarray) -> None:
         if na == 1:
@@ -348,7 +310,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, _unbroadcast(ga, a.shape))
         _accumulate(b, _unbroadcast(gb, b.shape))
 
-    return _result(out_data, (a, b), "matmul", backward_fn, lambda: a.data @ b.data)
+    try:
+        if min(na, nb) == 0 or (min(na, nb) == 1 and max(na, nb) != 2):
+            raise ValueError
+        return _result(lambda: a.data @ b.data, (a, b), "matmul", backward_fn)
+    except ValueError:
+        raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -356,13 +323,10 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim < 2:
         raise DimensionError(f"transpose expects at least a matrix, got shape {a.shape}")
 
-    def fwd() -> np.ndarray:
-        return np.swapaxes(a.data, -1, -2).copy()
-
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(a, np.swapaxes(g, -1, -2))
 
-    return _result(fwd(), (a,), "transpose", backward_fn, fwd)
+    return _result(lambda: np.swapaxes(a.data, -1, -2).copy(), (a,), "transpose", backward_fn)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -380,20 +344,18 @@ def softmax(x: Tensor, axis: int) -> Tensor:
         e = np.exp(shifted)
         return e / e.sum(axis=axis, keepdims=True)
 
-    out_data = fwd()
-
     def backward_fn(g: np.ndarray) -> None:
         p = fwd()
         _accumulate(x, p * (g - (g * p).sum(axis=axis, keepdims=True)))
 
-    return _result(out_data, (x,), "softmax", backward_fn, fwd)
+    return _result(fwd, (x,), "softmax", backward_fn)
 
 
 def sum_all(a: Tensor) -> Tensor:
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(a, np.full_like(a.data, float(g)))
 
-    return _result(np.asarray(a.data.sum()), (a,), "sum", backward_fn, lambda: np.asarray(a.data.sum()))
+    return _result(lambda: np.asarray(a.data.sum()), (a,), "sum", backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +378,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             sl[axis] = slice(start, stop)
             _accumulate(p, g[tuple(sl)])
 
-    def fwd() -> np.ndarray:
-        return np.concatenate([p.data for p in parts], axis=axis)
-
-    return _result(fwd(), parts, "concat", backward_fn, fwd)
+    return _result(lambda: np.concatenate([p.data for p in parts], axis=axis), parts, "concat", backward_fn)
 
 
 def stack_cols(cols: Sequence[Tensor]) -> Tensor:
@@ -434,10 +393,7 @@ def stack_cols(cols: Sequence[Tensor]) -> Tensor:
         for j, c in enumerate(cols):
             _accumulate(c, g[:, j])
 
-    def fwd() -> np.ndarray:
-        return np.stack([c.data for c in cols], axis=1)
-
-    return _result(fwd(), cols, "stack_cols", backward_fn, fwd)
+    return _result(lambda: np.stack([c.data for c in cols], axis=1), cols, "stack_cols", backward_fn)
 
 
 def _slice_axis(a: Tensor, start: int, stop: int, axis: int, op: str) -> Tensor:
@@ -452,7 +408,7 @@ def _slice_axis(a: Tensor, start: int, stop: int, axis: int, op: str) -> Tensor:
         buf[sl] = g
         _accumulate(a, buf)
 
-    return _result(a.data[sl].copy(), (a,), op, backward_fn, lambda: a.data[sl].copy())
+    return _result(lambda: a.data[sl].copy(), (a,), op, backward_fn)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -469,22 +425,21 @@ def ravel(a: Tensor) -> Tensor:
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(a, g.reshape(a.shape))
 
-    return _result(a.data.reshape(-1).copy(), (a,), "ravel", backward_fn, lambda: a.data.reshape(-1).copy())
+    return _result(lambda: a.data.reshape(-1).copy(), (a,), "ravel", backward_fn)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     """The same entries in row-major order under a new shape (one axis may
     be -1)."""
     shape = tuple(shape)
-    try:
-        out_data = a.data.reshape(shape).copy()
-    except ValueError:
-        raise DimensionError(f"reshape: cannot view shape {a.shape} as {shape}") from None
 
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(a, g.reshape(a.shape))
 
-    return _result(out_data, (a,), "reshape", backward_fn, lambda: a.data.reshape(shape).copy())
+    try:
+        return _result(lambda: a.data.reshape(shape).copy(), (a,), "reshape", backward_fn)
+    except ValueError:
+        raise DimensionError(f"reshape: cannot view shape {a.shape} as {shape}") from None
 
 
 def take_rows(table: Tensor, ids) -> Tensor:
@@ -505,7 +460,7 @@ def take_rows(table: Tensor, ids) -> Tensor:
         np.add.at(buf, idx, g)
         _accumulate(table, buf)
 
-    return _result(table.data[idx], (table,), "take_rows", backward_fn, lambda: table.data[idx])
+    return _result(lambda: table.data[idx], (table,), "take_rows", backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +485,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         xhat = (x.data - mu) * inv
         return xhat, inv
 
-    def fwd() -> np.ndarray:
-        xhat, _ = stats()
-        return xhat * gain.data + bias.data
-
     def backward_fn(g: np.ndarray) -> None:
         xhat, inv = stats()
         _accumulate(gain, _unbroadcast(g * xhat, gain.shape))
@@ -543,7 +494,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         _accumulate(x, inv * (dxhat - m1 - xhat * m2))
 
-    return _result(fwd(), (x, gain, bias), "layer_norm", backward_fn, fwd)
+    return _result(lambda: stats()[0] * gain.data + bias.data, (x, gain, bias), "layer_norm", backward_fn)
 
 
 def conv1d_maxpool(x: Tensor, banks: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
@@ -566,25 +517,24 @@ def conv1d_maxpool(x: Tensor, banks: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
             raise DimensionError(f"bias shape {b.shape} does not match {w.shape[0]} filters")
         if w.shape[2] > m:
             raise DimensionError(f"filter width {w.shape[2]} exceeds sequence length {m}; pad the input")
+    saved: list[tuple[np.ndarray, np.ndarray]] = []  # (pooling indices, pre-activations) per bank
 
-    def compute():
-        pooled, args, pres = [], [], []
+    def fwd() -> np.ndarray:
+        saved.clear()
+        pooled = []
         for w, b in banks:
             width = w.shape[2]
             windows = np.lib.stride_tricks.sliding_window_view(x.data, width, axis=1)
             pre = np.einsum("fdw,dtw->ft", w.data, windows) + b.data[:, None]
             act = np.maximum(pre, 0.0)
-            args.append(act.argmax(axis=1))
-            pres.append(pre)
+            saved.append((act.argmax(axis=1), pre))
             pooled.append(act.max(axis=1))
-        return np.concatenate(pooled), args, pres
-
-    out_data, arg_save, pre_save = compute()
+        return np.concatenate(pooled)
 
     def backward_fn(g: np.ndarray) -> None:
         dx = np.zeros_like(x.data)
         offset = 0
-        for (w, b), args, pre in zip(banks, arg_save, pre_save):
+        for (w, b), (args, pre) in zip(banks, saved):
             nf, _, width = w.shape
             g_bank = g[offset : offset + nf]
             offset += nf
@@ -605,12 +555,13 @@ def conv1d_maxpool(x: Tensor, banks: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
     parents = [x]
     for w, b in banks:
         parents.extend((w, b))
-    return _result(out_data, parents, "conv1d_maxpool", backward_fn, lambda: compute()[0])
+    return _result(fwd, parents, "conv1d_maxpool", backward_fn)
 
 
 def dropout(x: Tensor, ratio: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero entries with probability ``ratio`` and scale
-    survivors by 1/(1-ratio) in training mode; identity in inference mode."""
+    survivors by 1/(1-ratio) in training mode; identity in inference mode.
+    The mask is drawn once, so ``replay`` reuses it."""
     if not 0.0 <= ratio < 1.0:
         raise ConfigError(f"dropout ratio must be in [0, 1), got {ratio}")
     if not training or ratio == 0.0:
@@ -622,7 +573,7 @@ def dropout(x: Tensor, ratio: float, training: bool, rng: np.random.Generator | 
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(x, g * keep)
 
-    return _result(x.data * keep, (x,), "dropout", backward_fn, lambda: x.data * keep)
+    return _result(lambda: x.data * keep, (x,), "dropout", backward_fn)
 
 
 _NLL_EPS = 1e-12
@@ -673,22 +624,21 @@ def nll_from_probs(probs: Tensor, gold: Sequence[int]) -> Tensor:
         buf[rows[kept], gold[kept]] = -float(gout) / picked[kept]
         _accumulate(probs, buf)
 
-    return _result(fwd(), (probs,), "nll", backward_fn, fwd)
+    return _result(fwd, (probs,), "nll", backward_fn)
 
 
 # ---------------------------------------------------------------------------
 # initialization
 
 
-def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int | None = None, fan_out: int | None = None) -> np.ndarray:
-    """Variance-scaled uniform init; fans default to the last two axes
+def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Variance-scaled uniform init with fans from the last two axes
     (for 3-D conv filters: fan_in = features x width, fan_out = filters)."""
-    if fan_in is None or fan_out is None:
-        if len(shape) == 2:
-            fan_in, fan_out = shape[0], shape[1]
-        elif len(shape) == 3:
-            fan_in, fan_out = shape[1] * shape[2], shape[0]
-        else:
-            raise ConfigError(f"cannot infer fans for shape {shape}")
+    if len(shape) == 2:
+        fan_in, fan_out = shape[0], shape[1]
+    elif len(shape) == 3:
+        fan_in, fan_out = shape[1] * shape[2], shape[0]
+    else:
+        raise ConfigError(f"cannot infer fans for shape {shape}")
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)

@@ -47,7 +47,6 @@ class TrainConfig:
     clip_norm: float = 5.0
     early_stop_patience: int = 4
     step_fraction: float = 0.2
-    dropout: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -177,9 +176,6 @@ def train(
     best-dev-loss checkpoint and leave the model holding those parameters."""
     _validate_dataset("train", train_set)
     _validate_dataset("dev", dev_set)
-
-    if config.dropout is not None:
-        model.dropout = config.dropout
 
     params = model.parameters()
     state = AdamState(params)

@@ -102,6 +102,29 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(config) in err and key in err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("model_config", "word_dim", "abc"), ("model_config", "word_dim", 8.5), ("train_config", "batch_size", "8"),
+    ])
+    def test_wrong_value_type_exits_2_naming_file_and_key(self, tmp_path, capsys, section, key, value):
+        data = synth_dir(tmp_path, count=30, seed=1)
+        config = compaggr_run_config(tmp_path, data)
+        cfg = json.loads(config.read_text())
+        cfg[section][key] = value
+        config.write_text(json.dumps(cfg))
+        assert run_cli("train", "--config", config, "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and key in err
+
+    def test_train_config_not_an_object_exits_2_naming_file_and_key(self, tmp_path, capsys):
+        data = synth_dir(tmp_path, count=30, seed=1)
+        config = compaggr_run_config(tmp_path, data)
+        cfg = json.loads(config.read_text())
+        cfg["train_config"] = [1]
+        config.write_text(json.dumps(cfg))
+        assert run_cli("train", "--config", config, "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "train_config" in err
+
     def test_overfit_config_reports_full_accuracy(self, tmp_path, capsys):
         # dev pointed at the training data: the summary's best_dev_acc is
         # the training accuracy, which must reach 1.0 on 30 pairs
@@ -354,6 +377,17 @@ class TestPredictEval:
                        "--out-dir", tmp_path / "p") == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "bogus" in err
+
+    def test_checkpoint_config_wrong_type_exits_2(self, tmp_path, trained, capsys):
+        data, ckpt = trained
+        loaded = load_checkpoint(ckpt)
+        loaded.model_config["word_dim"] = "abc"
+        bad = tmp_path / "wrong_type.ckpt"
+        save_checkpoint(loaded, bad)
+        assert run_cli("predict", "--checkpoint", bad, "--dataset", data / "test.jsonl",
+                       "--out-dir", tmp_path / "p") == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "word_dim" in err
 
 
 class TestExpand:

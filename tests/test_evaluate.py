@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from clinli import evaluate as ev
+from clinli import synth
 from clinli.data import LABELS, NLIExample, NLITriple
 from clinli.errors import DataError
 
@@ -175,6 +176,34 @@ class TestGroupIntoTriples:
         triples, _ = ev.group_into_triples(examples)
         ids = [pid for t in triples for pid in ev.predict_listwise(DictModel({}), t).pair_ids]
         assert ids == [f"idx-{i}" for i in range(6)]
+
+    def test_complete_grouping(self):
+        corpus = synth.generate_corpus(synth.SynthSpec(count=30, seed=6))
+        triples, skipped = ev.group_into_triples(corpus, key="premise")
+        assert len(triples) == 10
+        assert skipped == 0
+        for triple in triples:
+            assert len({ex.premise for ex in triple.examples}) == 1
+
+    def test_incomplete_group_skipped(self):
+        corpus = synth.generate_corpus(synth.SynthSpec(count=30, seed=6))
+        partial = [ex for ex in corpus if not (ex.pair_id.startswith("synth-00000") and ex.gold_label == "neutral")]
+        triples, skipped = ev.group_into_triples(partial, key="premise")
+        assert len(triples) == 9
+        assert skipped == 1
+
+    def test_matches_independent_group_count(self):
+        rng = np.random.default_rng(12)
+        corpus = synth.generate_corpus(synth.SynthSpec(count=90, seed=8))
+        kept = [ex for ex in corpus if rng.random() > 0.25]
+        triples, skipped = ev.group_into_triples(kept, key="premise")
+        # independent oracle: hash-group by premise, require one of each class
+        groups = {}
+        for ex in kept:
+            groups.setdefault(ex.premise, []).append(ex.gold_label)
+        complete = sum(1 for labels in groups.values() if sorted(labels) == sorted(LABELS))
+        assert len(triples) == complete
+        assert skipped == len(groups) - complete
 
 
 class TestAccuracy:

@@ -70,36 +70,6 @@ class TestTransferPair:
         assert abs(jaccard - 0.5) < 0.1
 
 
-class TestGenerateTriples:
-    def test_complete_grouping(self):
-        corpus = synth.generate_corpus(synth.SynthSpec(count=30, seed=6))
-        triples, skipped = synth.generate_triples(corpus)
-        assert len(triples) == 10
-        assert skipped == 0
-        for triple in triples:
-            assert len({ex.premise for ex in triple.examples}) == 1
-
-    def test_incomplete_group_skipped(self):
-        corpus = synth.generate_corpus(synth.SynthSpec(count=30, seed=6))
-        partial = [ex for ex in corpus if not (ex.pair_id.startswith("synth-00000") and ex.gold_label == "neutral")]
-        triples, skipped = synth.generate_triples(partial)
-        assert len(triples) == 9
-        assert skipped == 1
-
-    def test_matches_independent_group_count(self):
-        rng = np.random.default_rng(12)
-        corpus = synth.generate_corpus(synth.SynthSpec(count=90, seed=8))
-        kept = [ex for ex in corpus if rng.random() > 0.25]
-        triples, skipped = synth.generate_triples(kept)
-        # independent oracle: hash-group by premise, require one of each class
-        groups = {}
-        for ex in kept:
-            groups.setdefault(ex.premise, []).append(ex.gold_label)
-        complete = sum(1 for labels in groups.values() if sorted(labels) == sorted(LABELS))
-        assert len(triples) == complete
-        assert skipped == len(groups) - complete
-
-
 class TestJsonlRoundtrip:
     def test_write_then_load_identical(self, tmp_path):
         corpus = synth.generate_corpus(synth.SynthSpec(count=21, seed=10))

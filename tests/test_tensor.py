@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from clinli import tensor as T
+from clinli.compaggr import CompAggrConfig, CompAggrModel
+from clinli.data import NLIExample
 from clinli.errors import ConfigError, ContractError, DataError, DimensionError, NumericError
+from clinli.tokenizer import build_word_vocab
 
 from oracles import finite_diff_grad, loop_conv_maxpool, loop_softmax, rel_err
 
@@ -292,24 +295,20 @@ class TestBackward:
         with pytest.raises(ContractError):
             T.add(x, x).backward()
 
-    def test_traversal_order_does_not_change_gradients(self):
-        def build_and_grad(order_seed):
-            rng = np.random.default_rng(99)
-            x = param(rng, 4, 4)
-            y = param(rng, 4, 4)
-            branch1 = T.tanh(T.matmul(x, y))
-            branch2 = T.sigmoid(T.add(x, y))
-            branch3 = T.relu(T.mul(x, y))
-            loss = T.sum_all(T.add(T.add(branch1, branch2), branch3))
-            order_rng = None if order_seed is None else np.random.default_rng(order_seed)
-            loss.backward(order_rng=order_rng)
-            return x.grad.copy(), y.grad.copy()
+    def test_three_branch_graph_matches_finite_differences(self):
+        rng = np.random.default_rng(99)
+        x = param(rng, 4, 4)
+        y = param(rng, 4, 4)
+        branch1 = T.tanh(T.matmul(x, y))
+        branch2 = T.sigmoid(T.add(x, y))
+        branch3 = T.relu(T.mul(x, y))
+        T.sum_all(T.add(T.add(branch1, branch2), branch3)).backward()
 
-        gx0, gy0 = build_and_grad(None)
-        for s in (1, 2, 3):
-            gx, gy = build_and_grad(s)
-            np.testing.assert_allclose(gx, gx0, atol=1e-12)
-            np.testing.assert_allclose(gy, gy0, atol=1e-12)
+        def f(a, b):
+            return (np.tanh(a @ b) + 1.0 / (1.0 + np.exp(-(a + b))) + np.maximum(a * b, 0.0)).sum()
+
+        assert rel_err(x.grad, finite_diff_grad(lambda a: f(a, y.data), x.data.copy())) < 1e-6
+        assert rel_err(y.grad, finite_diff_grad(lambda b: f(x.data, b), y.data.copy())) < 1e-6
 
 
 class TestDropout:
@@ -490,3 +489,50 @@ class TestRecordReplay:
             return T.sum_all(T.softmax(T.matmul(x, x), axis=1)).data.copy()
 
         assert np.array_equal(run(), run())
+
+    def test_long_recurrent_graph_records_backpropagates_and_replays(self):
+        # a 300-word premise makes the recurrent encoder's graph deeper than
+        # the interpreter's recursion limit
+        words = [f"w{i % 37}" for i in range(300)]
+        premise, hypothesis = " ".join(words), "w1 w2 w3"
+        cfg = CompAggrConfig(word_dim=4, repr_dim=4, filter_widths=(1, 2), filters_per_width=2)
+        model = CompAggrModel(cfg, build_word_vocab([premise, hypothesis]), seed=0)
+        example = NLIExample(premise, hypothesis, "neutral")
+        loss, _ = model.batch_loss([example], training=True, rng=np.random.default_rng(1))
+        nodes = T.record(loss)
+        assert len(nodes) > 2 * 300 * 5
+        loss.backward()
+        assert all(p.grad is not None for p in model.parameters().values())
+        before = [n.data.copy() for n in nodes]
+        T.replay(loss)
+        for n, orig in zip(nodes, before):
+            assert np.array_equal(n.data, orig)
+
+    def test_backward_after_replay_on_changed_leaf_equals_fresh_run(self):
+        rng = np.random.default_rng(21)
+        x0, x1 = rng.uniform(-1, 1, size=(2, 3, 8))
+        gain, bias = param(rng, 8), param(rng, 8)
+        banks = [(param(rng, 4, 3, w), param(rng, 4)) for w in (1, 3)]
+        leaves = [gain, bias] + [t for bank in banks for t in bank]
+
+        def build(x):
+            h = T.dropout(T.tanh(T.layer_norm(x, gain, bias)), 0.3, training=True, rng=np.random.default_rng(4))
+            probs = T.softmax(T.conv1d_maxpool(h, banks), axis=0)
+            return T.nll_from_probs(T.reshape(probs, (1, -1)), [2])
+
+        def grads(x, loss):
+            T.zero_grads([x] + leaves)
+            loss.backward()
+            return [t.grad.copy() for t in [x] + leaves]
+
+        x = T.Tensor(x0.copy(), requires_grad=True)
+        loss = build(x)
+        x.data = x1.copy()
+        T.replay(loss)
+        replayed = grads(x, loss)
+
+        fresh_x = T.Tensor(x1.copy(), requires_grad=True)
+        fresh_loss = build(fresh_x)
+        assert np.array_equal(loss.data, fresh_loss.data)
+        for g_replayed, g_fresh in zip(replayed, grads(fresh_x, fresh_loss)):
+            np.testing.assert_array_equal(g_replayed, g_fresh)
