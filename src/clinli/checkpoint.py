@@ -24,7 +24,7 @@ import numpy as np
 
 from .compaggr import CompAggrModel
 from .errors import ConfigError, ParseError
-from .model import check_config
+from .model import parse_config
 from .tokenizer import Vocabulary
 from .transformer import TransformerClassifier
 
@@ -45,12 +45,11 @@ MODEL_KINDS = {cls.kind: cls for cls in (TransformerClassifier, CompAggrModel)}
 
 def make_model_config(kind, raw, where):
     """The config object of model ``kind`` from a JSON object read from
-    ``where``; an unknown kind or key ends in a ConfigError naming it."""
-    if kind not in MODEL_KINDS:
+    ``where``; an unknown kind or a malformed config ends in a ConfigError
+    naming ``where``."""
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise ConfigError(f"{where}: model must be one of {list(MODEL_KINDS)}, got {kind!r}")
-    config_class = MODEL_KINDS[kind].config_class
-    check_config(config_class, raw, where)
-    return config_class(**raw)
+    return parse_config(MODEL_KINDS[kind].config_class, raw, where)
 
 
 @dataclass

@@ -5,28 +5,24 @@ inspect-checkpoint.  Exit codes: 0 success, 2 usage/configuration/input
 error, 1 runtime failure.  Given the same config and seed, every command
 writes byte-identical artifacts.
 
-Training runs are described by a declarative JSON run config::
+Training runs are described by a declarative JSON run config, one object
+whose keys are the fields of ``RunConfig``::
 
     {
-      "model": "transformer" | "compaggr",
-      "tokenizer": "wordpiece" | "word",          # default: by model kind
-      "vocab_size": 200,                           # wordpiece target size
-      "model_config": { ... },                     # model-specific overrides
-      "train_config": { "learning_rate": 1e-3, "preset": "paper", ... },
-      "datasets": {"train": "t.jsonl", "dev": "d.jsonl"},   # train command
-      "chain": [{"name": "S", "train": "...", "dev": "...",
-                 "train_config": { ... }}, ...],             # transfer command
-      "head_reset": "keep" | "reset",             # transfer command
-      "abbrev_table": "table.tsv",                 # optional pre-expansion
-      "out_dir": "runs/exp1",
-      "seed": 0
+      "model": "compaggr",
+      "model_config": {"word_dim": 8},             # the model kind's config class
+      "train_config": {"learning_rate": 1e-3},     # TrainConfig
+      "chain": [{"name": "S", "train": "s.jsonl", "dev": "s_dev.jsonl",
+                 "train_config": {"max_epochs": 5}}, ...],
+      "out_dir": "runs/exp1"
     }
 
-``train`` runs its ``datasets`` as a one-stage chain named after the train
-file's stem: ``train`` and ``transfer`` share one path.
-
-The optional ``"preset": "paper"`` in a train_config selects the fixed
-2e-5 learning rate used when fine-tuning from large pretrained weights.
+``transfer`` reads each ``chain`` entry as a ``StageConfig``.  ``train``
+reads ``datasets`` (``DatasetPaths``: ``train`` and ``dev``) and runs it as
+a one-stage chain named after the train file's stem: ``train`` and
+``transfer`` share one path.  Every stage is parsed before any dataset is
+read, and a malformed config ends in exit code 2 with a message naming the
+file and the key.
 """
 
 from __future__ import annotations
@@ -34,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +51,7 @@ from .evaluate import (
     write_metrics,
     write_predictions,
 )
-from .model import check_config
+from .model import parse_config
 from .synth import SynthSpec, generate_corpus, generate_transfer_pair
 from .tokenizer import build_word_vocab, train_wordpiece
 from .training import Stage, TrainConfig, TransferChain, run_chain
@@ -66,24 +63,50 @@ USAGE_ERRORS = (ConfigError, ParseError, DataError, FileNotFoundError)
 # run config
 
 
-_TOP_KEYS = {
-    "model", "tokenizer", "vocab_size", "model_config", "train_config",
-    "datasets", "chain", "head_reset", "abbrev_table", "out_dir", "seed",
-}
+@dataclass
+class RunConfig:
+    model: str | None = None
+    tokenizer: str | None = None  # default: the model kind's first mode
+    vocab_size: int = 200  # word-piece target size
+    model_config: dict | None = None
+    train_config: dict | None = None
+    datasets: dict | None = None  # train command
+    chain: list | None = None  # transfer command
+    head_reset: str = "keep"  # transfer command
+    abbrev_table: str | None = None  # expands every dataset as it is read
+    out_dir: str | None = None
+    seed: int = 0
 
 
-def load_run_config(path) -> dict:
+@dataclass
+class DatasetPaths:
+    train: str
+    dev: str
+
+
+@dataclass
+class StageConfig(DatasetPaths):
+    name: str | None = None  # default: stage<i>
+    train_config: dict | None = None  # overrides the run's train_config
+
+
+def load_run_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: run config must be a JSON object")
-    unknown = set(cfg) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    return cfg
+    return parse_config(RunConfig, raw, path)
+
+
+def _stage_configs(run: RunConfig, command: str, where) -> list[StageConfig]:
+    if command == "train":
+        paths = parse_config(DatasetPaths, run.datasets, f"{where}: datasets")
+        return [StageConfig(paths.train, paths.dev, name=Path(paths.train).stem)]
+    if not run.chain:
+        raise ConfigError(f"{where}: transfer needs a non-empty chain")
+    stages = [parse_config(StageConfig, raw, f"{where}: chain[{i}]") for i, raw in enumerate(run.chain)]
+    return [replace(s, name=f"stage{i}") if s.name is None else s for i, s in enumerate(stages)]
 
 
 def _require_file(path_str: str, what: str) -> Path:
@@ -93,29 +116,10 @@ def _require_file(path_str: str, what: str) -> Path:
     return path
 
 
-def _section(cfg: dict, key: str, where) -> dict:
-    """The JSON object at ``cfg[key]``; an absent or null section is empty."""
-    raw = cfg.get(key)
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: {key} must be a JSON object, got {raw!r}")
-    return raw
-
-
-def _make_train_config(raw: dict, where) -> TrainConfig:
-    preset = raw.pop("preset", None)
-    if preset not in (None, "paper"):
-        raise ConfigError(f"{where}: unknown train preset {preset!r}")
-    check_config(TrainConfig, raw, where)
-    return TrainConfig.paper_preset(**raw) if preset else TrainConfig(**raw)
-
-
-def _build_model(cfg: dict, config, corpora_sentences: list[str], seed: int):
-    cls = MODEL_KINDS[cfg["model"]]
-    tokenizer = cfg.get("tokenizer") or cls.tokenizer_modes[0]
+def _build_model(cls, run: RunConfig, config, corpora_sentences: list[str], seed: int):
+    tokenizer = run.tokenizer or cls.tokenizer_modes[0]
     if tokenizer == "wordpiece":
-        vocab = train_wordpiece(corpora_sentences, target_size=int(cfg.get("vocab_size", 200)))
+        vocab = train_wordpiece(corpora_sentences, target_size=run.vocab_size)
     else:
         vocab = build_word_vocab(corpora_sentences)
     return cls(config, vocab, seed=seed, tokenizer_mode=tokenizer)
@@ -137,8 +141,8 @@ def _load_and_expand(path: Path, table) -> list:
     return examples
 
 
-def _out_dir(args, cfg: dict | None = None) -> Path:
-    out = args.out_dir or (cfg or {}).get("out_dir")
+def _out_dir(args, default: str | None = None) -> Path:
+    out = args.out_dir or default
     if not out:
         raise ConfigError("an output directory is required (--out-dir or config out_dir)")
     path = Path(out)
@@ -195,40 +199,29 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     """``train`` and ``transfer``: every run is a chain of stages."""
     config_path = _require_file(args.config, "run config")
-    cfg = load_run_config(config_path)
-    if args.model:
-        cfg["model"] = args.model
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    out_dir = _out_dir(args, cfg)
-    model_config = make_model_config(cfg.get("model"), _section(cfg, "model_config", config_path), config_path)
-
-    if args.command == "train":
-        datasets = cfg.get("datasets")
-        if not isinstance(datasets, dict) or "train" not in datasets or "dev" not in datasets:
-            raise ConfigError("train needs config datasets.train and datasets.dev")
-        chain_cfg = [{"name": Path(datasets["train"]).stem, "train": datasets["train"], "dev": datasets["dev"]}]
-    else:
-        chain_cfg = cfg.get("chain")
-        if not isinstance(chain_cfg, list) or not chain_cfg:
-            raise ConfigError("transfer needs a non-empty config chain")
-    table = load_table(_require_file(cfg["abbrev_table"], "abbreviation table")) if cfg.get("abbrev_table") else None
+    run = load_run_config(config_path)
+    kind = args.model or run.model
+    seed = args.seed if args.seed is not None else run.seed
+    model_config = make_model_config(kind, run.model_config or {}, config_path)
+    stage_cfgs = _stage_configs(run, args.command, config_path)
+    train_configs = [
+        parse_config(TrainConfig, {"seed": seed, **(run.train_config or {}), **(s.train_config or {})},
+                     f"{config_path}: stage {s.name}")
+        for s in stage_cfgs
+    ]
+    out_dir = _out_dir(args, run.out_dir)
+    table = load_table(_require_file(run.abbrev_table, "abbreviation table")) if run.abbrev_table else None
 
     stages = []
-    for i, stage_cfg in enumerate(chain_cfg):
-        if not isinstance(stage_cfg, dict) or "train" not in stage_cfg or "dev" not in stage_cfg:
-            raise ConfigError(f"chain stage {i}: needs train and dev dataset paths")
-        name = stage_cfg.get("name", f"stage{i}")
-        train_set = _load_and_expand(_require_file(stage_cfg["train"], f"stage {name} train dataset"), table)
-        dev_set = _load_and_expand(_require_file(stage_cfg["dev"], f"stage {name} dev dataset"), table)
-        stage_train_cfg = {
-            "seed": seed, **_section(cfg, "train_config", config_path), **_section(stage_cfg, "train_config", config_path)
-        }
-        stages.append(Stage(name, train_set, dev_set, _make_train_config(stage_train_cfg, config_path)))
+    for s, train_config in zip(stage_cfgs, train_configs):
+        train_set = _load_and_expand(_require_file(s.train, f"stage {s.name} train dataset"), table)
+        dev_set = _load_and_expand(_require_file(s.dev, f"stage {s.name} dev dataset"), table)
+        stages.append(Stage(s.name, train_set, dev_set, train_config))
 
     # vocabulary from the union of all chain corpora, built up front
     union_sentences = _sentences([s.train_set for s in stages] + [s.dev_set for s in stages])
-    chain = TransferChain(stages=stages, head_reset=cfg.get("head_reset", "keep"))
-    ckpt = run_chain(lambda: _build_model(cfg, model_config, union_sentences, seed), chain)
+    chain = TransferChain(stages=stages, head_reset=run.head_reset)
+    ckpt = run_chain(lambda: _build_model(MODEL_KINDS[kind], run, model_config, union_sentences, seed), chain)
 
     ckpt_path = out_dir / "model.ckpt"
     save_checkpoint(ckpt, ckpt_path)

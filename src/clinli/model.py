@@ -4,13 +4,13 @@ A model is built from a config dataclass, a vocabulary, a seed and a
 tokenizer mode.  It names its trainable tensors in ``parameters()`` and
 keeps its classification head in ``cls_w``/``cls_b``.  ``forward``,
 ``batch_loss`` and ``predict_proba`` are defined in each model's own class;
-the base class, the parameter initializers and the config check here
+the base class, the parameter initializers and the config parser here
 do not depend on the architecture.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
@@ -21,28 +21,42 @@ from .data import label_id
 from .errors import ConfigError, DataError
 from .tokenizer import Vocabulary
 
-__all__ = ["PairClassifier", "check_config", "initializers"]
+__all__ = ["PairClassifier", "initializers", "parse_config"]
 
 # resolving the string annotations of a config class takes about 0.15 ms
 # (Python 3.11, 2-core x86 VM), a sizeable share of loading a small
-# checkpoint; there are only three config classes
+# checkpoint; there are only a handful of config classes
 _field_types = cache(get_type_hints)
 
 
-def check_config(config_class, raw, where) -> None:
-    """Reject a config read from ``where`` unless it is a JSON object whose
-    keys all name fields of the dataclass ``config_class`` and whose values
-    have the fields' types (an integer is accepted for a float)."""
+@cache
+def _required_keys(config_class) -> frozenset[str]:
+    return frozenset(f.name for f in fields(config_class) if f.default is MISSING and f.default_factory is MISSING)
+
+
+def parse_config(config_class, raw, where):
+    """The dataclass ``config_class`` built from a JSON object read from
+    ``where``.  Input that is not an object, an unknown or missing key, a
+    value of the wrong type (an integer is accepted for a float) and a
+    value the dataclass rejects each end in a ConfigError naming ``where``."""
+    name = config_class.__name__
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: {config_class.__name__} must be a JSON object, got {raw!r}")
+        raise ConfigError(f"{where}: {name} must be a JSON object, got {raw!r}")
     hints = _field_types(config_class)
     unknown = set(raw) - set(hints)
     if unknown:
-        raise ConfigError(f"{where}: unknown {config_class.__name__} keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown {name} keys {sorted(unknown)}")
+    missing = _required_keys(config_class) - set(raw)
+    if missing:
+        raise ConfigError(f"{where}: {name} lacks required keys {sorted(missing)}")
     for key, value in raw.items():
         if not _has_type(value, hints[key]):
             expected = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
-            raise ConfigError(f"{where}: {config_class.__name__} key {key!r} must be {expected}, got {value!r}")
+            raise ConfigError(f"{where}: {name} key {key!r} must be {expected}, got {value!r}")
+    try:
+        return config_class(**raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _has_type(value, hint) -> bool:

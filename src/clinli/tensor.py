@@ -59,7 +59,6 @@ __all__ = [
     "reshape",
     "reset_nll_clamp_count",
     "scale",
-    "sigmoid",
     "slice_cols",
     "slice_rows",
     "softmax",
@@ -100,15 +99,6 @@ class Tensor:
 
     def backward(self) -> None:
         backward(self)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
 
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
@@ -260,23 +250,6 @@ def tanh(a: Tensor) -> Tensor:
         _accumulate(a, g * (1.0 - np.tanh(a.data) ** 2))
 
     return _result(lambda: np.tanh(a.data), (a,), "tanh", backward_fn)
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    def backward_fn(g: np.ndarray) -> None:
-        s = _stable_sigmoid(a.data)
-        _accumulate(a, g * s * (1.0 - s))
-
-    return _result(lambda: _stable_sigmoid(a.data), (a,), "sigmoid", backward_fn)
 
 
 def relu(a: Tensor) -> Tensor:

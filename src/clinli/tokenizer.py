@@ -166,7 +166,7 @@ def train_wordpiece(corpus: list[str], target_size: int) -> Vocabulary:
     return Vocabulary(vocab)
 
 
-def build_word_vocab(corpus: list[str], max_size: int | None = None) -> Vocabulary:
+def build_word_vocab(corpus: list[str]) -> Vocabulary:
     """Word-level vocabulary: one id per word, most frequent first."""
     if not corpus:
         raise DataError("cannot build a vocabulary from an empty corpus")
@@ -177,11 +177,6 @@ def build_word_vocab(corpus: list[str], max_size: int | None = None) -> Vocabula
             freq[w] += 1
             order.setdefault(w, len(order))
     words = sorted(freq, key=lambda w: (-freq[w], order[w]))
-    if max_size is not None:
-        budget = max_size - len(SPECIAL_TOKENS)
-        if budget < 1:
-            raise ConfigError(f"max_size {max_size} leaves no room for words")
-        words = words[:budget]
     return Vocabulary(list(SPECIAL_TOKENS) + words)
 
 
@@ -246,7 +241,6 @@ class EncodedPair:
     segment_ids: list[int]
     position_ids: list[int]
     attention_mask: list[int]
-    label: int | None = None
 
     def __post_init__(self):
         n = len(self.token_ids)
@@ -260,7 +254,6 @@ def encode_pair(
     vocab: Vocabulary,
     max_len: int,
     mode: str = "wordpiece",
-    label: int | None = None,
 ) -> EncodedPair:
     """Encode a sentence pair as [CLS] premise [SEP] hypothesis [SEP] with
     segments, positions, and a padding mask, truncated and padded to
@@ -296,5 +289,4 @@ def encode_pair(
         segment_ids=segments,
         position_ids=list(range(max_len)),
         attention_mask=mask,
-        label=label,
     )

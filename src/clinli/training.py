@@ -17,7 +17,7 @@ state starts fresh at each stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,13 +60,6 @@ class TrainConfig:
             raise ConfigError("batch_size and max_epochs must be positive")
         if self.clip_norm <= 0:
             raise ConfigError("clip_norm must be positive")
-
-    @classmethod
-    def paper_preset(cls, **overrides) -> "TrainConfig":
-        """Fixed 2e-5 learning rate, as used when fine-tuning from large
-        pretrained weights; the desk-scale default is 1e-3."""
-        overrides.setdefault("learning_rate", 2e-5)
-        return cls(**overrides)
 
 
 class AdamState:
@@ -162,16 +155,7 @@ def _snapshot(params: dict[str, Tensor], state: AdamState):
     )
 
 
-def train(
-    model,
-    train_set,
-    dev_set,
-    config: TrainConfig,
-    dataset_name: str = "train",
-    prior_provenance: tuple[str, ...] = (),
-    prior_history: tuple[MetricRow, ...] = (),
-    step_offset: int = 0,
-) -> Checkpoint:
+def train(model, train_set, dev_set, config: TrainConfig, dataset_name: str = "train") -> Checkpoint:
     """Train ``model`` until early stopping or ``max_epochs``; return the
     best-dev-loss checkpoint and leave the model holding those parameters."""
     _validate_dataset("train", train_set)
@@ -185,7 +169,7 @@ def train(
     eval_every = max(1, math.ceil(config.step_fraction * len(train_set)))
 
     best = _snapshot(params, state)
-    history: list[MetricRow] = list(prior_history)
+    history: list[MetricRow] = []
     since_eval = 0
     run_loss = 0.0
     run_count = 0
@@ -213,7 +197,7 @@ def train(
                 run_loss, run_count = 0.0, 0
                 improved = dev_loss < stopper.best
                 stop = stopper.observe(dev_loss)
-                history.append(MetricRow(step_offset + stopper.count, train_loss, dev_loss, dev_acc))
+                history.append(MetricRow(stopper.count, train_loss, dev_loss, dev_acc))
                 if improved:
                     best = _snapshot(params, state)
                 if stop:
@@ -232,7 +216,7 @@ def train(
         adam_m=best_m,
         adam_v=best_v,
         adam_t=best_t,
-        provenance=list(prior_provenance) + [dataset_name],
+        provenance=[dataset_name],
         history=history,
     )
 
@@ -259,27 +243,17 @@ class TransferChain:
 
 def run_chain(model_factory, chain: TransferChain) -> Checkpoint:
     """Run the chain's stages in order, each initialized from the previous
-    stage's best checkpoint; returns the final checkpoint whose provenance
-    lists every stage name in order."""
+    stage's best checkpoint; returns the final checkpoint, whose provenance
+    lists every stage name in order and whose history numbers the
+    evaluations of all stages in one sequence."""
     model = model_factory()
-    provenance: tuple[str, ...] = ()
-    history: tuple[MetricRow, ...] = ()
-    ckpt: Checkpoint | None = None
-    offset = 0
+    provenance: list[str] = []
+    history: list[MetricRow] = []
     for i, stage in enumerate(chain.stages):
         if i > 0 and chain.head_reset == "reset":
             model.reset_head(seed=stage.config.seed)
-        ckpt = train(
-            model,
-            stage.train_set,
-            stage.dev_set,
-            stage.config,
-            dataset_name=stage.name,
-            prior_provenance=provenance,
-            prior_history=history,
-            step_offset=offset,
-        )
-        provenance = tuple(ckpt.provenance)
-        history = tuple(ckpt.history)
-        offset = history[-1].step if history else offset
-    return ckpt
+        ckpt = train(model, stage.train_set, stage.dev_set, stage.config, dataset_name=stage.name)
+        offset = history[-1].step if history else 0
+        history += [replace(row, step=offset + row.step) for row in ckpt.history]
+        provenance += ckpt.provenance
+    return replace(ckpt, provenance=provenance, history=history)

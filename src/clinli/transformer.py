@@ -232,11 +232,8 @@ class TransformerClassifier(PairClassifier):
         params["cls.b"] = self.cls_b
         return params
 
-    def encode(self, premise: str, hypothesis: str, label: int | None = None) -> EncodedPair:
-        return encode_pair(
-            premise, hypothesis, self.vocab, self.config.max_len,
-            mode=self.tokenizer_mode, label=label,
-        )
+    def encode(self, premise: str, hypothesis: str) -> EncodedPair:
+        return encode_pair(premise, hypothesis, self.vocab, self.config.max_len, mode=self.tokenizer_mode)
 
     def forward(self, batch: Sequence[EncodedPair], training: bool = False, rng: np.random.Generator | None = None) -> T.Tensor:
         """(B, num_classes) class probabilities for a list of B encoded pairs."""

@@ -34,6 +34,15 @@ def compaggr_run_config(tmp_path, data_dir, **train_overrides):
     return path
 
 
+def assert_config_rejected(capsys, command, config, out, *names):
+    """``command`` exits 2 before writing a checkpoint, and its message
+    names the config file and each of ``names``."""
+    assert run_cli(command, "--config", config, "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in (str(config), *names)), err
+    assert not (out / "model.ckpt").exists()
+
+
 class TestSynth:
     def test_default_three_files_with_split(self, tmp_path):
         out = synth_dir(tmp_path, count=300)
@@ -91,29 +100,30 @@ class TestTrain:
         path.write_text(json.dumps({"model": "compaggr", "mystery": 1}))
         assert run_cli("train", "--config", path, "--out-dir", tmp_path / "o") == 2
 
-    @pytest.mark.parametrize("section,key", [("model_config", "bogus"), ("train_config", "learning_rte")])
+    @pytest.mark.parametrize("section,key", [
+        ("model_config", "bogus"), ("train_config", "learning_rte"), ("train_config", "preset"), ("datasets", "tset"),
+    ])
     def test_unknown_section_key_exits_2_naming_file_and_key(self, tmp_path, capsys, section, key):
         data = synth_dir(tmp_path, count=30, seed=1)
         config = compaggr_run_config(tmp_path, data)
         cfg = json.loads(config.read_text())
-        cfg[section][key] = 1
+        cfg[section][key] = "paper"
         config.write_text(json.dumps(cfg))
-        assert run_cli("train", "--config", config, "--out-dir", tmp_path / "o") == 2
-        err = capsys.readouterr().err
-        assert str(config) in err and key in err
+        assert_config_rejected(capsys, "train", config, tmp_path / "o", key)
 
     @pytest.mark.parametrize("section,key,value", [
         ("model_config", "word_dim", "abc"), ("model_config", "word_dim", 8.5), ("train_config", "batch_size", "8"),
+        (None, "seed", "abc"), (None, "vocab_size", "abc"), (None, "abbrev_table", 5), ("datasets", "train", 5),
+        # values of the right type that the config class rejects
+        ("model_config", "repr_dim", 3), ("train_config", "learning_rate", -1),
     ])
     def test_wrong_value_type_exits_2_naming_file_and_key(self, tmp_path, capsys, section, key, value):
         data = synth_dir(tmp_path, count=30, seed=1)
         config = compaggr_run_config(tmp_path, data)
         cfg = json.loads(config.read_text())
-        cfg[section][key] = value
+        (cfg[section] if section else cfg)[key] = value
         config.write_text(json.dumps(cfg))
-        assert run_cli("train", "--config", config, "--out-dir", tmp_path / "o") == 2
-        err = capsys.readouterr().err
-        assert str(config) in err and key in err
+        assert_config_rejected(capsys, "train", config, tmp_path / "o", key)
 
     def test_train_config_not_an_object_exits_2_naming_file_and_key(self, tmp_path, capsys):
         data = synth_dir(tmp_path, count=30, seed=1)
@@ -121,9 +131,7 @@ class TestTrain:
         cfg = json.loads(config.read_text())
         cfg["train_config"] = [1]
         config.write_text(json.dumps(cfg))
-        assert run_cli("train", "--config", config, "--out-dir", tmp_path / "o") == 2
-        err = capsys.readouterr().err
-        assert str(config) in err and "train_config" in err
+        assert_config_rejected(capsys, "train", config, tmp_path / "o", "train_config")
 
     def test_overfit_config_reports_full_accuracy(self, tmp_path, capsys):
         # dev pointed at the training data: the summary's best_dev_acc is
@@ -191,6 +199,22 @@ class TestTransfer:
         out = tmp_path / "chain_out"
         assert run_cli("transfer", "--config", path, "--out-dir", out) == 0
         assert "S -> T" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit,key", [
+        ({"name": 3}, "name"), ({"trian": "x"}, "trian"), ({"dev": None}, "dev"),
+        ({"train_config": {"batch_size": 0}}, "batch_size"),
+    ])
+    def test_malformed_stage_exits_2_before_training(self, tmp_path, capsys, edit, key):
+        # the second stage is malformed: nothing may train, not even the first
+        data = synth_dir(tmp_path, count=30, seed=4)
+        cfg = json.loads(compaggr_run_config(tmp_path, data).read_text())
+        stage = {"train": str(data / "train.jsonl"), "dev": str(data / "dev.jsonl")}
+        bad = {k: v for k, v in {**stage, **edit}.items() if v is not None}  # None deletes a key
+        cfg["chain"] = [{"name": "S", **stage}, bad]
+        del cfg["datasets"]
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(cfg))
+        assert_config_rejected(capsys, "transfer", path, tmp_path / "chain_out", key)
 
 
 class TestPredictEval:
@@ -388,6 +412,21 @@ class TestPredictEval:
                        "--out-dir", tmp_path / "p") == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "word_dim" in err
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda c: c.model_config.update(repr_dim=3), "repr_dim"),
+        (lambda c: setattr(c, "kind", ["compaggr"]), "['compaggr']"),
+    ], ids=["repr_dim", "kind"])
+    def test_checkpoint_header_value_rejected_exits_2(self, tmp_path, trained, capsys, edit, named):
+        data, ckpt = trained
+        loaded = load_checkpoint(ckpt)
+        edit(loaded)
+        bad = tmp_path / "bad_value.ckpt"
+        save_checkpoint(loaded, bad)
+        assert run_cli("predict", "--checkpoint", bad, "--dataset", data / "test.jsonl",
+                       "--out-dir", tmp_path / "p") == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and named in err
 
 
 class TestExpand:
