@@ -5,7 +5,7 @@ per line, ``#`` comment lines and blank lines ignored).  Expansion makes a
 single left-to-right pass over the text: at each position the longest
 matching surface wins, matches must sit on token boundaries (no
 alphanumeric character on either side, so "MI" never fires inside
-"MIMIC"), matching is case-insensitive by default, and replaced spans are
+"MIMIC"), matching is case-insensitive, and replaced spans are
 never rescanned, which rules out recursive expansion.
 """
 
@@ -24,10 +24,9 @@ __all__ = ["AbbrevTable", "ExpansionReport", "demo_table", "expand", "expand_dat
 
 @dataclass
 class AbbrevTable:
-    """Ordered abbreviation entries plus matching policy."""
+    """Ordered abbreviation entries, matched case-insensitively."""
 
     entries: list[tuple[str, str]]
-    case_sensitive: bool = False
     _pattern: re.Pattern | None = field(default=None, repr=False, compare=False)
     _lookup: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
 
@@ -36,31 +35,23 @@ class AbbrevTable:
         for i, (surface, expansion) in enumerate(self.entries):
             if not surface:
                 raise DataError(f"entry {i + 1}: empty surface")
-            key = surface if self.case_sensitive else surface.casefold()
+            key = surface.casefold()
             if key in seen:
                 raise DataError(f"duplicate surface {surface!r} (entries {seen[key] + 1} and {i + 1})")
             seen[key] = i
-            if (expansion if self.case_sensitive else expansion.casefold()) == key:
+            if expansion.casefold() == key:
                 raise DataError(f"entry {i + 1}: expansion equals its surface {surface!r}")
-        self._lookup = {
-            (s if self.case_sensitive else s.casefold()): e for s, e in self.entries
-        }
+        self._lookup = {s.casefold(): e for s, e in self.entries}
         if self.entries:
             ordered = sorted(self.entries, key=lambda kv: -len(kv[0]))
             alternation = "|".join(re.escape(s) for s, _ in ordered)
-            flags = 0 if self.case_sensitive else re.IGNORECASE
-            self._pattern = re.compile(
-                rf"(?<![0-9A-Za-z])(?:{alternation})(?![0-9A-Za-z])", flags
-            )
-
-    def surface_key(self, matched: str) -> str:
-        return matched if self.case_sensitive else matched.casefold()
+            self._pattern = re.compile(rf"(?<![0-9A-Za-z])(?:{alternation})(?![0-9A-Za-z])", re.IGNORECASE)
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def load_table(path, case_sensitive: bool = False) -> AbbrevTable:
+def load_table(path) -> AbbrevTable:
     """Parse a tab-separated abbreviation table, preserving file order."""
     entries: list[tuple[str, str]] = []
     line_of: dict[str, int] = {}
@@ -73,12 +64,12 @@ def load_table(path, case_sensitive: bool = False) -> AbbrevTable:
             if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
                 raise ParseError(f"{path}:{lineno}: expected 'surface<TAB>expansion', got {line!r}")
             surface, expansion = fields[0].strip(), fields[1].strip()
-            key = surface if case_sensitive else surface.casefold()
+            key = surface.casefold()
             if key in line_of:
                 raise DataError(f"{path}:{lineno}: duplicate surface {surface!r} (first at line {line_of[key]})")
             line_of[key] = lineno
             entries.append((surface, expansion))
-    return AbbrevTable(entries=entries, case_sensitive=case_sensitive)
+    return AbbrevTable(entries=entries)
 
 
 def demo_table() -> AbbrevTable:
@@ -93,7 +84,7 @@ def _expand_counting(text: str, table: AbbrevTable, counts: Counter) -> str:
         return text
 
     def repl(match: re.Match) -> str:
-        surface = table.surface_key(match.group(0))
+        surface = match.group(0).casefold()
         counts[surface] += 1
         return table._lookup[surface]
 

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +29,13 @@ from .tokenizer import Vocabulary
 from .transformer import TransformerClassifier
 
 __all__ = [
-    "MODEL_KINDS", "Checkpoint", "MetricRow", "load_checkpoint", "make_model_config", "model_from_checkpoint",
+    "MODEL_KINDS", "Checkpoint", "Header", "MetricRow", "load_checkpoint", "make_model_config", "model_from_checkpoint",
     "save_checkpoint",
 ]
 
 MAGIC = b"CLINLI01"
 FORMAT_VERSION = 1
-_HEADER_KEYS = {"format_version", "kind", "config", "vocab", "tokenizer_mode", "provenance", "adam_t", "blocks"}
+_SIDECAR_HEADER = "step\ttrain_loss\tdev_loss\tdev_accuracy"
 
 # The one place a model kind is decided: checkpoint headers, run configs and
 # the command line name a kind, and its class gives the config class and the
@@ -48,8 +48,23 @@ def make_model_config(kind, raw, where):
     ``where``; an unknown kind or a malformed config ends in a ConfigError
     naming ``where``."""
     if not isinstance(kind, str) or kind not in MODEL_KINDS:
-        raise ConfigError(f"{where}: model must be one of {list(MODEL_KINDS)}, got {kind!r}")
+        raise ConfigError(f"{where}: model kind must be one of {list(MODEL_KINDS)}, got {kind!r}")
     return parse_config(MODEL_KINDS[kind].config_class, raw, where)
+
+
+@dataclass
+class Header:
+    """The JSON header of a checkpoint file.  Saving writes it as it is;
+    loading checks every field (``_read_header``)."""
+
+    format_version: int
+    kind: str
+    config: dict
+    vocab: tuple[str, ...]
+    tokenizer_mode: str
+    provenance: tuple[str, ...]
+    adam_t: int
+    blocks: tuple[dict, ...]  # {"name": str, "shape": [int, ...]} in payload order
 
 
 @dataclass
@@ -90,17 +105,9 @@ def metrics_path(path) -> Path:
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     blocks = _blocks(ckpt)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "kind": ckpt.kind,
-        "config": ckpt.model_config,
-        "vocab": ckpt.vocab_tokens,
-        "tokenizer_mode": ckpt.tokenizer_mode,
-        "provenance": ckpt.provenance,
-        "adam_t": ckpt.adam_t,
-        "blocks": [{"name": name, "shape": list(arr.shape)} for name, arr in blocks],
-    }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("ascii")
+    header = Header(FORMAT_VERSION, ckpt.kind, ckpt.model_config, ckpt.vocab_tokens, ckpt.tokenizer_mode,
+                    ckpt.provenance, ckpt.adam_t, [{"name": name, "shape": list(arr.shape)} for name, arr in blocks])
+    header_bytes = json.dumps(asdict(header), sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("ascii")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
@@ -108,7 +115,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         for _, arr in blocks:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     with open(metrics_path(path), "w", encoding="utf-8") as fh:
-        fh.write("step\ttrain_loss\tdev_loss\tdev_accuracy\n")
+        fh.write(_SIDECAR_HEADER + "\n")
         for row in ckpt.history:
             fh.write(f"{row.step}\t{row.train_loss!r}\t{row.dev_loss!r}\t{row.dev_accuracy!r}\n")
 
@@ -122,39 +129,42 @@ def _read_exact(path, fh, count: int, what: str) -> bytes:
     return fh.read(count)
 
 
-def _read_header(path, fh) -> dict:
+def _read_header(path, fh) -> Header:
     (header_len,) = struct.unpack("<I", _read_exact(path, fh, 4, "header length"))
     raw = _read_exact(path, fh, header_len, "header")
     try:
-        header = json.loads(raw.decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = parse_config(Header, json.loads(raw.decode("ascii")), path)
+        if header.format_version != FORMAT_VERSION:
+            raise ParseError(f"{path}: unsupported format_version {header.format_version}")
+        make_model_config(header.kind, header.config, path)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: garbled header ({exc})") from None
-    if not isinstance(header, dict):
-        raise ParseError(f"{path}: header is not a JSON object")
-    missing = _HEADER_KEYS - set(header)
-    if missing:
-        raise ParseError(f"{path}: header lacks {sorted(missing)}")
-    if header["format_version"] != FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported format version {header['format_version']}")
-    if not isinstance(header["blocks"], list):
-        raise ParseError(f"{path}: header blocks is not a list")
-    make_model_config(header["kind"], header["config"], path)  # here the error can name the file
+    except ConfigError as exc:  # its message names the file
+        raise ParseError(str(exc)) from None
+    modes = MODEL_KINDS[header.kind].tokenizer_modes
+    if header.tokenizer_mode not in modes:
+        raise ParseError(f"{path}: tokenizer_mode of a {header.kind} model must be one of {list(modes)}, "
+                         f"got {header.tokenizer_mode!r}")
+    names = set()
+    for desc in header.blocks:  # a plain loop: a transformer checkpoint has over a hundred blocks
+        name, shape = desc.get("name"), desc.get("shape")
+        if len(desc) == 2 and type(name) is str and name not in names and type(shape) is list:
+            for n in shape:
+                if type(n) is not int or n < 0:
+                    break
+            else:
+                names.add(name)
+                continue
+        raise ParseError(f"{path}: block descriptor {desc!r} is malformed or repeats a name")
     return header
-
-
-def _block_layout(path, desc) -> tuple[str, tuple[int, ...]]:
-    try:
-        name, shape = desc["name"], tuple(desc["shape"])
-    except (KeyError, TypeError):
-        raise ParseError(f"{path}: malformed block descriptor {desc!r}") from None
-    if not isinstance(name, str) or not all(isinstance(n, int) and n >= 0 for n in shape):
-        raise ParseError(f"{path}: malformed block descriptor {desc!r}")
-    return name, shape
 
 
 def _read_history(mpath: Path) -> list[MetricRow]:
     history: list[MetricRow] = []
-    lines = mpath.read_text(encoding="utf-8").splitlines()
+    # a byte that is not UTF-8 becomes U+FFFD, which no number parses: the error names its line
+    lines = mpath.read_text(encoding="utf-8", errors="replace").splitlines()
+    if lines[:1] != [_SIDECAR_HEADER]:
+        raise ParseError(f"{mpath}:1: expected the header line {_SIDECAR_HEADER!r}, got {lines[:1]}")
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             step, tl, dl, da = line.split("\t")
@@ -175,11 +185,13 @@ def load_checkpoint(path) -> Checkpoint:
             raise ParseError(f"{path}: not a checkpoint file (magic {magic!r})")
         header = _read_header(path, fh)
         arrays: dict[str, np.ndarray] = {}
-        for desc in header["blocks"]:
-            name, shape = _block_layout(path, desc)
-            count = math.prod(shape)
-            buf = _read_exact(path, fh, count * 8, f"block {name}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+        for desc in header.blocks:
+            name, shape = desc["name"], desc["shape"]
+            buf = _read_exact(path, fh, math.prod(shape) * 8, f"block {name}")
+            try:  # numpy caps the rank and each dimension, even of an empty block
+                arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+            except ValueError as exc:
+                raise ParseError(f"{path}: block {name} of shape {shape}: {exc}") from None
         if fh.read(1):
             raise ParseError(f"{path}: trailing bytes after the last block")
 
@@ -195,18 +207,9 @@ def load_checkpoint(path) -> Checkpoint:
     mpath = metrics_path(path)
     history = _read_history(mpath) if mpath.exists() else []
 
-    return Checkpoint(
-        kind=header["kind"],
-        model_config=header["config"],
-        vocab_tokens=header["vocab"],
-        tokenizer_mode=header["tokenizer_mode"],
-        params=params,
-        adam_m=adam_m,
-        adam_v=adam_v,
-        adam_t=header["adam_t"],
-        provenance=list(header["provenance"]),
-        history=history,
-    )
+    return Checkpoint(kind=header.kind, model_config=header.config, vocab_tokens=list(header.vocab),
+                      tokenizer_mode=header.tokenizer_mode, params=params, adam_m=adam_m, adam_v=adam_v,
+                      adam_t=header.adam_t, provenance=list(header.provenance), history=history)
 
 
 def model_from_checkpoint(ckpt: Checkpoint):

@@ -77,6 +77,12 @@ class RunConfig:
     out_dir: str | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.vocab_size < 1:
+            raise ConfigError(f"vocab_size must be at least 1, got {self.vocab_size}")
+        if self.head_reset not in ("keep", "reset"):
+            raise ConfigError(f"head_reset must be 'keep' or 'reset', got {self.head_reset!r}")
+
 
 @dataclass
 class DatasetPaths:
@@ -116,13 +122,13 @@ def _require_file(path_str: str, what: str) -> Path:
     return path
 
 
-def _build_model(cls, run: RunConfig, config, corpora_sentences: list[str], seed: int):
-    tokenizer = run.tokenizer or cls.tokenizer_modes[0]
-    if tokenizer == "wordpiece":
-        vocab = train_wordpiece(corpora_sentences, target_size=run.vocab_size)
-    else:
-        vocab = build_word_vocab(corpora_sentences)
-    return cls(config, vocab, seed=seed, tokenizer_mode=tokenizer)
+def _vocabulary(tokenizer: str, vocab_size: int, sentences: list[str], where):
+    if tokenizer != "wordpiece":
+        return build_word_vocab(sentences)
+    try:
+        return train_wordpiece(sentences, target_size=vocab_size)
+    except ConfigError as exc:  # the alphabet floor depends on the datasets
+        raise ConfigError(f"{where}: vocab_size: {exc}") from None
 
 
 def _sentences(datasets) -> list[str]:
@@ -203,6 +209,10 @@ def cmd_train(args) -> int:
     kind = args.model or run.model
     seed = args.seed if args.seed is not None else run.seed
     model_config = make_model_config(kind, run.model_config or {}, config_path)
+    modes = MODEL_KINDS[kind].tokenizer_modes
+    tokenizer = run.tokenizer or modes[0]
+    if tokenizer not in modes:
+        raise ConfigError(f"{config_path}: tokenizer of a {kind} model must be one of {list(modes)}, got {tokenizer!r}")
     stage_cfgs = _stage_configs(run, args.command, config_path)
     train_configs = [
         parse_config(TrainConfig, {"seed": seed, **(run.train_config or {}), **(s.train_config or {})},
@@ -218,10 +228,11 @@ def cmd_train(args) -> int:
         dev_set = _load_and_expand(_require_file(s.dev, f"stage {s.name} dev dataset"), table)
         stages.append(Stage(s.name, train_set, dev_set, train_config))
 
-    # vocabulary from the union of all chain corpora, built up front
-    union_sentences = _sentences([s.train_set for s in stages] + [s.dev_set for s in stages])
     chain = TransferChain(stages=stages, head_reset=run.head_reset)
-    ckpt = run_chain(lambda: _build_model(MODEL_KINDS[kind], run, model_config, union_sentences, seed), chain)
+    # one vocabulary from the union of all chain corpora, built up front
+    union_sentences = _sentences([s.train_set for s in stages] + [s.dev_set for s in stages])
+    vocab = _vocabulary(tokenizer, run.vocab_size, union_sentences, config_path)
+    ckpt = run_chain(lambda: MODEL_KINDS[kind](model_config, vocab, seed=seed, tokenizer_mode=tokenizer), chain)
 
     ckpt_path = out_dir / "model.ckpt"
     save_checkpoint(ckpt, ckpt_path)

@@ -49,10 +49,9 @@ class CompAggrConfig:
         self.filter_widths = tuple(self.filter_widths)
         if self.repr_dim < 2 or self.repr_dim % 2 != 0:
             raise ConfigError(f"repr_dim must be even and >= 2, got {self.repr_dim}")
-        if self.word_dim < 1 or self.filters_per_width < 1:
-            raise ConfigError("word_dim and filters_per_width must be positive")
-        if any(w < 1 for w in self.filter_widths):
-            raise ConfigError("filter widths must be positive")
+        dims = (self.word_dim, self.filters_per_width, self.num_classes, *self.filter_widths)
+        if not self.filter_widths or min(dims) < 1:
+            raise ConfigError("word_dim, filters_per_width, num_classes and one or more filter_widths must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 

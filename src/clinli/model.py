@@ -61,7 +61,12 @@ def parse_config(config_class, raw, where):
 
 def _has_type(value, hint) -> bool:
     if get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple)) and all(_has_type(v, get_args(hint)[0]) for v in value)
+        item = get_args(hint)[0]
+        if not isinstance(value, (list, tuple)):
+            return False
+        if item is str or item is dict:  # one isinstance pass: long vocabularies and block lists
+            return all(isinstance(v, item) for v in value)
+        return all(_has_type(v, item) for v in value)
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)

@@ -11,7 +11,7 @@ with a controlled content-vocabulary overlap for transfer experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,7 +103,6 @@ def generate_corpus(
     spec: SynthSpec,
     pool: list[str] | None = None,
     prefix: str = "synth",
-    seed: int | None = None,
 ) -> list[NLIExample]:
     """Deterministically generate ``spec.count`` labeled pairs.
 
@@ -113,7 +112,7 @@ def generate_corpus(
     """
     if pool is None:
         pool = pseudo_lexicon(spec.vocab_size)
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(spec.seed)
     pool_arr = np.asarray(pool)
     examples: list[NLIExample] = []
     used_premises: set[str] = set()
@@ -161,20 +160,8 @@ def generate_transfer_pair(
     lexicon = pseudo_lexicon(2 * v - shared)
     source_pool = lexicon[:v]
     target_pool = lexicon[v - shared : 2 * v - shared]
-    src_spec = SynthSpec(
-        vocab_size=v,
-        templates_per_class=spec.templates_per_class,
-        count=source_count if source_count is not None else spec.count,
-        seed=spec.seed,
-        shift=spec.shift,
-    )
-    tgt_spec = SynthSpec(
-        vocab_size=v,
-        templates_per_class=spec.templates_per_class,
-        count=target_count if target_count is not None else spec.count,
-        seed=spec.seed + 1,
-        shift=spec.shift,
-    )
+    src_spec = replace(spec, count=source_count if source_count is not None else spec.count)
+    tgt_spec = replace(spec, count=target_count if target_count is not None else spec.count, seed=spec.seed + 1)
     source = generate_corpus(src_spec, pool=source_pool, prefix="src")
     target = generate_corpus(tgt_spec, pool=target_pool, prefix="tgt")
     return source, target

@@ -55,8 +55,8 @@ class TransformerConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.num_heads < 1 or self.num_blocks < 1:
-            raise ConfigError("need at least one head and one block")
+        if min(self.d_e, self.num_heads, self.num_blocks, self.d_ff, self.max_len, self.num_classes) < 1:
+            raise ConfigError("d_e, num_heads, num_blocks, d_ff, max_len and num_classes must be positive")
         if self.d_e % self.num_heads != 0:
             raise ConfigError(f"d_e {self.d_e} not divisible by num_heads {self.num_heads}")
         if not 0.0 <= self.dropout < 1.0:

@@ -6,8 +6,8 @@ from clinli.data import NLIExample
 from clinli.errors import DataError, ParseError
 
 
-def table_from(entries, **kw):
-    return abbrev.AbbrevTable(entries=entries, **kw)
+def table_from(entries):
+    return abbrev.AbbrevTable(entries=entries)
 
 
 class TestLoadTable:
@@ -72,11 +72,6 @@ class TestExpand:
     def test_case_insensitive_by_default(self):
         table = table_from([("CHF", "congestive heart failure")])
         assert abbrev.expand("chf, EF 55%", table) == "congestive heart failure, EF 55%"
-
-    def test_case_sensitive_policy(self):
-        table = table_from([("CHF", "congestive heart failure")], case_sensitive=True)
-        assert abbrev.expand("chf noted", table) == "chf noted"
-        assert abbrev.expand("CHF noted", table) == "congestive heart failure noted"
 
     def test_no_recursive_expansion(self):
         # the expansion of "A" contains surface "B", which must not rescan

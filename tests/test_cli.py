@@ -43,6 +43,26 @@ def assert_config_rejected(capsys, command, config, out, *names):
     assert not (out / "model.ckpt").exists()
 
 
+def assert_checkpoint_rejected(capsys, ckpt, dataset, out, *names):
+    """``predict`` and ``inspect-checkpoint`` on ``ckpt`` both exit 2, and
+    each message names the file and each of ``names``."""
+    assert run_cli("predict", "--checkpoint", ckpt, "--dataset", dataset, "--out-dir", out) == 2
+    assert run_cli("inspect-checkpoint", "--checkpoint", ckpt) == 2
+    errors = capsys.readouterr().err.strip().split("\n")
+    assert len(errors) == 2, errors
+    assert all(name in err for err in errors for name in (str(ckpt), *names)), errors
+
+
+def rewrite_header(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its JSON header."""
+    blob = src.read_bytes()
+    end = 12 + int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:end])
+    edit(header)
+    raw = json.dumps(header).encode("ascii")
+    dst.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[end:])
+
+
 class TestSynth:
     def test_default_three_files_with_split(self, tmp_path):
         out = synth_dir(tmp_path, count=300)
@@ -116,14 +136,26 @@ class TestTrain:
         (None, "seed", "abc"), (None, "vocab_size", "abc"), (None, "abbrev_table", 5), ("datasets", "train", 5),
         # values of the right type that the config class rejects
         ("model_config", "repr_dim", 3), ("train_config", "learning_rate", -1),
+        (None, "vocab_size", -5), (None, "head_reset", "bogus"), (None, "tokenizer", "bogus"),
     ])
     def test_wrong_value_type_exits_2_naming_file_and_key(self, tmp_path, capsys, section, key, value):
-        data = synth_dir(tmp_path, count=30, seed=1)
-        config = compaggr_run_config(tmp_path, data)
+        # the datasets do not exist: every value error comes before any dataset is read or the output directory is made
+        config = compaggr_run_config(tmp_path, tmp_path / "missing")
         cfg = json.loads(config.read_text())
         (cfg[section] if section else cfg)[key] = value
         config.write_text(json.dumps(cfg))
         assert_config_rejected(capsys, "train", config, tmp_path / "o", key)
+        assert not (tmp_path / "o").exists()
+
+    def test_vocab_size_below_alphabet_floor_names_file_and_key(self, tmp_path, capsys):
+        data = synth_dir(tmp_path, count=24, seed=10)
+        cfg = {
+            "model": "transformer", "vocab_size": 5, "model_config": {"d_e": 8, "num_heads": 2, "num_blocks": 1},
+            "datasets": {"train": str(data / "train.jsonl"), "dev": str(data / "dev.jsonl")},
+        }
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(cfg))
+        assert_config_rejected(capsys, "train", config, tmp_path / "o", "vocab_size", "alphabet floor")
 
     def test_train_config_not_an_object_exits_2_naming_file_and_key(self, tmp_path, capsys):
         data = synth_dir(tmp_path, count=30, seed=1)
@@ -416,17 +448,33 @@ class TestPredictEval:
     @pytest.mark.parametrize("edit,named", [
         (lambda c: c.model_config.update(repr_dim=3), "repr_dim"),
         (lambda c: setattr(c, "kind", ["compaggr"]), "['compaggr']"),
-    ], ids=["repr_dim", "kind"])
+        (lambda c: setattr(c, "provenance", 5), "provenance"),
+        (lambda c: setattr(c, "vocab_tokens", 5), "vocab"),
+        (lambda c: setattr(c, "vocab_tokens", [1, 2, 3, 4]), "vocab"),
+        (lambda c: setattr(c, "tokenizer_mode", 5), "tokenizer_mode"),
+        (lambda c: setattr(c, "tokenizer_mode", "bogus"), "tokenizer_mode"),
+        (lambda c: setattr(c, "adam_t", "x"), "adam_t"),
+    ], ids=["repr_dim", "kind", "provenance", "vocab", "vocab_ints", "tokenizer_int", "tokenizer_mode", "adam_t"])
     def test_checkpoint_header_value_rejected_exits_2(self, tmp_path, trained, capsys, edit, named):
         data, ckpt = trained
         loaded = load_checkpoint(ckpt)
         edit(loaded)
         bad = tmp_path / "bad_value.ckpt"
         save_checkpoint(loaded, bad)
-        assert run_cli("predict", "--checkpoint", bad, "--dataset", data / "test.jsonl",
-                       "--out-dir", tmp_path / "p") == 2
-        err = capsys.readouterr().err
-        assert str(bad) in err and named in err
+        assert_checkpoint_rejected(capsys, bad, data / "test.jsonl", tmp_path / "p", named)
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda h: h.update(mystery=1), "mystery"),
+        (lambda h: h.pop("adam_t"), "adam_t"),
+        (lambda h: h["blocks"][0].update(shape=[-1]), "shape"),
+        (lambda h: h["blocks"][0].update(name=5), "name"),
+        (lambda h: h["blocks"][1].update(name=h["blocks"][0]["name"]), "repeats a name"),
+    ], ids=["unknown_key", "missing_key", "block_shape", "block_name", "repeated_block"])
+    def test_malformed_checkpoint_header_exits_2(self, tmp_path, trained, capsys, edit, named):
+        data, ckpt = trained
+        bad = tmp_path / "bad_header.ckpt"
+        rewrite_header(ckpt, bad, edit)
+        assert_checkpoint_rejected(capsys, bad, data / "test.jsonl", tmp_path / "p", named)
 
 
 class TestExpand:

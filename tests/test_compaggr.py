@@ -32,6 +32,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ca.CompAggrConfig(repr_dim=7)
 
+    @pytest.mark.parametrize("field,value", [
+        ("word_dim", 0), ("filters_per_width", -1), ("num_classes", 0), ("filter_widths", (1, 0)), ("filter_widths", ()),
+    ])
+    def test_dimensions_must_be_positive(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ca.CompAggrConfig(**{field: value})
+
     def test_full_scale_totals(self):
         cfg = ca.CompAggrConfig.full_scale()
         assert cfg.total_filters == 500

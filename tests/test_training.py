@@ -353,6 +353,12 @@ class TestCheckpointParseErrors:
         with pytest.raises(ParseError, match="m.ckpt: garbled header"):
             load_checkpoint(saved)
 
+    def test_deeply_nested_header(self, saved):
+        nested = b"[" * 100_000
+        saved.write_bytes(b"CLINLI01" + len(nested).to_bytes(4, "little") + nested)
+        with pytest.raises(ParseError, match="m.ckpt: garbled header"):
+            load_checkpoint(saved)
+
     def test_impossible_header_length(self, saved):
         raw = bytearray(saved.read_bytes())
         raw[8:12] = (2**32 - 1).to_bytes(4, "little")

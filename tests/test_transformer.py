@@ -28,6 +28,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tr.TransformerConfig(d_e=10, num_heads=3)
 
+    @pytest.mark.parametrize("field", ["d_e", "num_heads", "num_blocks", "d_ff", "max_len", "num_classes"])
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_dimensions_must_be_positive(self, field, value):
+        # d_e -4 with 2 heads passes the divisibility check
+        with pytest.raises(ConfigError, match=field):
+            tr.TransformerConfig(**{"d_e": 8, "num_heads": 2, field: value})
+
     def test_defaults(self):
         cfg = tr.TransformerConfig()
         assert (cfg.d_e, cfg.num_heads, cfg.num_blocks, cfg.d_ff, cfg.max_len) == (64, 4, 2, 128, 64)
