@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .data import NLIExample
+from .data import NLIExample, read_text
 from .errors import DataError, ParseError
 
 __all__ = ["AbbrevTable", "ExpansionReport", "demo_table", "expand", "expand_dataset", "load_table"]
@@ -55,20 +55,20 @@ def load_table(path) -> AbbrevTable:
     """Parse a tab-separated abbreviation table, preserving file order."""
     entries: list[tuple[str, str]] = []
     line_of: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
-                raise ParseError(f"{path}:{lineno}: expected 'surface<TAB>expansion', got {line!r}")
-            surface, expansion = fields[0].strip(), fields[1].strip()
-            key = surface.casefold()
-            if key in line_of:
-                raise DataError(f"{path}:{lineno}: duplicate surface {surface!r} (first at line {line_of[key]})")
-            line_of[key] = lineno
-            entries.append((surface, expansion))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
+            raise ParseError(f"{path}:{lineno}: expected 'surface<TAB>expansion', got {line!r}")
+        surface, expansion = fields[0].strip(), fields[1].strip()
+        key = surface.casefold()
+        if key in line_of:
+            raise DataError(f"{path}:{lineno}: duplicate surface {surface!r} (first at line {line_of[key]})")
+        if expansion.casefold() == key:
+            raise DataError(f"{path}:{lineno}: expansion equals its surface {surface!r}")
+        line_of[key] = lineno
+        entries.append((surface, expansion))
     return AbbrevTable(entries=entries)
 
 

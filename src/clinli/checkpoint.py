@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .compaggr import CompAggrModel
+from .data import read_text
 from .errors import ConfigError, ParseError
 from .model import parse_config
 from .tokenizer import Vocabulary
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 MAGIC = b"CLINLI01"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _SIDECAR_HEADER = "step\ttrain_loss\tdev_loss\tdev_accuracy"
 
 # The one place a model kind is decided: checkpoint headers, run configs and
@@ -137,7 +138,7 @@ def _read_header(path, fh) -> Header:
         if header.format_version != FORMAT_VERSION:
             raise ParseError(f"{path}: unsupported format_version {header.format_version}")
         make_model_config(header.kind, header.config, path)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: not ASCII, not JSON, an int of over 4,300 digits
         raise ParseError(f"{path}: garbled header ({exc})") from None
     except ConfigError as exc:  # its message names the file
         raise ParseError(str(exc)) from None
@@ -161,8 +162,7 @@ def _read_header(path, fh) -> Header:
 
 def _read_history(mpath: Path) -> list[MetricRow]:
     history: list[MetricRow] = []
-    # a byte that is not UTF-8 becomes U+FFFD, which no number parses: the error names its line
-    lines = mpath.read_text(encoding="utf-8", errors="replace").splitlines()
+    lines = read_text(mpath).splitlines()
     if lines[:1] != [_SIDECAR_HEADER]:
         raise ParseError(f"{mpath}:1: expected the header line {_SIDECAR_HEADER!r}, got {lines[:1]}")
     for lineno, line in enumerate(lines[1:], start=2):

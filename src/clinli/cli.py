@@ -37,7 +37,7 @@ import numpy as np
 
 from .abbrev import expand_dataset, load_table
 from .checkpoint import MODEL_KINDS, load_checkpoint, make_model_config, model_from_checkpoint, save_checkpoint
-from .data import load_jsonl, save_jsonl
+from .data import load_jsonl, read_text, save_jsonl
 from .errors import ClinliError, ConfigError, DataError, ParseError
 from .evaluate import (
     Prediction,
@@ -97,11 +97,13 @@ class StageConfig(DatasetPaths):
 
 
 def load_run_config(path) -> RunConfig:
+    text = read_text(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})") from None
+        raise ParseError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+    except (ValueError, RecursionError) as exc:  # an integer of over 4,300 digits, or nesting too deep
+        raise ParseError(f"{path}: invalid JSON ({exc})") from None
     return parse_config(RunConfig, raw, path)
 
 

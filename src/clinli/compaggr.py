@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .data import LABELS
 from .errors import ConfigError, DataError, DimensionError
 from .model import PairClassifier, initializers
 from .tokenizer import Vocabulary, word_tokenize
@@ -42,16 +43,17 @@ class CompAggrConfig:
     repr_dim: int = 16
     filter_widths: tuple[int, ...] = (1, 2, 3, 4, 5)
     filters_per_width: int = 20
-    num_classes: int = 3
     dropout: float = 0.7
 
     def __post_init__(self):
         self.filter_widths = tuple(self.filter_widths)
         if self.repr_dim < 2 or self.repr_dim % 2 != 0:
             raise ConfigError(f"repr_dim must be even and >= 2, got {self.repr_dim}")
-        dims = (self.word_dim, self.filters_per_width, self.num_classes, *self.filter_widths)
+        dims = (self.word_dim, self.filters_per_width, *self.filter_widths)
         if not self.filter_widths or min(dims) < 1:
-            raise ConfigError("word_dim, filters_per_width, num_classes and one or more filter_widths must be positive")
+            raise ConfigError("word_dim, filters_per_width and one or more filter_widths must be positive")
+        if len(set(self.filter_widths)) != len(self.filter_widths):
+            raise ConfigError(f"filter_widths must not repeat a width, got {self.filter_widths}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -164,36 +166,21 @@ class CompAggrModel(PairClassifier):
     def __init__(self, config: CompAggrConfig, vocab: Vocabulary, seed: int = 0, tokenizer_mode: str = "word"):
         super().__init__(config, vocab, tokenizer_mode)
         self.freeze_encoder = False
-        mat, zeros, _ = initializers(seed)
+        mat, zeros, _ = initializers(seed, self._params)
         hidden = config.repr_dim // 2
-        self.emb_table = mat(len(vocab), config.word_dim)
-        self.enc_fwd = EncoderDirection(
-            wx=mat(hidden, config.word_dim), wh=mat(hidden, hidden), b=zeros(hidden)
+        self.emb_table = mat("emb.word", len(vocab), config.word_dim)
+        self.enc_fwd, self.enc_bwd = (
+            EncoderDirection(wx=mat(f"enc.{d}.wx", hidden, config.word_dim), wh=mat(f"enc.{d}.wh", hidden, hidden),
+                             b=zeros(f"enc.{d}.b", hidden))
+            for d in ("fwd", "bwd")
         )
-        self.enc_bwd = EncoderDirection(
-            wx=mat(hidden, config.word_dim), wh=mat(hidden, hidden), b=zeros(hidden)
-        )
-        self.attn_w = mat(config.repr_dim, config.repr_dim)
+        self.attn_w = mat("attn.w", config.repr_dim, config.repr_dim)
         self.banks: list[tuple[T.Tensor, T.Tensor]] = []
         for width in config.filter_widths:
-            weight = mat(config.filters_per_width, config.repr_dim, width)
-            self.banks.append((weight, zeros(config.filters_per_width)))
-        self.cls_w = mat(config.total_filters, config.num_classes)
-        self.cls_b = zeros(config.num_classes)
-
-    def parameters(self) -> dict[str, T.Tensor]:
-        params = {
-            "emb.word": self.emb_table,
-            "enc.fwd.wx": self.enc_fwd.wx, "enc.fwd.wh": self.enc_fwd.wh, "enc.fwd.b": self.enc_fwd.b,
-            "enc.bwd.wx": self.enc_bwd.wx, "enc.bwd.wh": self.enc_bwd.wh, "enc.bwd.b": self.enc_bwd.b,
-            "attn.w": self.attn_w,
-        }
-        for width, (weight, bias) in zip(self.config.filter_widths, self.banks):
-            params[f"conv.w{width}.weight"] = weight
-            params[f"conv.w{width}.bias"] = bias
-        params["cls.w"] = self.cls_w
-        params["cls.b"] = self.cls_b
-        return params
+            weight = mat(f"conv.w{width}.weight", config.filters_per_width, config.repr_dim, width)
+            self.banks.append((weight, zeros(f"conv.w{width}.bias", config.filters_per_width)))
+        self.cls_w = mat("cls.w", config.total_filters, len(LABELS))
+        self.cls_b = zeros("cls.b", len(LABELS))
 
     def _ids(self, text: str) -> list[int]:
         ids = word_tokenize(text, self.vocab)

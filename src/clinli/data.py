@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DataError
+from .errors import DataError, ParseError
 
-__all__ = ["LABELS", "NLIExample", "NLITriple", "label_id", "load_jsonl", "save_jsonl"]
+__all__ = ["LABELS", "NLIExample", "NLITriple", "label_id", "load_jsonl", "read_text", "save_jsonl"]
 
 LABELS = ("entailment", "contradiction", "neutral")
 _LABEL_TO_ID = {name: i for i, name in enumerate(LABELS)}
@@ -63,32 +63,44 @@ class NLITriple:
         return self.examples[0].premise
 
 
-def load_jsonl(path) -> list[NLIExample]:
-    examples = []
+def read_text(path) -> str:
+    """The text of UTF-8 file ``path``, line endings read as text mode reads
+    them.  A byte sequence that is not UTF-8 ends in a ParseError naming
+    ``path:line``; no byte is replaced."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
-            try:
-                examples.append(
-                    NLIExample(
-                        premise=obj["sentence1"],
-                        hypothesis=obj["sentence2"],
-                        gold_label=obj["gold_label"],
-                        pair_id=obj.get("pairID"),
-                    )
-                )
-            except KeyError as exc:
-                raise DataError(f"{path}:{lineno}: missing key {exc}") from None
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:  # read() decodes the whole file: exc.object is every byte of it
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            bad = exc.object[exc.start : exc.end]
+            raise ParseError(f"{path}:{line}: not UTF-8 ({exc.reason}: {bad!r})") from None
+
+
+def load_jsonl(path) -> list[NLIExample]:
+    """The examples of a JSONL dataset.  A line that is not a JSON object,
+    lacks a key or holds a value that is not a string ends in a DataError
+    naming ``path:line``; a byte that is not UTF-8 in a ParseError."""
+    examples = []
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # ValueError: also an integer of over 4,300 digits
+            raise DataError(f"{path}:{lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+        for key in ("sentence1", "sentence2", "gold_label", "pairID"):
+            if key in obj and not isinstance(obj[key], str):
+                raise DataError(f"{path}:{lineno}: {key} must be a string, got {obj[key]!r}")
+        try:
+            examples.append(NLIExample(premise=obj["sentence1"], hypothesis=obj["sentence2"],
+                                       gold_label=obj["gold_label"], pair_id=obj.get("pairID")))
+        except KeyError as exc:
+            raise DataError(f"{path}:{lineno}: missing key {exc}") from None
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     return examples
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LABELS, NLIExample, NLITriple, label_id
+from .data import LABELS, NLIExample, NLITriple, label_id, read_text
 from .errors import ClinliError, DataError
 
 __all__ = [
@@ -267,25 +267,23 @@ def write_predictions(path, predictions) -> None:
 
 def read_predictions(path) -> list[Prediction]:
     """Rows written by ``write_predictions``; any malformed row ends in a
-    DataError naming ``path:line``."""
+    DataError naming ``path:line`` (a byte that is not UTF-8 in a ParseError)."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise DataError(f"{path}:{lineno}: expected 5 tab-separated fields")
-            pid, pe, pc, pn, label = fields
-            try:
-                probs = np.array([float(pe), float(pc), float(pn)])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: probabilities must be numbers, got {[pe, pc, pn]}") from None
-            try:
-                out.append(Prediction(pid, probs, label))
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise DataError(f"{path}:{lineno}: expected 5 tab-separated fields")
+        pid, pe, pc, pn, label = fields
+        try:
+            probs = np.array([float(pe), float(pc), float(pn)])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: probabilities must be numbers, got {[pe, pc, pn]}") from None
+        try:
+            out.append(Prediction(pid, probs, label))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

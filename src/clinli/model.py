@@ -1,11 +1,13 @@
 """The protocol both sentence-pair classifiers share.
 
 A model is built from a config dataclass, a vocabulary, a seed and a
-tokenizer mode.  It names its trainable tensors in ``parameters()`` and
-keeps its classification head in ``cls_w``/``cls_b``.  ``forward``,
-``batch_loss`` and ``predict_proba`` are defined in each model's own class;
-the base class, the parameter initializers and the config parser here
-do not depend on the architecture.
+tokenizer mode.  Each trainable tensor is named once, by the maker call that
+creates it (``initializers``); ``parameters()`` returns them by name in
+creation order, the order of checkpoint blocks and Adam state.  The
+classification head is ``cls_w``/``cls_b``, one column per label in
+``data.LABELS``.  ``forward``, ``batch_loss`` and ``predict_proba`` are
+defined in each model's own class; the base class, the parameter
+initializers and the config parser here do not depend on the architecture.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import label_id
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .tokenizer import Vocabulary
 
 __all__ = ["PairClassifier", "initializers", "parse_config"]
@@ -72,27 +74,35 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def initializers(seed: int):
-    """``mat(*shape)``, ``zeros(n)`` and ``ones(n)`` makers of trainable
-    tensors; ``mat`` draws Xavier-uniform values from one generator seeded
-    with ``seed``, in call order."""
+def initializers(seed: int, params: dict[str, T.Tensor]):
+    """``mat(name, *shape)``, ``zeros(name, n)`` and ``ones(name, n)``
+    makers of trainable tensors, each stored in ``params`` under ``name``;
+    ``mat`` draws Xavier-uniform values from one generator seeded with
+    ``seed``, in call order."""
     rng = np.random.default_rng(seed)
 
-    def mat(*shape):
-        return T.Tensor(T.xavier_uniform(rng, shape), requires_grad=True)
+    def made(name, values):
+        if name in params:
+            raise ContractError(f"parameter {name} made twice")
+        params[name] = T.Tensor(values, requires_grad=True)
+        return params[name]
 
-    def zeros(n):
-        return T.Tensor(np.zeros(n), requires_grad=True)
+    def mat(name, *shape):
+        return made(name, T.xavier_uniform(rng, shape))
 
-    def ones(n):
-        return T.Tensor(np.ones(n), requires_grad=True)
+    def zeros(name, n):
+        return made(name, np.zeros(n))
+
+    def ones(name, n):
+        return made(name, np.ones(n))
 
     return mat, zeros, ones
 
 
 class PairClassifier:
     """Three-way sentence-pair classifier.  Subclasses set ``kind``,
-    ``config_class`` and ``tokenizer_modes`` (the first is the default)."""
+    ``config_class`` and ``tokenizer_modes`` (the first is the default)
+    and make their tensors with ``initializers(seed, self._params)``."""
 
     kind: str
     config_class: type
@@ -105,6 +115,11 @@ class PairClassifier:
         self.vocab = vocab
         self.tokenizer_mode = tokenizer_mode
         self.dropout = config.dropout
+        self._params: dict[str, T.Tensor] = {}
+
+    def parameters(self) -> dict[str, T.Tensor]:
+        """Every trainable tensor by name, in creation order."""
+        return dict(self._params)
 
     def load_parameters(self, arrays: dict[str, np.ndarray]) -> None:
         params = self.parameters()

@@ -9,8 +9,9 @@ softmax head.
 A batch runs as one graph.  Every pair is padded to ``max_len`` = L, so B
 pairs embed to one (B, L, d_e) tensor; each head's queries, keys and values
 are (B, L, d_k) column slices, its attention weights are (B, L, L), and the
-head returns a (B, num_classes) probability matrix.  The block and attention
-functions also accept a single unbatched (L, d_e) sequence with an (L,) mask.
+head returns a (B, 3) probability matrix, one column per label.  The block
+and attention functions also accept a single unbatched (L, d_e) sequence
+with an (L,) mask.
 
 Padded key positions receive -1e9 attention logits before the softmax, so
 appending padding to an input never changes the classification.  Position
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .data import LABELS
 from .errors import ConfigError, ContractError, DataError, DimensionError
 from .model import PairClassifier, initializers
 from .tokenizer import EncodedPair, Vocabulary, encode_pair
@@ -51,12 +53,11 @@ class TransformerConfig:
     num_blocks: int = 2
     d_ff: int = 128
     max_len: int = 64
-    num_classes: int = 3
     dropout: float = 0.1
 
     def __post_init__(self):
-        if min(self.d_e, self.num_heads, self.num_blocks, self.d_ff, self.max_len, self.num_classes) < 1:
-            raise ConfigError("d_e, num_heads, num_blocks, d_ff, max_len and num_classes must be positive")
+        if min(self.d_e, self.num_heads, self.num_blocks, self.d_ff, self.max_len) < 1:
+            raise ConfigError("d_e, num_heads, num_blocks, d_ff and max_len must be positive")
         if self.d_e % self.num_heads != 0:
             raise ConfigError(f"d_e {self.d_e} not divisible by num_heads {self.num_heads}")
         if not 0.0 <= self.dropout < 1.0:
@@ -184,59 +185,36 @@ class TransformerClassifier(PairClassifier):
         tokenizer_mode: str = "wordpiece",
     ):
         super().__init__(config, vocab, tokenizer_mode)
-        mat, zeros, ones = initializers(seed)
+        mat, zeros, ones = initializers(seed, self._params)
         d_e, d_ff = config.d_e, config.d_ff
-        self.token_table = mat(len(vocab), d_e)
-        self.pos_table = mat(config.max_len, d_e)
-        self.seg_table = mat(2, d_e)
+        self.token_table = mat("emb.token", len(vocab), d_e)
+        self.pos_table = mat("emb.pos", config.max_len, d_e)
+        self.seg_table = mat("emb.seg", 2, d_e)
         self.blocks: list[BlockParams] = []
-        for _ in range(config.num_blocks):
+        for i in range(config.num_blocks):
+            b = f"block{i}."
             self.blocks.append(
                 BlockParams(
                     attn=AttentionParams(
-                        wq=mat(d_e, d_e), bq=zeros(d_e),
-                        wk=mat(d_e, d_e), bk=zeros(d_e),
-                        wv=mat(d_e, d_e), bv=zeros(d_e),
-                        wo=mat(d_e, d_e), bo=zeros(d_e),
+                        wq=mat(b + "attn.wq", d_e, d_e), bq=zeros(b + "attn.bq", d_e),
+                        wk=mat(b + "attn.wk", d_e, d_e), bk=zeros(b + "attn.bk", d_e),
+                        wv=mat(b + "attn.wv", d_e, d_e), bv=zeros(b + "attn.bv", d_e),
+                        wo=mat(b + "attn.wo", d_e, d_e), bo=zeros(b + "attn.bo", d_e),
                     ),
-                    ln1_gain=ones(d_e), ln1_bias=zeros(d_e),
-                    ffn_w1=mat(d_e, d_ff), ffn_b1=zeros(d_ff),
-                    ffn_w2=mat(d_ff, d_e), ffn_b2=zeros(d_e),
-                    ln2_gain=ones(d_e), ln2_bias=zeros(d_e),
+                    ln1_gain=ones(b + "ln1.gain", d_e), ln1_bias=zeros(b + "ln1.bias", d_e),
+                    ffn_w1=mat(b + "ffn.w1", d_e, d_ff), ffn_b1=zeros(b + "ffn.b1", d_ff),
+                    ffn_w2=mat(b + "ffn.w2", d_ff, d_e), ffn_b2=zeros(b + "ffn.b2", d_e),
+                    ln2_gain=ones(b + "ln2.gain", d_e), ln2_bias=zeros(b + "ln2.bias", d_e),
                 )
             )
-        self.cls_w = mat(d_e, config.num_classes)
-        self.cls_b = zeros(config.num_classes)
-
-    def parameters(self) -> dict[str, T.Tensor]:
-        params = {
-            "emb.token": self.token_table,
-            "emb.pos": self.pos_table,
-            "emb.seg": self.seg_table,
-        }
-        for i, bp in enumerate(self.blocks):
-            a = bp.attn
-            params.update(
-                {
-                    f"block{i}.attn.wq": a.wq, f"block{i}.attn.bq": a.bq,
-                    f"block{i}.attn.wk": a.wk, f"block{i}.attn.bk": a.bk,
-                    f"block{i}.attn.wv": a.wv, f"block{i}.attn.bv": a.bv,
-                    f"block{i}.attn.wo": a.wo, f"block{i}.attn.bo": a.bo,
-                    f"block{i}.ln1.gain": bp.ln1_gain, f"block{i}.ln1.bias": bp.ln1_bias,
-                    f"block{i}.ffn.w1": bp.ffn_w1, f"block{i}.ffn.b1": bp.ffn_b1,
-                    f"block{i}.ffn.w2": bp.ffn_w2, f"block{i}.ffn.b2": bp.ffn_b2,
-                    f"block{i}.ln2.gain": bp.ln2_gain, f"block{i}.ln2.bias": bp.ln2_bias,
-                }
-            )
-        params["cls.w"] = self.cls_w
-        params["cls.b"] = self.cls_b
-        return params
+        self.cls_w = mat("cls.w", d_e, len(LABELS))
+        self.cls_b = zeros("cls.b", len(LABELS))
 
     def encode(self, premise: str, hypothesis: str) -> EncodedPair:
         return encode_pair(premise, hypothesis, self.vocab, self.config.max_len, mode=self.tokenizer_mode)
 
     def forward(self, batch: Sequence[EncodedPair], training: bool = False, rng: np.random.Generator | None = None) -> T.Tensor:
-        """(B, num_classes) class probabilities for a list of B encoded pairs."""
+        """(B, 3) class probabilities for a list of B encoded pairs."""
         x = embed(batch, self.token_table, self.pos_table, self.seg_table)
         mask = [e.attention_mask for e in batch]
         for bp in self.blocks:

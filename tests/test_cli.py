@@ -147,6 +147,15 @@ class TestTrain:
         assert_config_rejected(capsys, "train", config, tmp_path / "o", key)
         assert not (tmp_path / "o").exists()
 
+    def test_num_classes_is_not_a_model_config_key(self, tmp_path, capsys):
+        # the head width is the label count; the datasets do not exist, so the error comes before any is read
+        config = compaggr_run_config(tmp_path, tmp_path / "missing")
+        cfg = json.loads(config.read_text())
+        cfg["model_config"]["num_classes"] = 3
+        config.write_text(json.dumps(cfg))
+        assert_config_rejected(capsys, "train", config, tmp_path / "o", "num_classes")
+        assert not (tmp_path / "o").exists()
+
     def test_vocab_size_below_alphabet_floor_names_file_and_key(self, tmp_path, capsys):
         data = synth_dir(tmp_path, count=24, seed=10)
         cfg = {
@@ -469,12 +478,59 @@ class TestPredictEval:
         (lambda h: h["blocks"][0].update(shape=[-1]), "shape"),
         (lambda h: h["blocks"][0].update(name=5), "name"),
         (lambda h: h["blocks"][1].update(name=h["blocks"][0]["name"]), "repeats a name"),
-    ], ids=["unknown_key", "missing_key", "block_shape", "block_name", "repeated_block"])
+        (lambda h: h["config"].update(num_classes=3), "num_classes"),
+        (lambda h: h.update(format_version=1), "unsupported format_version 1"),
+    ], ids=["unknown_key", "missing_key", "block_shape", "block_name", "repeated_block", "num_classes",
+            "format_version_1"])
     def test_malformed_checkpoint_header_exits_2(self, tmp_path, trained, capsys, edit, named):
         data, ckpt = trained
         bad = tmp_path / "bad_header.ckpt"
         rewrite_header(ckpt, bad, edit)
         assert_checkpoint_rejected(capsys, bad, data / "test.jsonl", tmp_path / "p", named)
+
+
+PAIR = {"sentence1": "pt has MI", "sentence2": "pt is ill", "gold_label": "neutral", "pairID": "p1"}
+
+
+def jsonl_line(**changes) -> bytes:
+    return json.dumps({**PAIR, **changes}).encode() + b"\n"
+
+
+class TestMalformedInputs:
+    """A malformed dataset, prediction file, abbreviation table or run config
+    exits 2 with a message naming ``file:line``."""
+
+    COMMANDS = {
+        "expand": ["expand", "--dataset", "data.jsonl", "--table", "table.tsv"],
+        "eval": ["eval", "--predictions", "preds.tsv", "--dataset", "data.jsonl"],
+        "train": ["train", "--config", "run.json"],
+    }
+
+    @pytest.mark.parametrize("command,name,content,line,named", [
+        ("expand", "data.jsonl", jsonl_line() + b'{"sentence1": "caf\xff"}\n', 2, "not UTF-8"),
+        ("expand", "data.jsonl", jsonl_line(sentence1=5), 1, "sentence1"),
+        ("eval", "data.jsonl", jsonl_line(pairID=7), 1, "pairID"),
+        ("eval", "data.jsonl", jsonl_line(gold_label=None), 1, "gold_label"),
+        ("eval", "preds.tsv", b"p1\t0.2\t0.3\t0.5\tneutral\xff\n", 1, "not UTF-8"),
+        ("expand", "table.tsv", b"# table\nMI\xff\tx\n", 2, "not UTF-8"),
+        ("expand", "table.tsv", b"# table\nMI\tmi\n", 2, "expansion equals its surface"),
+        ("expand", "data.jsonl", jsonl_line() + b'{"sentence1": ' + b"1" * 5000 + b"}\n", 2, "invalid JSON"),
+        ("train", "run.json", b'{\n"seed": "\xff"}\n', 2, "not UTF-8"),
+        ("train", "run.json", b"[" * 100_000, None, "invalid JSON"),  # no line: the whole file nests too deep
+    ], ids=["dataset_utf8", "sentence1_int", "pair_id_int", "gold_label_null", "predictions_utf8", "table_utf8",
+            "table_identity", "dataset_long_int", "run_config_utf8", "run_config_nesting"])
+    def test_exits_2_naming_file_and_line(self, tmp_path, capsys, command, name, content, line, named):
+        (tmp_path / "data.jsonl").write_bytes(jsonl_line())
+        (tmp_path / "preds.tsv").write_text("p1\t0.2\t0.3\t0.5\tneutral\n")
+        (tmp_path / "table.tsv").write_text("MI\tmyocardial infarction\n")
+        (tmp_path / "run.json").write_text(json.dumps({"model": "compaggr", "datasets": {
+            "train": str(tmp_path / "data.jsonl"), "dev": str(tmp_path / "data.jsonl")}}))
+        (tmp_path / name).write_bytes(content)
+        argv = [tmp_path / a if a.endswith((".jsonl", ".tsv", ".json")) else a for a in self.COMMANDS[command]]
+        assert run_cli(*argv, "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        where = tmp_path / name if line is None else f"{tmp_path / name}:{line}"
+        assert f"{where}: " in err and named in err, err
 
 
 class TestExpand:

@@ -6,6 +6,7 @@ from clinli import tensor as T
 from clinli import tokenizer as tk
 from clinli.data import NLIExample
 from clinli.errors import ConfigError, DataError, DimensionError
+from clinli.model import parse_config
 
 from oracles import (
     finite_diff_grad,
@@ -34,10 +35,17 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("word_dim", 0), ("filters_per_width", -1), ("num_classes", 0), ("filter_widths", (1, 0)), ("filter_widths", ()),
+        ("repr_dim", 0),
     ])
     def test_dimensions_must_be_positive(self, field, value):
+        # read as a model_config is: num_classes is no key at all, the head width being len(LABELS)
         with pytest.raises(ConfigError, match=field):
-            ca.CompAggrConfig(**{field: value})
+            parse_config(ca.CompAggrConfig, {field: value}, "model_config")
+
+    def test_repeated_filter_width_rejected(self):
+        # two banks of one width would share the parameter names conv.w2.*
+        with pytest.raises(ConfigError, match="filter_widths"):
+            ca.CompAggrConfig(filter_widths=(1, 2, 2))
 
     def test_full_scale_totals(self):
         cfg = ca.CompAggrConfig.full_scale()

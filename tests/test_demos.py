@@ -1,6 +1,7 @@
 """Smoke test of the quick demos: each runs as a script and exits 0."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ QUICK_DEMOS = (
     "01_autodiff_basics.py",
     "02_subword_tokenizer.py",
     "03_attention_walkthrough.py",
+    "04_overfit_two_models.py",
     "06_abbreviation_expansion.py",
     "07_listwise_inference.py",
 )
@@ -32,3 +34,5 @@ def test_demo_runs(name):
     assert proc.returncode == 0, proc.stderr
     if name == "01_autodiff_basics.py":
         assert "replay reproduces the forward value exactly: True" in proc.stdout
+    if name == "04_overfit_two_models.py":
+        assert len(re.findall(r"^memorized after \d+ epochs$", proc.stdout, re.MULTILINE)) == 2, proc.stdout

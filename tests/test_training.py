@@ -6,10 +6,12 @@ from clinli import tokenizer as tk
 from clinli import training as tr
 from clinli.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from clinli.compaggr import CompAggrConfig, CompAggrModel
-from clinli.data import NLIExample
-from clinli.errors import ConfigError, DataError, NumericError, ParseError
+from clinli.data import LABELS, NLIExample
+from clinli.errors import ConfigError, ContractError, DataError, NumericError, ParseError
+from clinli.model import initializers
 from clinli.synth import SynthSpec, generate_corpus
 from clinli.tokenizer import build_word_vocab
+from clinli.transformer import TransformerClassifier, TransformerConfig
 
 from oracles import hand_adam
 
@@ -254,6 +256,40 @@ class TestTrainRealModel:
         assert open(m0[0], "rb").read() == open(m0[1], "rb").read()
 
 
+def held_tensors(obj) -> set[int]:
+    """ids of the trainable tensors reachable through ``obj``'s attributes,
+    lists and tuples (not through dicts, so not through the registry)."""
+    if isinstance(obj, T.Tensor):
+        return {id(obj)} if obj.requires_grad else set()
+    if isinstance(obj, (list, tuple)):
+        items = obj
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return set()
+    return set().union(*(held_tensors(x) for x in items))
+
+
+class TestParameterRegistry:
+    @pytest.mark.parametrize("kind", ["transformer", "compaggr"])
+    def test_every_tensor_the_model_holds_is_a_named_parameter(self, kind):
+        vocab = build_word_vocab(["the patient has a fever", "no fever today"])
+        if kind == "transformer":
+            config = TransformerConfig(d_e=8, num_heads=2, num_blocks=2, d_ff=8, max_len=10)
+            model = TransformerClassifier(config, vocab, tokenizer_mode="word")
+        else:
+            model = CompAggrModel(CompAggrConfig(word_dim=4, repr_dim=4, filters_per_width=2), vocab)
+        params = model.parameters()
+        assert held_tensors(model) == {id(p) for p in params.values()}
+        assert params["cls.w"].shape[1] == params["cls.b"].shape[0] == len(LABELS)
+
+    def test_a_name_made_twice_is_rejected(self):
+        mat, zeros, _ = initializers(0, {})
+        mat("w", 2, 2)
+        with pytest.raises(ContractError, match="parameter w made twice"):
+            zeros("w", 2)
+
+
 class TestTransferChain:
     def _stage_sets(self, seed):
         corpus = generate_corpus(SynthSpec(count=24, seed=seed))
@@ -356,6 +392,12 @@ class TestCheckpointParseErrors:
     def test_deeply_nested_header(self, saved):
         nested = b"[" * 100_000
         saved.write_bytes(b"CLINLI01" + len(nested).to_bytes(4, "little") + nested)
+        with pytest.raises(ParseError, match="m.ckpt: garbled header"):
+            load_checkpoint(saved)
+
+    def test_header_integer_too_long_to_parse(self, saved):
+        header = b'{"adam_t": ' + b"1" * 5000 + b"}"
+        saved.write_bytes(b"CLINLI01" + len(header).to_bytes(4, "little") + header)
         with pytest.raises(ParseError, match="m.ckpt: garbled header"):
             load_checkpoint(saved)
 

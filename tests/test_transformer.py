@@ -8,6 +8,7 @@ from clinli import tokenizer as tk
 from clinli import transformer as tr
 from clinli.data import label_id
 from clinli.errors import ConfigError, DataError, DimensionError
+from clinli.model import parse_config
 from clinli.synth import SynthSpec, generate_corpus
 
 from oracles import finite_diff_grad, loop_multi_head_attention, rel_err
@@ -31,9 +32,10 @@ class TestConfig:
     @pytest.mark.parametrize("field", ["d_e", "num_heads", "num_blocks", "d_ff", "max_len", "num_classes"])
     @pytest.mark.parametrize("value", [0, -4])
     def test_dimensions_must_be_positive(self, field, value):
-        # d_e -4 with 2 heads passes the divisibility check
+        # d_e -4 with 2 heads passes the divisibility check; read as a model_config
+        # is, num_classes is no key at all, the head width being len(LABELS)
         with pytest.raises(ConfigError, match=field):
-            tr.TransformerConfig(**{"d_e": 8, "num_heads": 2, field: value})
+            parse_config(tr.TransformerConfig, {"d_e": 8, "num_heads": 2, field: value}, "model_config")
 
     def test_defaults(self):
         cfg = tr.TransformerConfig()
