@@ -65,7 +65,7 @@ USAGE_ERRORS = (ConfigError, ParseError, DataError, FileNotFoundError)
 
 @dataclass
 class RunConfig:
-    model: str | None = None
+    model: str
     tokenizer: str | None = None  # default: the model kind's first mode
     vocab_size: int = 200  # word-piece target size
     model_config: dict | None = None
@@ -208,7 +208,7 @@ def cmd_train(args) -> int:
     """``train`` and ``transfer``: every run is a chain of stages."""
     config_path = _require_file(args.config, "run config")
     run = load_run_config(config_path)
-    kind = args.model or run.model
+    kind = run.model
     seed = args.seed if args.seed is not None else run.seed
     model_config = make_model_config(kind, run.model_config or {}, config_path)
     modes = MODEL_KINDS[kind].tokenizer_modes
@@ -256,7 +256,7 @@ def cmd_predict(args) -> int:
     if args.mode == "pointwise":
         rows = predict_pointwise(model, examples, error_log=errors)
     else:
-        triples, _ = group_into_triples(examples, key=args.group_key)
+        triples, _ = group_into_triples(examples)
         rows, assigned = [], set()
         for t in triples:
             try:
@@ -282,10 +282,10 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     golds = load_jsonl(_require_file(args.dataset, "dataset"))
-    out_dir = _out_dir(args)
     pred_sets = [read_predictions(_require_file(p, "prediction file")) for p in args.predictions]
     if len(pred_sets) not in (1, 2):
         raise ConfigError("eval takes one or two prediction files")
+    out_dir = _out_dir(args)
 
     metrics: dict = {}
     for i, preds in enumerate(pred_sets):
@@ -371,15 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", default=None)
-        p.add_argument("--model", choices=tuple(MODEL_KINDS), default=None)
         p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="write predictions for a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--mode", choices=("pointwise", "listwise"), default="pointwise")
-    p.add_argument("--group-key", choices=("premise", "pair-prefix"), default="premise",
-                   help="how list-wise triples are grouped")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_predict)
 

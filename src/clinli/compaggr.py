@@ -4,9 +4,10 @@ Each sentence is encoded column-wise by a bidirectional tanh recurrence
 (forward and backward states concatenated), the premise is soft-aligned
 onto each hypothesis position through a learned projection and a softmax
 over premise positions, aligned and original columns are compared by
-element-wise multiplication, and a bank of width-1..5 convolution filters
-with relu and max-over-time pooling aggregates the comparison into a fixed
-vector for a three-way softmax head.
+element-wise multiplication, and a bank of convolution filters of each
+width in ``FILTER_WIDTHS`` (1..5, fixed; the config sets only how many per
+width) with relu and max-over-time pooling aggregates the comparison into a
+fixed vector for a three-way softmax head.
 
 The recurrent encoder is a self-contained, trainable stand-in for a large
 pretrained contextual embedder; it sits behind the ``contextual_encode``
@@ -27,6 +28,7 @@ from .model import PairClassifier, initializers
 from .tokenizer import Vocabulary, word_tokenize
 
 __all__ = [
+    "FILTER_WIDTHS",
     "CompAggrConfig",
     "CompAggrModel",
     "EncoderDirection",
@@ -37,29 +39,27 @@ __all__ = [
 ]
 
 
+FILTER_WIDTHS = (1, 2, 3, 4, 5)
+
+
 @dataclass
 class CompAggrConfig:
     word_dim: int = 16
     repr_dim: int = 16
-    filter_widths: tuple[int, ...] = (1, 2, 3, 4, 5)
     filters_per_width: int = 20
     dropout: float = 0.7
 
     def __post_init__(self):
-        self.filter_widths = tuple(self.filter_widths)
         if self.repr_dim < 2 or self.repr_dim % 2 != 0:
             raise ConfigError(f"repr_dim must be even and >= 2, got {self.repr_dim}")
-        dims = (self.word_dim, self.filters_per_width, *self.filter_widths)
-        if not self.filter_widths or min(dims) < 1:
-            raise ConfigError("word_dim, filters_per_width and one or more filter_widths must be positive")
-        if len(set(self.filter_widths)) != len(self.filter_widths):
-            raise ConfigError(f"filter_widths must not repeat a width, got {self.filter_widths}")
+        if min(self.word_dim, self.filters_per_width) < 1:
+            raise ConfigError("word_dim and filters_per_width must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def total_filters(self) -> int:
-        return self.filters_per_width * len(self.filter_widths)
+        return self.filters_per_width * len(FILTER_WIDTHS)
 
     @classmethod
     def full_scale(cls) -> "CompAggrConfig":
@@ -176,7 +176,7 @@ class CompAggrModel(PairClassifier):
         )
         self.attn_w = mat("attn.w", config.repr_dim, config.repr_dim)
         self.banks: list[tuple[T.Tensor, T.Tensor]] = []
-        for width in config.filter_widths:
+        for width in FILTER_WIDTHS:
             weight = mat(f"conv.w{width}.weight", config.filters_per_width, config.repr_dim, width)
             self.banks.append((weight, zeros(f"conv.w{width}.bias", config.filters_per_width)))
         self.cls_w = mat("cls.w", config.total_filters, len(LABELS))

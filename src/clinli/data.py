@@ -10,6 +10,7 @@ de-identification handling is applied at load time.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .errors import DataError, ParseError
@@ -18,6 +19,7 @@ __all__ = ["LABELS", "NLIExample", "NLITriple", "label_id", "load_jsonl", "read_
 
 LABELS = ("entailment", "contradiction", "neutral")
 _LABEL_TO_ID = {name: i for i, name in enumerate(LABELS)}
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def label_id(label: str) -> int:
@@ -78,8 +80,9 @@ def read_text(path) -> str:
 
 def load_jsonl(path) -> list[NLIExample]:
     """The examples of a JSONL dataset.  A line that is not a JSON object,
-    lacks a key or holds a value that is not a string ends in a DataError
-    naming ``path:line``; a byte that is not UTF-8 in a ParseError."""
+    lacks a key or holds a value that is not text (not a string, or a lone
+    surrogate) ends in a DataError naming ``path:line``; a byte that is not
+    UTF-8 in a ParseError."""
     examples = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
@@ -91,9 +94,12 @@ def load_jsonl(path) -> list[NLIExample]:
             raise DataError(f"{path}:{lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
         if not isinstance(obj, dict):
             raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+        escaped = "\\u" in line  # only a \u escape makes a lone surrogate
         for key in ("sentence1", "sentence2", "gold_label", "pairID"):
             if key in obj and not isinstance(obj[key], str):
                 raise DataError(f"{path}:{lineno}: {key} must be a string, got {obj[key]!r}")
+            if escaped and key in obj and _SURROGATE.search(obj[key]):
+                raise DataError(f"{path}:{lineno}: {key} holds a lone surrogate, which is not text: {obj[key]!r}")
         try:
             examples.append(NLIExample(premise=obj["sentence1"], hypothesis=obj["sentence2"],
                                        gold_label=obj["gold_label"], pair_id=obj.get("pairID")))

@@ -64,6 +64,8 @@ class Prediction:
             raise DataError(f"prediction needs 3 probabilities, got shape {self.probs.shape}")
         if not abs(float(self.probs.sum()) - 1.0) <= 1e-6:
             raise DataError(f"probabilities sum to {self.probs.sum()}, not 1")
+        if min(self.probs.tolist()) < 0:
+            raise DataError(f"probabilities must not be negative, got {self.probs.tolist()}")
         if self.predicted_label is None:
             self.predicted_label = LABELS[int(np.argmax(self.probs))]
         elif self.predicted_label not in LABELS:
@@ -151,23 +153,13 @@ def predict_listwise(model, triple: NLITriple) -> ListwiseResult:
     )
 
 
-def group_into_triples(examples, key: str = "premise") -> tuple[list[NLITriple], int]:
-    """Group examples into label-complete triples for list-wise inference.
-
-    ``key`` selects the grouping: "premise" groups by shared premise text,
-    "pair-prefix" by the pair id up to its last '-'.  Groups that do not
-    form a valid triple (one example per class, one premise) are skipped
-    and counted in the second return value.
-    """
-    if key == "premise":
-        key_fn = lambda ex, i: ex.premise
-    elif key == "pair-prefix":
-        key_fn = lambda ex, i: (_pair_id(ex, i).rsplit("-", 1)[0])
-    else:
-        raise DataError(f"unknown grouping key {key!r}")
+def group_into_triples(examples) -> tuple[list[NLITriple], int]:
+    """Group examples by shared premise text into label-complete triples for
+    list-wise inference.  Groups that are not one example per class are
+    skipped and counted in the second return value."""
     groups: dict[str, list[int]] = {}
     for i, ex in enumerate(examples):
-        groups.setdefault(key_fn(ex, i), []).append(i)
+        groups.setdefault(ex.premise, []).append(i)
     triples: list[NLITriple] = []
     skipped = 0
     for members in groups.values():

@@ -1,9 +1,11 @@
 """The protocol both sentence-pair classifiers share.
 
 A model is built from a config dataclass, a vocabulary, a seed and a
-tokenizer mode.  Each trainable tensor is named once, by the maker call that
-creates it (``initializers``); ``parameters()`` returns them by name in
-creation order, the order of checkpoint blocks and Adam state.  The
+tokenizer mode.  A config holds only the values a run may vary, each a JSON
+scalar; a value no run varies is a constant of the model's module.  Each
+trainable tensor is named once, by the maker call that creates it
+(``initializers``); ``parameters()`` returns them by name in creation order,
+the order of checkpoint blocks and Adam state.  The
 classification head is ``cls_w``/``cls_b``, one column per label in
 ``data.LABELS``.  ``forward``, ``batch_loss`` and ``predict_proba`` are
 defined in each model's own class; the base class, the parameter
@@ -62,13 +64,9 @@ def parse_config(config_class, raw, where):
 
 
 def _has_type(value, hint) -> bool:
-    if get_origin(hint) is tuple:
+    if get_origin(hint) is tuple:  # tuple[str, ...] or tuple[dict, ...]: one isinstance pass over long vocabularies
         item = get_args(hint)[0]
-        if not isinstance(value, (list, tuple)):
-            return False
-        if item is str or item is dict:  # one isinstance pass: long vocabularies and block lists
-            return all(isinstance(v, item) for v in value)
-        return all(_has_type(v, item) for v in value)
+        return isinstance(value, (list, tuple)) and all(isinstance(v, item) for v in value)
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
@@ -138,8 +136,8 @@ class PairClassifier:
         self.cls_b.data = np.zeros(self.cls_b.shape)
 
     def config_dict(self) -> dict:
-        """The config as a JSON object, tuples written as lists."""
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self.config).items()}
+        """The config as a JSON object."""
+        return asdict(self.config)
 
     @staticmethod
     def _scored(probs: T.Tensor, batch):

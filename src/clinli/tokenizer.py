@@ -8,12 +8,12 @@ to a single id, with [UNK] for out-of-vocabulary words.
 
 Pair encoding lays out ``[CLS] premise [SEP] hypothesis [SEP]`` with segment
 ids 0 through the first [SEP] and 1 after it, pads to a fixed length, and
-masks the padding.  Overlong pairs are truncated by trimming the currently
-longer side one token at a time (premise first on ties), which keeps both
-sentence heads.
+masks the padding; token i sits at position i.  Overlong pairs are truncated
+by trimming the currently longer side one token at a time (premise first on
+ties), which keeps both sentence heads.
 
-Vocabulary files hold one token per line; the first four lines are the
-special tokens in the fixed order [PAD], [UNK], [CLS], [SEP].
+A vocabulary starts with the special tokens [PAD], [UNK], [CLS], [SEP] in
+that order, and is stored only in the checkpoint header of its model.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "EncodedPair",
@@ -31,7 +31,6 @@ __all__ = [
     "CONTINUATION_PREFIX",
     "SPECIAL_TOKENS",
     "build_word_vocab",
-    "detokenize",
     "encode_pair",
     "pretokenize",
     "tokenize",
@@ -86,19 +85,6 @@ class Vocabulary:
 
     def token_of(self, idx: int) -> str:
         return self.tokens[idx]
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for t in self.tokens:
-                fh.write(t + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh]
-        if len(tokens) < 4 or tuple(tokens[:4]) != SPECIAL_TOKENS:
-            raise ParseError(f"{path}: first four lines must be {', '.join(SPECIAL_TOKENS)}")
-        return cls(tokens)
 
 
 def _word_symbols(word: str) -> list[str]:
@@ -221,30 +207,18 @@ def word_tokenize(text: str, vocab: Vocabulary) -> list[int]:
     return [vocab.id_of(w) for w in pretokenize(text)]
 
 
-def detokenize(tokens: list[str]) -> str:
-    """Invert sub-word segmentation: continuation pieces glue to the
-    previous piece, other pieces start new space-separated words."""
-    words: list[str] = []
-    for t in tokens:
-        if t.startswith(CONTINUATION_PREFIX) and words:
-            words[-1] += t.removeprefix(CONTINUATION_PREFIX)
-        else:
-            words.append(t)
-    return " ".join(words)
-
-
 @dataclass
 class EncodedPair:
-    """A padded, masked sentence pair ready for the sequence classifier."""
+    """A padded, masked sentence pair ready for the sequence classifier;
+    token i sits at position i."""
 
     token_ids: list[int]
     segment_ids: list[int]
-    position_ids: list[int]
     attention_mask: list[int]
 
     def __post_init__(self):
         n = len(self.token_ids)
-        if not (len(self.segment_ids) == len(self.position_ids) == len(self.attention_mask) == n):
+        if not (len(self.segment_ids) == len(self.attention_mask) == n):
             raise DataError("encoded pair sequences have unequal lengths")
 
 
@@ -256,8 +230,7 @@ def encode_pair(
     mode: str = "wordpiece",
 ) -> EncodedPair:
     """Encode a sentence pair as [CLS] premise [SEP] hypothesis [SEP] with
-    segments, positions, and a padding mask, truncated and padded to
-    ``max_len``."""
+    segments and a padding mask, truncated and padded to ``max_len``."""
     if max_len < 5:
         raise ConfigError(f"max_len must be at least 5, got {max_len}")
     tok = tokenize if mode == "wordpiece" else word_tokenize
@@ -284,9 +257,4 @@ def encode_pair(
     ids += [vocab.pad_id] * pad
     segments += [0] * pad
     mask += [0] * pad
-    return EncodedPair(
-        token_ids=ids,
-        segment_ids=segments,
-        position_ids=list(range(max_len)),
-        attention_mask=mask,
-    )
+    return EncodedPair(token_ids=ids, segment_ids=segments, attention_mask=mask)

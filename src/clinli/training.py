@@ -5,7 +5,8 @@ the training data (default 20%) it evaluates dev loss and accuracy.  A run
 stops once dev loss has gone ``early_stop_patience`` consecutive
 evaluations without strictly improving on the best seen, and returns the
 checkpoint captured at the best evaluation.  "Decreased" means strict
-improvement; ties count as non-improving.
+improvement; ties count as non-improving.  Every step clips the gradients
+to the global L2 norm ``CLIP_NORM`` before the Adam update.
 
 Transfer chains run several (dataset, config) stages in order, each stage
 starting from the previous stage's best parameters.  The classification
@@ -27,6 +28,9 @@ from .errors import ConfigError, DataError, NumericError
 from .tensor import Tensor, zero_grads
 
 __all__ = [
+    "ADAM_BETAS",
+    "ADAM_EPS",
+    "CLIP_NORM",
     "AdamState",
     "EarlyStopper",
     "Stage",
@@ -38,13 +42,16 @@ __all__ = [
     "train",
 ]
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+CLIP_NORM = 5.0
+
 
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 8
     max_epochs: int = 50
-    clip_norm: float = 5.0
     early_stop_patience: int = 4
     step_fraction: float = 0.2
     seed: int = 0
@@ -58,8 +65,6 @@ class TrainConfig:
             raise ConfigError("early_stop_patience must be at least 1")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be positive")
-        if self.clip_norm <= 0:
-            raise ConfigError("clip_norm must be positive")
 
 
 class AdamState:
@@ -71,19 +76,14 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(
-    params: dict[str, Tensor],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One bias-corrected Adam update over every parameter in place.
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update over every parameter in place, with
+    moment decay rates ``ADAM_BETAS`` and denominator offset ``ADAM_EPS``.
 
     Parameters whose grad is unset are treated as having zero gradient:
     their moments decay and their values stay put.
     """
+    beta1, beta2 = ADAM_BETAS
     state.t += 1
     t = state.t
     for name, p in params.items():
@@ -94,7 +94,7 @@ def adam_step(
         state.v[name] = beta2 * state.v[name] + (1 - beta2) * (g * g)
         m_hat = state.m[name] / (1 - beta1**t)
         v_hat = state.v[name] / (1 - beta2**t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def clip_gradients(params: dict[str, Tensor], threshold: float) -> float:
@@ -182,7 +182,7 @@ def train(model, train_set, dev_set, config: TrainConfig, dataset_name: str = "t
             zero_grads(params.values())
             loss, _ = model.batch_loss(batch, training=True, rng=dropout_rng)
             loss.backward()
-            clip_gradients(params, config.clip_norm)
+            clip_gradients(params, CLIP_NORM)
             adam_step(params, state, config.learning_rate)
 
             run_loss += float(loss.data)

@@ -56,8 +56,10 @@ class TransformerConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if min(self.d_e, self.num_heads, self.num_blocks, self.d_ff, self.max_len) < 1:
-            raise ConfigError("d_e, num_heads, num_blocks, d_ff and max_len must be positive")
+        if min(self.d_e, self.num_heads, self.num_blocks, self.d_ff) < 1:
+            raise ConfigError("d_e, num_heads, num_blocks and d_ff must be positive")
+        if self.max_len < 5:  # [CLS], [SEP], [SEP] and one token of each sentence
+            raise ConfigError(f"max_len must be at least 5, got {self.max_len}")
         if self.d_e % self.num_heads != 0:
             raise ConfigError(f"d_e {self.d_e} not divisible by num_heads {self.num_heads}")
         if not 0.0 <= self.dropout < 1.0:
@@ -95,7 +97,7 @@ class BlockParams:
 
 def embed(batch: Sequence[EncodedPair], token_table: T.Tensor, pos_table: T.Tensor, seg_table: T.Tensor) -> T.Tensor:
     """(B, L, d_e) per-position sums of token, position, and segment
-    embedding rows for a batch of encoded pairs of one padded length L."""
+    embedding rows for B encoded pairs of one padded length L, token i at position i."""
     if not batch:
         raise ContractError("embed of an empty batch")
     length = len(batch[0].token_ids)
@@ -104,7 +106,7 @@ def embed(batch: Sequence[EncodedPair], token_table: T.Tensor, pos_table: T.Tens
     if length > pos_table.shape[0]:
         raise DataError(f"sequence length {length} exceeds position table {pos_table.shape[0]}")
     tok = T.take_rows(token_table, [e.token_ids for e in batch])
-    pos = T.take_rows(pos_table, [e.position_ids for e in batch])
+    pos = T.take_rows(pos_table, np.tile(np.arange(length), (len(batch), 1)))
     seg = T.take_rows(seg_table, [e.segment_ids for e in batch])
     return T.add(T.add(tok, pos), seg)
 

@@ -65,7 +65,7 @@ TINY_MODELS = {
         tokenizer_mode="word",
     ),
     "compaggr": lambda vocab: CompAggrModel(
-        CompAggrConfig(word_dim=4, repr_dim=4, filter_widths=(1, 2), filters_per_width=2, dropout=0.0), vocab, seed=0,
+        CompAggrConfig(word_dim=4, repr_dim=4, filters_per_width=2, dropout=0.0), vocab, seed=0,
     ),
 }
 

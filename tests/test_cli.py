@@ -137,11 +137,16 @@ class TestTrain:
         # values of the right type that the config class rejects
         ("model_config", "repr_dim", 3), ("train_config", "learning_rate", -1),
         (None, "vocab_size", -5), (None, "head_reset", "bogus"), (None, "tokenizer", "bogus"),
+        ("model_config", "max_len", 4),  # a transformer's: too short for [CLS] a [SEP] b [SEP]
+        # fixed values, no config keys: the clip norm and the filter widths
+        ("train_config", "clip_norm", 5.0), ("model_config", "filter_widths", [1, 2, 3, 4, 5]),
     ])
     def test_wrong_value_type_exits_2_naming_file_and_key(self, tmp_path, capsys, section, key, value):
         # the datasets do not exist: every value error comes before any dataset is read or the output directory is made
         config = compaggr_run_config(tmp_path, tmp_path / "missing")
         cfg = json.loads(config.read_text())
+        if key == "max_len":
+            cfg.update(model="transformer", model_config={})
         (cfg[section] if section else cfg)[key] = value
         config.write_text(json.dumps(cfg))
         assert_config_rejected(capsys, "train", config, tmp_path / "o", key)
@@ -480,8 +485,9 @@ class TestPredictEval:
         (lambda h: h["blocks"][1].update(name=h["blocks"][0]["name"]), "repeats a name"),
         (lambda h: h["config"].update(num_classes=3), "num_classes"),
         (lambda h: h.update(format_version=1), "unsupported format_version 1"),
+        (lambda h: h["config"].update(filter_widths=[1, 2, 3, 4, 5]), "filter_widths"),
     ], ids=["unknown_key", "missing_key", "block_shape", "block_name", "repeated_block", "num_classes",
-            "format_version_1"])
+            "format_version_1", "filter_widths"])
     def test_malformed_checkpoint_header_exits_2(self, tmp_path, trained, capsys, edit, named):
         data, ckpt = trained
         bad = tmp_path / "bad_header.ckpt"
@@ -517,8 +523,11 @@ class TestMalformedInputs:
         ("expand", "data.jsonl", jsonl_line() + b'{"sentence1": ' + b"1" * 5000 + b"}\n", 2, "invalid JSON"),
         ("train", "run.json", b'{\n"seed": "\xff"}\n', 2, "not UTF-8"),
         ("train", "run.json", b"[" * 100_000, None, "invalid JSON"),  # no line: the whole file nests too deep
+        ("expand", "data.jsonl", jsonl_line() + jsonl_line(sentence1="caf\ud800 MI"), 2, "sentence1"),
+        ("eval", "preds.tsv", b"p1\t-1.0\t1.0\t1.0\tneutral\n", 1, "negative"),
     ], ids=["dataset_utf8", "sentence1_int", "pair_id_int", "gold_label_null", "predictions_utf8", "table_utf8",
-            "table_identity", "dataset_long_int", "run_config_utf8", "run_config_nesting"])
+            "table_identity", "dataset_long_int", "run_config_utf8", "run_config_nesting", "dataset_surrogate",
+            "predictions_negative"])
     def test_exits_2_naming_file_and_line(self, tmp_path, capsys, command, name, content, line, named):
         (tmp_path / "data.jsonl").write_bytes(jsonl_line())
         (tmp_path / "preds.tsv").write_text("p1\t0.2\t0.3\t0.5\tneutral\n")
@@ -531,6 +540,21 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         where = tmp_path / name if line is None else f"{tmp_path / name}:{line}"
         assert f"{where}: " in err and named in err, err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "run.json", "--model", "transformer"],
+    ["transfer", "--config", "run.json", "--model", "compaggr"],
+    ["predict", "--checkpoint", "model.ckpt", "--dataset", "data.jsonl", "--mode", "listwise", "--group-key", "premise"],
+], ids=["train_model", "transfer_model", "predict_group_key"])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, argv):
+    # the run config's "model" is the only choice of model kind; list-wise triples share a premise
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out-dir", tmp_path / "o")
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestExpand:

@@ -34,23 +34,18 @@ class TestConfig:
             ca.CompAggrConfig(repr_dim=7)
 
     @pytest.mark.parametrize("field,value", [
-        ("word_dim", 0), ("filters_per_width", -1), ("num_classes", 0), ("filter_widths", (1, 0)), ("filter_widths", ()),
-        ("repr_dim", 0),
+        ("word_dim", 0), ("filters_per_width", -1), ("num_classes", 0), ("filter_widths", (1, 0)), ("repr_dim", 0),
     ])
     def test_dimensions_must_be_positive(self, field, value):
-        # read as a model_config is: num_classes is no key at all, the head width being len(LABELS)
+        # read as a model_config is: num_classes and filter_widths are no keys at all,
+        # the head width being len(LABELS) and the filter widths FILTER_WIDTHS
         with pytest.raises(ConfigError, match=field):
             parse_config(ca.CompAggrConfig, {field: value}, "model_config")
-
-    def test_repeated_filter_width_rejected(self):
-        # two banks of one width would share the parameter names conv.w2.*
-        with pytest.raises(ConfigError, match="filter_widths"):
-            ca.CompAggrConfig(filter_widths=(1, 2, 2))
 
     def test_full_scale_totals(self):
         cfg = ca.CompAggrConfig.full_scale()
         assert cfg.total_filters == 500
-        assert cfg.filter_widths == (1, 2, 3, 4, 5)
+        assert ca.FILTER_WIDTHS == (1, 2, 3, 4, 5)
         assert cfg.repr_dim == 100
         assert cfg.dropout == 0.7
 

@@ -150,23 +150,8 @@ class TestGroupIntoTriples:
 
     def test_group_by_premise(self):
         examples = self._triple_examples() + self._triple_examples("other premise", "g1")
-        triples, skipped = ev.group_into_triples(examples, key="premise")
+        triples, skipped = ev.group_into_triples(examples)
         assert len(triples) == 2 and skipped == 0
-
-    def test_group_by_pair_prefix(self):
-        examples = self._triple_examples() + self._triple_examples("other premise", "g1")[:2]
-        triples, skipped = ev.group_into_triples(examples, key="pair-prefix")
-        assert len(triples) == 1 and skipped == 1
-
-    def test_pair_prefix_group_with_mixed_premises_skipped(self):
-        examples = self._triple_examples()
-        examples[2] = NLIExample("different premise", "hyp n", "neutral", "g0-n")
-        triples, skipped = ev.group_into_triples(examples, key="pair-prefix")
-        assert triples == [] and skipped == 1
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(DataError):
-            ev.group_into_triples([], key="nope")
 
     def test_pairs_without_ids_named_by_dataset_position(self):
         examples = [
@@ -179,7 +164,7 @@ class TestGroupIntoTriples:
 
     def test_complete_grouping(self):
         corpus = synth.generate_corpus(synth.SynthSpec(count=30, seed=6))
-        triples, skipped = ev.group_into_triples(corpus, key="premise")
+        triples, skipped = ev.group_into_triples(corpus)
         assert len(triples) == 10
         assert skipped == 0
         for triple in triples:
@@ -188,7 +173,7 @@ class TestGroupIntoTriples:
     def test_incomplete_group_skipped(self):
         corpus = synth.generate_corpus(synth.SynthSpec(count=30, seed=6))
         partial = [ex for ex in corpus if not (ex.pair_id.startswith("synth-00000") and ex.gold_label == "neutral")]
-        triples, skipped = ev.group_into_triples(partial, key="premise")
+        triples, skipped = ev.group_into_triples(partial)
         assert len(triples) == 9
         assert skipped == 1
 
@@ -196,7 +181,7 @@ class TestGroupIntoTriples:
         rng = np.random.default_rng(12)
         corpus = synth.generate_corpus(synth.SynthSpec(count=90, seed=8))
         kept = [ex for ex in corpus if rng.random() > 0.25]
-        triples, skipped = ev.group_into_triples(kept, key="premise")
+        triples, skipped = ev.group_into_triples(kept)
         # independent oracle: hash-group by premise, require one of each class
         groups = {}
         for ex in kept:

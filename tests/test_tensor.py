@@ -496,7 +496,7 @@ class TestRecordReplay:
         # the interpreter's recursion limit
         words = [f"w{i % 37}" for i in range(300)]
         premise, hypothesis = " ".join(words), "w1 w2 w3"
-        cfg = CompAggrConfig(word_dim=4, repr_dim=4, filter_widths=(1, 2), filters_per_width=2)
+        cfg = CompAggrConfig(word_dim=4, repr_dim=4, filters_per_width=2)
         model = CompAggrModel(cfg, build_word_vocab([premise, hypothesis]), seed=0)
         example = NLIExample(premise, hypothesis, "neutral")
         loss, _ = model.batch_loss([example], training=True, rng=np.random.default_rng(1))

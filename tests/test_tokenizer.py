@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from clinli import tokenizer as tk
-from clinli.errors import ConfigError, DataError, ParseError
+from clinli.errors import ConfigError, DataError
 
 
 class TestTrainWordpiece:
@@ -58,11 +58,15 @@ class TestTokenize:
         assert joined == tk.tokenize("aaab", toy_vocab) + tk.tokenize("b", toy_vocab)
 
     def test_detokenize_roundtrip_random_words(self):
+        # a word's pieces, continuation prefixes dropped, join back into the word
         rng = np.random.default_rng(4)
         words = ["".join(rng.choice(list("abcde"), size=rng.integers(1, 9))) for _ in range(60)]
         vocab = tk.train_wordpiece([" ".join(words)], target_size=60)
         for w in words:
-            assert tk.detokenize(tk.tokenize_to_tokens(w, vocab)) == w
+            pieces = tk.tokenize_to_tokens(w, vocab)
+            assert not pieces[0].startswith(tk.CONTINUATION_PREFIX)
+            assert all(p.startswith(tk.CONTINUATION_PREFIX) for p in pieces[1:])
+            assert "".join(p.removeprefix(tk.CONTINUATION_PREFIX) for p in pieces) == w
 
     def test_word_level_mode(self):
         vocab = tk.build_word_vocab(["chest pain noted", "no chest pain"])
@@ -83,7 +87,6 @@ class TestEncodePair:
         assert enc.token_ids == [2, a, 3, b, 3, 0, 0, 0]
         assert enc.segment_ids == [0, 0, 0, 1, 1, 0, 0, 0]
         assert enc.attention_mask == [1, 1, 1, 1, 1, 0, 0, 0]
-        assert enc.position_ids == list(range(8))
 
     def test_equal_overflow_trims_one_from_each_side(self, ab_vocab):
         # 4 + 4 tokens with budget 6: one token trimmed from each side.
@@ -117,7 +120,7 @@ class TestEncodePair:
             p, h = rng.choice(sentences), rng.choice(sentences)
             enc = tk.encode_pair(p, h, vocab, max_len=max_len)
             assert len(enc.token_ids) == max_len
-            assert len(enc.segment_ids) == len(enc.position_ids) == len(enc.attention_mask) == max_len
+            assert len(enc.segment_ids) == len(enc.attention_mask) == max_len
             assert enc.token_ids[0] == vocab.cls_id
             seps = [i for i, t in enumerate(enc.token_ids) if t == vocab.sep_id]
             assert len(seps) == 2
@@ -129,19 +132,10 @@ class TestEncodePair:
                 assert (t == vocab.pad_id) == (i > second)
 
 
-class TestVocabularyFile:
-    def test_roundtrip(self, tmp_path):
-        vocab = tk.train_wordpiece(["some sample words", "more words here"], target_size=60)
-        path = tmp_path / "vocab.txt"
-        vocab.save(path)
-        loaded = tk.Vocabulary.load(path)
-        assert loaded.tokens == vocab.tokens
-
-    def test_specials_enforced_on_load(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("[PAD]\n[UNK]\nword\n", encoding="utf-8")
-        with pytest.raises(ParseError):
-            tk.Vocabulary.load(path)
+class TestVocabulary:
+    def test_specials_enforced(self):
+        with pytest.raises(DataError, match="must start with"):
+            tk.Vocabulary(["[PAD]", "[UNK]", "word"])
 
     def test_ids_contiguous_and_inverse(self):
         vocab = tk.build_word_vocab(["alpha beta gamma"])

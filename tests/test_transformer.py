@@ -61,8 +61,8 @@ class TestEmbed:
         pos = rng.normal(size=(8, 8))
         seg = rng.normal(size=(2, 8))
         out = tr.embed([enc], T.Tensor(tok), T.Tensor(pos), T.Tensor(seg)).data[0]
-        for i in range(8):
-            expected = tok[enc.token_ids[i]] + pos[enc.position_ids[i]] + seg[enc.segment_ids[i]]
+        for i in range(8):  # token i at position i
+            expected = tok[enc.token_ids[i]] + pos[i] + seg[enc.segment_ids[i]]
             np.testing.assert_allclose(out[i], expected, atol=0)
 
     def test_out_of_bounds_id_rejected(self):
