@@ -35,7 +35,6 @@ from .tensor import Tensor
 from .tokenizer import Vocabulary, build_word_vocab, encode_pair, tokenize, train_wordpiece
 from .training import (
     AdamState,
-    EarlyStopper,
     Stage,
     TrainConfig,
     TransferChain,

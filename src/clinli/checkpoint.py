@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .compaggr import CompAggrModel
-from .data import read_text
+from .data import _SURROGATE, read_text
 from .errors import ConfigError, ParseError
 from .model import parse_config
 from .tokenizer import Vocabulary
@@ -157,6 +157,8 @@ def _read_header(path, fh) -> Header:
                 names.add(name)
                 continue
         raise ParseError(f"{path}: block descriptor {desc!r} is malformed or repeats a name")
+    if _SURROGATE.search("".join(names)):
+        raise ParseError(f"{path}: a block name holds a lone surrogate, which is not text")
     return header
 
 

@@ -1,28 +1,26 @@
 """Command-line driver tying the pipeline together.
 
-Subcommands: synth, train, transfer, predict, eval, expand,
-inspect-checkpoint.  Exit codes: 0 success, 2 usage/configuration/input
-error, 1 runtime failure.  Given the same config and seed, every command
-writes byte-identical artifacts.
+Subcommands: synth, train, predict, eval, expand, inspect-checkpoint.  Exit
+codes: 0 success, 2 usage/configuration/input error, 1 runtime failure.
+Given the same config and seed, every command writes byte-identical
+artifacts to its ``--out-dir``.
 
-Training runs are described by a declarative JSON run config, one object
-whose keys are the fields of ``RunConfig``::
+``train`` reads a declarative JSON run config, one object whose keys are the
+fields of ``RunConfig``::
 
     {
       "model": "compaggr",
       "model_config": {"word_dim": 8},             # the model kind's config class
       "train_config": {"learning_rate": 1e-3},     # TrainConfig
       "chain": [{"name": "S", "train": "s.jsonl", "dev": "s_dev.jsonl",
-                 "train_config": {"max_epochs": 5}}, ...],
-      "out_dir": "runs/exp1"
+                 "train_config": {"max_epochs": 5}}, ...]
     }
 
-``transfer`` reads each ``chain`` entry as a ``StageConfig``.  ``train``
-reads ``datasets`` (``DatasetPaths``: ``train`` and ``dev``) and runs it as
-a one-stage chain named after the train file's stem: ``train`` and
-``transfer`` share one path.  Every stage is parsed before any dataset is
-read, and a malformed config ends in exit code 2 with a message naming the
-file and the key.
+Every run is a chain of stages, each a ``StageConfig``; a plain run is a
+one-stage chain.  A stage without a ``name`` is named after its train
+file's stem.  The whole config, every stage included, is parsed before any
+dataset is read, and a malformed config ends in exit code 2 with a message
+naming the file and the key.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,17 +62,27 @@ USAGE_ERRORS = (ConfigError, ParseError, DataError, FileNotFoundError)
 
 
 @dataclass
+class StageConfig:
+    train: str
+    dev: str
+    name: str | None = None  # default: the train file's stem
+    train_config: dict | None = None  # overrides the run's train_config
+
+    def __post_init__(self):
+        if self.name is None:
+            self.name = Path(self.train).stem
+
+
+@dataclass
 class RunConfig:
     model: str
+    chain: list  # of StageConfig objects, in training order
     tokenizer: str | None = None  # default: the model kind's first mode
     vocab_size: int = 200  # word-piece target size
     model_config: dict | None = None
     train_config: dict | None = None
-    datasets: dict | None = None  # train command
-    chain: list | None = None  # transfer command
-    head_reset: str = "keep"  # transfer command
+    head_reset: str = "keep"
     abbrev_table: str | None = None  # expands every dataset as it is read
-    out_dir: str | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -82,18 +90,9 @@ class RunConfig:
             raise ConfigError(f"vocab_size must be at least 1, got {self.vocab_size}")
         if self.head_reset not in ("keep", "reset"):
             raise ConfigError(f"head_reset must be 'keep' or 'reset', got {self.head_reset!r}")
-
-
-@dataclass
-class DatasetPaths:
-    train: str
-    dev: str
-
-
-@dataclass
-class StageConfig(DatasetPaths):
-    name: str | None = None  # default: stage<i>
-    train_config: dict | None = None  # overrides the run's train_config
+        if not self.chain:
+            raise ConfigError("chain must hold at least one stage")
+        self.chain = [parse_config(StageConfig, raw, f"chain[{i}]") for i, raw in enumerate(self.chain)]
 
 
 def load_run_config(path) -> RunConfig:
@@ -105,16 +104,6 @@ def load_run_config(path) -> RunConfig:
     except (ValueError, RecursionError) as exc:  # an integer of over 4,300 digits, or nesting too deep
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
     return parse_config(RunConfig, raw, path)
-
-
-def _stage_configs(run: RunConfig, command: str, where) -> list[StageConfig]:
-    if command == "train":
-        paths = parse_config(DatasetPaths, run.datasets, f"{where}: datasets")
-        return [StageConfig(paths.train, paths.dev, name=Path(paths.train).stem)]
-    if not run.chain:
-        raise ConfigError(f"{where}: transfer needs a non-empty chain")
-    stages = [parse_config(StageConfig, raw, f"{where}: chain[{i}]") for i, raw in enumerate(run.chain)]
-    return [replace(s, name=f"stage{i}") if s.name is None else s for i, s in enumerate(stages)]
 
 
 def _require_file(path_str: str, what: str) -> Path:
@@ -149,11 +138,8 @@ def _load_and_expand(path: Path, table) -> list:
     return examples
 
 
-def _out_dir(args, default: str | None = None) -> Path:
-    out = args.out_dir or default
-    if not out:
-        raise ConfigError("an output directory is required (--out-dir or config out_dir)")
-    path = Path(out)
+def _out_dir(args) -> Path:
+    path = Path(args.out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -205,7 +191,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    """``train`` and ``transfer``: every run is a chain of stages."""
+    """Run the config's chain of stages and write the final checkpoint."""
     config_path = _require_file(args.config, "run config")
     run = load_run_config(config_path)
     kind = run.model
@@ -215,17 +201,16 @@ def cmd_train(args) -> int:
     tokenizer = run.tokenizer or modes[0]
     if tokenizer not in modes:
         raise ConfigError(f"{config_path}: tokenizer of a {kind} model must be one of {list(modes)}, got {tokenizer!r}")
-    stage_cfgs = _stage_configs(run, args.command, config_path)
     train_configs = [
         parse_config(TrainConfig, {"seed": seed, **(run.train_config or {}), **(s.train_config or {})},
                      f"{config_path}: stage {s.name}")
-        for s in stage_cfgs
+        for s in run.chain
     ]
-    out_dir = _out_dir(args, run.out_dir)
+    out_dir = _out_dir(args)
     table = load_table(_require_file(run.abbrev_table, "abbreviation table")) if run.abbrev_table else None
 
     stages = []
-    for s, train_config in zip(stage_cfgs, train_configs):
+    for s, train_config in zip(run.chain, train_configs):
         train_set = _load_and_expand(_require_file(s.train, f"stage {s.name} train dataset"), table)
         dev_set = _load_and_expand(_require_file(s.dev, f"stage {s.name} dev dataset"), table)
         stages.append(Stage(s.name, train_set, dev_set, train_config))
@@ -366,12 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-count", type=int, default=None)
     p.set_defaults(func=cmd_synth)
 
-    for name, text in (("train", "train one model from a run config"), ("transfer", "run a sequential transfer chain")):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out-dir", default=None)
-        p.set_defaults(func=cmd_train)
+    p = sub.add_parser("train", help="train a model through a run config's chain of stages")
+    p.add_argument("--config", required=True)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out-dir", required=True)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="write predictions for a dataset")
     p.add_argument("--checkpoint", required=True)

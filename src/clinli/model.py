@@ -21,7 +21,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import tensor as T
-from .data import label_id
+from .data import _SURROGATE, label_id
 from .errors import ConfigError, ContractError, DataError
 from .tokenizer import Vocabulary
 
@@ -41,8 +41,9 @@ def _required_keys(config_class) -> frozenset[str]:
 def parse_config(config_class, raw, where):
     """The dataclass ``config_class`` built from a JSON object read from
     ``where``.  Input that is not an object, an unknown or missing key, a
-    value of the wrong type (an integer is accepted for a float) and a
-    value the dataclass rejects each end in a ConfigError naming ``where``."""
+    value of the wrong type (an integer is accepted for a float), a string
+    holding a lone surrogate (which is not text) and a value the dataclass
+    rejects each end in a ConfigError naming ``where`` and the key."""
     name = config_class.__name__
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: {name} must be a JSON object, got {raw!r}")
@@ -57,6 +58,8 @@ def parse_config(config_class, raw, where):
         if not _has_type(value, hints[key]):
             expected = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
             raise ConfigError(f"{where}: {name} key {key!r} must be {expected}, got {value!r}")
+        if _holds_surrogate(value, hints[key]):
+            raise ConfigError(f"{where}: {name} key {key!r} holds a lone surrogate, which is not text: {value!r}")
     try:
         return config_class(**raw)
     except ConfigError as exc:
@@ -70,6 +73,13 @@ def _has_type(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _holds_surrogate(value, hint) -> bool:
+    if isinstance(value, str):
+        return _SURROGATE.search(value) is not None
+    # a tuple[str, ...] is searched once, joined: a vocabulary has thousands of tokens
+    return get_origin(hint) is tuple and get_args(hint)[0] is str and _SURROGATE.search("".join(value)) is not None
 
 
 def initializers(seed: int, params: dict[str, T.Tensor]):

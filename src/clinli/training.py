@@ -32,7 +32,6 @@ __all__ = [
     "ADAM_EPS",
     "CLIP_NORM",
     "AdamState",
-    "EarlyStopper",
     "Stage",
     "TrainConfig",
     "TransferChain",
@@ -113,31 +112,6 @@ def clip_gradients(params: dict[str, Tensor], threshold: float) -> float:
     return norm
 
 
-class EarlyStopper:
-    """Stop after ``patience`` consecutive evaluations without a strict
-    improvement of the best dev loss."""
-
-    def __init__(self, patience: int):
-        if patience < 1:
-            raise ConfigError("patience must be at least 1")
-        self.patience = patience
-        self.best = math.inf
-        self.best_index = 0
-        self.count = 0
-        self._bad = 0
-
-    def observe(self, dev_loss: float) -> bool:
-        """Record one evaluation; returns True when training should stop."""
-        self.count += 1
-        if dev_loss < self.best:
-            self.best = dev_loss
-            self.best_index = self.count
-            self._bad = 0
-        else:
-            self._bad += 1
-        return self._bad >= self.patience
-
-
 def _validate_dataset(name: str, dataset) -> None:
     if not dataset:
         raise DataError(f"{name} dataset is empty")
@@ -165,10 +139,11 @@ def train(model, train_set, dev_set, config: TrainConfig, dataset_name: str = "t
     state = AdamState(params)
     shuffle_rng = np.random.default_rng(config.seed)
     dropout_rng = np.random.default_rng(config.seed + 1)
-    stopper = EarlyStopper(config.early_stop_patience)
     eval_every = max(1, math.ceil(config.step_fraction * len(train_set)))
 
     best = _snapshot(params, state)
+    best_loss = math.inf
+    bad_evals = 0  # consecutive evaluations without a strict improvement of best_loss
     history: list[MetricRow] = []
     since_eval = 0
     run_loss = 0.0
@@ -195,11 +170,13 @@ def train(model, train_set, dev_set, config: TrainConfig, dataset_name: str = "t
                 dev_acc = dev_correct / len(dev_set)
                 train_loss = run_loss / max(run_count, 1)
                 run_loss, run_count = 0.0, 0
-                improved = dev_loss < stopper.best
-                stop = stopper.observe(dev_loss)
-                history.append(MetricRow(stopper.count, train_loss, dev_loss, dev_acc))
-                if improved:
+                history.append(MetricRow(len(history) + 1, train_loss, dev_loss, dev_acc))
+                if dev_loss < best_loss:
+                    best_loss, bad_evals = dev_loss, 0
                     best = _snapshot(params, state)
+                else:
+                    bad_evals += 1
+                stop = bad_evals >= config.early_stop_patience
                 if stop:
                     break
         if stop:

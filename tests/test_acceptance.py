@@ -26,7 +26,6 @@ from clinli.evaluate import (
 from clinli.synth import SynthSpec, generate_corpus, generate_transfer_pair
 from clinli.tokenizer import build_word_vocab, train_wordpiece
 from clinli.training import (
-    EarlyStopper,
     Stage,
     TrainConfig,
     TransferChain,
@@ -316,14 +315,6 @@ class TestEarlyStopping:
         ok = True
         details = []
         for patience, (script, expected_stop, expected_best) in self.CASES.items():
-            stopper = EarlyStopper(patience)
-            stopped_at = None
-            for i, loss in enumerate(script, start=1):
-                if stopper.observe(loss):
-                    stopped_at = i
-                    break
-            ok = ok and stopped_at == expected_stop and stopper.best == expected_best
-
             model = ScriptedDevLossModel(script)
             ex = NLIExample("a b", "a b", "entailment", "x")
             ckpt = train(
@@ -333,7 +324,7 @@ class TestEarlyStopping:
             )
             ok = ok and model.evals == expected_stop
             ok = ok and ckpt.best_dev_loss() == pytest.approx(expected_best)
-            details.append(f"patience {patience}: stop@{stopped_at}, best={stopper.best}")
+            details.append(f"patience {patience}: stop@{model.evals}, best={ckpt.best_dev_loss()}")
         criterion("early-stopping", ok, "; ".join(details))
 
 
@@ -454,7 +445,7 @@ class TestSerialization:
             '{"model": "compaggr",'
             ' "model_config": {"word_dim": 8, "repr_dim": 8, "filters_per_width": 2, "dropout": 0.0},'
             ' "train_config": {"learning_rate": 5e-3, "batch_size": 6, "max_epochs": 2},'
-            f' "datasets": {{"train": "{data_dir}/train.jsonl", "dev": "{data_dir}/dev.jsonl"}}}}'
+            f' "chain": [{{"train": "{data_dir}/train.jsonl", "dev": "{data_dir}/dev.jsonl"}}]}}'
         )
         e2e_ok = True
         outs = []
@@ -486,7 +477,7 @@ class TestSerialization:
             ' "model_config": {"d_e": 16, "num_heads": 2, "num_blocks": 2, "d_ff": 32, "max_len": 24,'
             ' "dropout": 0.1},'
             ' "train_config": {"learning_rate": 2e-3, "batch_size": 6, "max_epochs": 2},'
-            f' "datasets": {{"train": "{data_dir}/train.jsonl", "dev": "{data_dir}/dev.jsonl"}}}}'
+            f' "chain": [{{"train": "{data_dir}/train.jsonl", "dev": "{data_dir}/dev.jsonl"}}]}}'
         )
         outs = []
         for name in ("runA", "runB"):

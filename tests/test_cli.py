@@ -1,12 +1,17 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from clinli import cli
-from clinli.checkpoint import load_checkpoint, save_checkpoint
+from clinli.checkpoint import load_checkpoint, make_model_config, save_checkpoint
 from clinli.data import load_jsonl
 from clinli.evaluate import read_predictions
+from clinli.model import parse_config
+from clinli.training import TrainConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv) -> int:
@@ -27,17 +32,25 @@ def compaggr_run_config(tmp_path, data_dir, **train_overrides):
         "model": "compaggr",
         "model_config": {"word_dim": 8, "repr_dim": 8, "filters_per_width": 2, "dropout": 0.0},
         "train_config": {"learning_rate": 5e-3, "batch_size": 6, "max_epochs": 2, **train_overrides},
-        "datasets": {"train": str(data_dir / "train.jsonl"), "dev": str(data_dir / "dev.jsonl")},
+        "chain": [{"train": str(data_dir / "train.jsonl"), "dev": str(data_dir / "dev.jsonl")}],
     }
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
 
 
-def assert_config_rejected(capsys, command, config, out, *names):
-    """``command`` exits 2 before writing a checkpoint, and its message
-    names the config file and each of ``names``."""
-    assert run_cli(command, "--config", config, "--out-dir", out) == 2
+def config_section(cfg, section):
+    """The object of run config ``cfg`` that holds a key of ``section``:
+    the config itself for None, the first stage for "chain"."""
+    if section is None:
+        return cfg
+    return cfg["chain"][0] if section == "chain" else cfg[section]
+
+
+def assert_config_rejected(capsys, config, out, *names):
+    """``train`` exits 2 before writing a checkpoint, and its message names
+    the config file and each of ``names``."""
+    assert run_cli("train", "--config", config, "--out-dir", out) == 2
     err = capsys.readouterr().err
     assert all(name in err for name in (str(config), *names)), err
     assert not (out / "model.ckpt").exists()
@@ -51,6 +64,7 @@ def assert_checkpoint_rejected(capsys, ckpt, dataset, out, *names):
     errors = capsys.readouterr().err.strip().split("\n")
     assert len(errors) == 2, errors
     assert all(name in err for err in errors for name in (str(ckpt), *names)), errors
+    assert not out.exists()
 
 
 def rewrite_header(src, dst, edit):
@@ -108,7 +122,7 @@ class TestTrain:
         data = synth_dir(tmp_path, count=30, seed=1)
         config = compaggr_run_config(tmp_path, data)
         cfg = json.loads(config.read_text())
-        cfg["datasets"]["train"] = str(tmp_path / "nope.jsonl")
+        cfg["chain"][0]["train"] = str(tmp_path / "nope.jsonl")
         config.write_text(json.dumps(cfg))
         out = tmp_path / "run_out"
         assert run_cli("train", "--config", config, "--out-dir", out) == 2
@@ -121,25 +135,31 @@ class TestTrain:
         assert run_cli("train", "--config", path, "--out-dir", tmp_path / "o") == 2
 
     @pytest.mark.parametrize("section,key", [
-        ("model_config", "bogus"), ("train_config", "learning_rte"), ("train_config", "preset"), ("datasets", "tset"),
+        ("model_config", "bogus"), ("train_config", "learning_rte"), ("train_config", "preset"), ("chain", "tset"),
+        # datasets are named only by chain stages, and the output directory only by --out-dir
+        (None, "datasets"), (None, "out_dir"),
     ])
     def test_unknown_section_key_exits_2_naming_file_and_key(self, tmp_path, capsys, section, key):
-        data = synth_dir(tmp_path, count=30, seed=1)
-        config = compaggr_run_config(tmp_path, data)
+        # the datasets do not exist: the error comes before any is read or the output directory is made
+        config = compaggr_run_config(tmp_path, tmp_path / "missing")
         cfg = json.loads(config.read_text())
-        cfg[section][key] = "paper"
+        config_section(cfg, section)[key] = "paper"
         config.write_text(json.dumps(cfg))
-        assert_config_rejected(capsys, "train", config, tmp_path / "o", key)
+        assert_config_rejected(capsys, config, tmp_path / "o", key)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("section,key,value", [
         ("model_config", "word_dim", "abc"), ("model_config", "word_dim", 8.5), ("train_config", "batch_size", "8"),
-        (None, "seed", "abc"), (None, "vocab_size", "abc"), (None, "abbrev_table", 5), ("datasets", "train", 5),
+        (None, "seed", "abc"), (None, "vocab_size", "abc"), (None, "abbrev_table", 5), ("chain", "train", 5),
         # values of the right type that the config class rejects
         ("model_config", "repr_dim", 3), ("train_config", "learning_rate", -1),
         (None, "vocab_size", -5), (None, "head_reset", "bogus"), (None, "tokenizer", "bogus"),
         ("model_config", "max_len", 4),  # a transformer's: too short for [CLS] a [SEP] b [SEP]
         # fixed values, no config keys: the clip norm and the filter widths
         ("train_config", "clip_norm", 5.0), ("model_config", "filter_widths", [1, 2, 3, 4, 5]),
+        # a lone surrogate escape is not text
+        ("chain", "name", "S\ud800"), (None, "abbrev_table", "t\ud800.tsv"),
+        (None, "chain", []),  # a run has at least one stage
     ])
     def test_wrong_value_type_exits_2_naming_file_and_key(self, tmp_path, capsys, section, key, value):
         # the datasets do not exist: every value error comes before any dataset is read or the output directory is made
@@ -147,9 +167,9 @@ class TestTrain:
         cfg = json.loads(config.read_text())
         if key == "max_len":
             cfg.update(model="transformer", model_config={})
-        (cfg[section] if section else cfg)[key] = value
+        config_section(cfg, section)[key] = value
         config.write_text(json.dumps(cfg))
-        assert_config_rejected(capsys, "train", config, tmp_path / "o", key)
+        assert_config_rejected(capsys, config, tmp_path / "o", key)
         assert not (tmp_path / "o").exists()
 
     def test_num_classes_is_not_a_model_config_key(self, tmp_path, capsys):
@@ -158,18 +178,18 @@ class TestTrain:
         cfg = json.loads(config.read_text())
         cfg["model_config"]["num_classes"] = 3
         config.write_text(json.dumps(cfg))
-        assert_config_rejected(capsys, "train", config, tmp_path / "o", "num_classes")
+        assert_config_rejected(capsys, config, tmp_path / "o", "num_classes")
         assert not (tmp_path / "o").exists()
 
     def test_vocab_size_below_alphabet_floor_names_file_and_key(self, tmp_path, capsys):
         data = synth_dir(tmp_path, count=24, seed=10)
         cfg = {
             "model": "transformer", "vocab_size": 5, "model_config": {"d_e": 8, "num_heads": 2, "num_blocks": 1},
-            "datasets": {"train": str(data / "train.jsonl"), "dev": str(data / "dev.jsonl")},
+            "chain": [{"train": str(data / "train.jsonl"), "dev": str(data / "dev.jsonl")}],
         }
         config = tmp_path / "run.json"
         config.write_text(json.dumps(cfg))
-        assert_config_rejected(capsys, "train", config, tmp_path / "o", "vocab_size", "alphabet floor")
+        assert_config_rejected(capsys, config, tmp_path / "o", "vocab_size", "alphabet floor")
 
     def test_train_config_not_an_object_exits_2_naming_file_and_key(self, tmp_path, capsys):
         data = synth_dir(tmp_path, count=30, seed=1)
@@ -177,7 +197,7 @@ class TestTrain:
         cfg = json.loads(config.read_text())
         cfg["train_config"] = [1]
         config.write_text(json.dumps(cfg))
-        assert_config_rejected(capsys, "train", config, tmp_path / "o", "train_config")
+        assert_config_rejected(capsys, config, tmp_path / "o", "train_config")
 
     def test_overfit_config_reports_full_accuracy(self, tmp_path, capsys):
         # dev pointed at the training data: the summary's best_dev_acc is
@@ -188,7 +208,7 @@ class TestTrain:
             "model_config": {"word_dim": 16, "repr_dim": 16, "filters_per_width": 4, "dropout": 0.0},
             "train_config": {"learning_rate": 3e-3, "batch_size": 10, "max_epochs": 60,
                              "early_stop_patience": 10, "step_fraction": 1.0},
-            "datasets": {"train": str(data / "train.jsonl"), "dev": str(data / "train.jsonl")},
+            "chain": [{"train": str(data / "train.jsonl"), "dev": str(data / "train.jsonl")}],
         }
         path = tmp_path / "overfit.json"
         path.write_text(json.dumps(cfg))
@@ -210,23 +230,13 @@ class TestTrain:
 
 
 class TestTransfer:
-    def test_single_stage_chain_matches_train(self, tmp_path):
+    def test_unnamed_stage_is_named_after_its_train_file(self, tmp_path, capsys):
         data = synth_dir(tmp_path, count=30, seed=3)
-        train_cfg_path = compaggr_run_config(tmp_path, data)
-
-        chain_cfg = json.loads(train_cfg_path.read_text())
-        chain_cfg["chain"] = [
-            {"name": "train", "train": str(data / "train.jsonl"), "dev": str(data / "dev.jsonl")}
-        ]
-        del chain_cfg["datasets"]
-        chain_path = tmp_path / "chain.json"
-        chain_path.write_text(json.dumps(chain_cfg))
-
-        out_train = tmp_path / "via_train"
-        out_chain = tmp_path / "via_chain"
-        assert run_cli("train", "--config", train_cfg_path, "--out-dir", out_train, "--seed", 1) == 0
-        assert run_cli("transfer", "--config", chain_path, "--out-dir", out_chain, "--seed", 1) == 0
-        assert (out_train / "model.ckpt").read_bytes() == (out_chain / "model.ckpt").read_bytes()
+        config = compaggr_run_config(tmp_path, data)
+        out = tmp_path / "run_out"
+        assert run_cli("train", "--config", config, "--out-dir", out, "--seed", 1) == 0
+        assert "(chain: train)" in capsys.readouterr().out
+        assert load_checkpoint(out / "model.ckpt").provenance == ["train"]
 
     def test_two_stage_chain_provenance(self, tmp_path, capsys):
         src = synth_dir(tmp_path, count=30, seed=4, name="src")
@@ -243,8 +253,8 @@ class TestTransfer:
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "chain_out"
-        assert run_cli("transfer", "--config", path, "--out-dir", out) == 0
-        assert "S -> T" in capsys.readouterr().out
+        assert run_cli("train", "--config", path, "--out-dir", out) == 0
+        assert "(chain: S -> T)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("edit,key", [
         ({"name": 3}, "name"), ({"trian": "x"}, "trian"), ({"dev": None}, "dev"),
@@ -257,10 +267,9 @@ class TestTransfer:
         stage = {"train": str(data / "train.jsonl"), "dev": str(data / "dev.jsonl")}
         bad = {k: v for k, v in {**stage, **edit}.items() if v is not None}  # None deletes a key
         cfg["chain"] = [{"name": "S", **stage}, bad]
-        del cfg["datasets"]
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(cfg))
-        assert_config_rejected(capsys, "transfer", path, tmp_path / "chain_out", key)
+        assert_config_rejected(capsys, path, tmp_path / "chain_out", key)
 
 
 class TestPredictEval:
@@ -486,8 +495,11 @@ class TestPredictEval:
         (lambda h: h["config"].update(num_classes=3), "num_classes"),
         (lambda h: h.update(format_version=1), "unsupported format_version 1"),
         (lambda h: h["config"].update(filter_widths=[1, 2, 3, 4, 5]), "filter_widths"),
+        # a lone surrogate escape is not text
+        (lambda h: h.update(provenance=["tr\ud800"]), "provenance"),
+        (lambda h: h["blocks"][0].update(name="cls.w\ud800"), "block name"),
     ], ids=["unknown_key", "missing_key", "block_shape", "block_name", "repeated_block", "num_classes",
-            "format_version_1", "filter_widths"])
+            "format_version_1", "filter_widths", "provenance_surrogate", "block_name_surrogate"])
     def test_malformed_checkpoint_header_exits_2(self, tmp_path, trained, capsys, edit, named):
         data, ckpt = trained
         bad = tmp_path / "bad_header.ckpt"
@@ -532,8 +544,8 @@ class TestMalformedInputs:
         (tmp_path / "data.jsonl").write_bytes(jsonl_line())
         (tmp_path / "preds.tsv").write_text("p1\t0.2\t0.3\t0.5\tneutral\n")
         (tmp_path / "table.tsv").write_text("MI\tmyocardial infarction\n")
-        (tmp_path / "run.json").write_text(json.dumps({"model": "compaggr", "datasets": {
-            "train": str(tmp_path / "data.jsonl"), "dev": str(tmp_path / "data.jsonl")}}))
+        (tmp_path / "run.json").write_text(json.dumps({"model": "compaggr", "chain": [{
+            "train": str(tmp_path / "data.jsonl"), "dev": str(tmp_path / "data.jsonl")}]}))
         (tmp_path / name).write_bytes(content)
         argv = [tmp_path / a if a.endswith((".jsonl", ".tsv", ".json")) else a for a in self.COMMANDS[command]]
         assert run_cli(*argv, "--out-dir", tmp_path / "o") == 2
@@ -543,18 +555,38 @@ class TestMalformedInputs:
         assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["train", "--config", "run.json", "--model", "transformer"],
-    ["transfer", "--config", "run.json", "--model", "compaggr"],
-    ["predict", "--checkpoint", "model.ckpt", "--dataset", "data.jsonl", "--mode", "listwise", "--group-key", "premise"],
-], ids=["train_model", "transfer_model", "predict_group_key"])
-def test_removed_flags_are_usage_errors(tmp_path, capsys, argv):
-    # the run config's "model" is the only choice of model kind; list-wise triples share a premise
+@pytest.mark.parametrize("argv,named", [
+    (["train", "--config", "run.json", "--model", "transformer", "--out-dir", "o"], "--model"),
+    (["transfer", "--config", "run.json", "--model", "compaggr", "--out-dir", "o"], "transfer"),
+    (["predict", "--checkpoint", "model.ckpt", "--dataset", "data.jsonl", "--mode", "listwise", "--group-key", "premise",
+      "--out-dir", "o"], "--group-key"),
+    (["transfer", "--config", "run.json", "--out-dir", "o"], "transfer"),
+    (["train", "--config", "run.json"], "--out-dir"),
+], ids=["train_model", "transfer_model", "predict_group_key", "transfer", "train_without_out_dir"])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, monkeypatch, argv, named):
+    # the run config's "model" is the only choice of model kind and its "chain" the
+    # only list of stages; --out-dir names the output directory; list-wise triples share a premise
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        run_cli(*argv, "--out-dir", tmp_path / "o")
+        run_cli(*argv)
     assert exc.value.code == 2
-    assert argv[-2] in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_run_configs_parse(tmp_path):
+    """Every run config the README writes (``cat > x.json << 'JSON'``) reads
+    into a RunConfig, with its model config and each stage's train config."""
+    configs = re.findall(r"<< 'JSON'\n(.*?\n)JSON\n", README.read_text(encoding="utf-8"), re.S)
+    assert configs
+    for i, text in enumerate(configs):
+        path = tmp_path / f"readme{i}.json"
+        path.write_text(text, encoding="utf-8")
+        run = cli.load_run_config(path)
+        make_model_config(run.model, run.model_config or {}, path)
+        for stage in run.chain:
+            assert isinstance(stage, cli.StageConfig) and stage.name
+            parse_config(TrainConfig, {**(run.train_config or {}), **(stage.train_config or {})}, path)
 
 
 class TestExpand:
@@ -616,7 +648,7 @@ class TestTransformerPath:
             "vocab_size": 120,
             "model_config": {"d_e": 16, "num_heads": 2, "num_blocks": 1, "d_ff": 32, "max_len": 24, "dropout": 0.0},
             "train_config": {"learning_rate": 2e-3, "batch_size": 6, "max_epochs": 2},
-            "datasets": {"train": str(data / "train.jsonl"), "dev": str(data / "dev.jsonl")},
+            "chain": [{"train": str(data / "train.jsonl"), "dev": str(data / "dev.jsonl")}],
         }
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg))

@@ -109,28 +109,6 @@ class TestClipGradients:
                       <= np.abs(np.concatenate(list(before.values()))) + 1e-15)
 
 
-class TestEarlyStopper:
-    def test_patience_four_scripted_sequence(self):
-        stopper = tr.EarlyStopper(patience=4)
-        losses = [1.0, 0.9, 0.91, 0.92, 0.93, 0.94]
-        stops = [stopper.observe(l) for l in losses]
-        assert stops == [False, False, False, False, False, True]
-        assert stopper.best_index == 2
-        assert stopper.best == 0.9
-
-    def test_patience_one_rising(self):
-        stopper = tr.EarlyStopper(patience=1)
-        assert stopper.observe(1.0) is False
-        assert stopper.observe(1.1) is True
-        assert stopper.best_index == 1
-
-    def test_ties_count_as_non_improving(self):
-        stopper = tr.EarlyStopper(patience=2)
-        assert stopper.observe(1.0) is False
-        assert stopper.observe(1.0) is False
-        assert stopper.observe(1.0) is True
-
-
 class ScriptedModel:
     """Train-loop stub whose dev losses follow a fixed script."""
 
@@ -178,18 +156,23 @@ class TestTrainEarlyStopping:
             (4, [1.0, 0.9, 0.91, 0.92, 0.93, 0.94, 0.2, 0.2], 6, 0.9),
             (2, [1.0, 0.9, 0.91, 0.92, 0.5, 0.5], 4, 0.9),
             (1, [1.0, 1.1, 0.5], 2, 1.0),
+            (4, [1.0, 0.9, 0.91, 0.92, 0.93, 0.94], 6, 0.9),
+            (1, [1.0, 1.1], 2, 1.0),
+            (2, [1.0, 1.0, 1.0], 3, 1.0),  # ties count as non-improving
         ],
     )
     def test_stops_at_exact_evaluation(self, patience, script, expected_evals, expected_best):
         model = ScriptedModel(script)
         train_set, dev_set = one_example_sets()
+        # one evaluation per epoch and one epoch more than the script: a run
+        # that does not stop in time fails evaluating past the script's end
         config = tr.TrainConfig(
-            learning_rate=0.1, batch_size=1, max_epochs=len(script),
+            learning_rate=0.1, batch_size=1, max_epochs=len(script) + 1,
             early_stop_patience=patience, step_fraction=1.0, seed=0,
         )
         ckpt = tr.train(model, train_set, dev_set, config)
         assert model.evals == expected_evals
-        assert len(ckpt.history) == expected_evals
+        assert [row.step for row in ckpt.history] == list(range(1, expected_evals + 1))
         assert min(r.dev_loss for r in ckpt.history) == pytest.approx(expected_best)
         assert ckpt.best_dev_loss() == pytest.approx(expected_best)
 
