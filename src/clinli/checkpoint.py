@@ -8,7 +8,9 @@ Blocks hold the model parameters followed by the Adam moment estimates.
 
 Saving also writes ``<file>.metrics.tsv`` with one evaluation per row
 (step, train_loss, dev_loss, dev_accuracy); loading reads it back when
-present.  Save -> load -> save is byte-identical.
+present.  Save -> load -> save is byte-identical.  Each file is written to
+a temporary file and moved into place (``data.write_atomic``), so a save that
+fails leaves each file either as it was or whole, never cut short.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .compaggr import CompAggrModel
-from .data import _SURROGATE, read_text
-from .errors import ConfigError, ParseError
+from .data import _SURROGATE, read_text, write_atomic
+from .errors import ConfigError, DataError, ParseError
 from .model import parse_config
 from .tokenizer import Vocabulary
 from .transformer import TransformerClassifier
@@ -109,13 +111,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     header = Header(FORMAT_VERSION, ckpt.kind, ckpt.model_config, ckpt.vocab_tokens, ckpt.tokenizer_mode,
                     ckpt.provenance, ckpt.adam_t, [{"name": name, "shape": list(arr.shape)} for name, arr in blocks])
     header_bytes = json.dumps(asdict(header), sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("ascii")
-    with open(path, "wb") as fh:
+    with write_atomic(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
         for _, arr in blocks:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    with open(metrics_path(path), "w", encoding="utf-8") as fh:
+    with write_atomic(metrics_path(path)) as fh:
         fh.write(_SIDECAR_HEADER + "\n")
         for row in ckpt.history:
             fh.write(f"{row.step}\t{row.train_loss!r}\t{row.dev_loss!r}\t{row.dev_accuracy!r}\n")
@@ -214,9 +216,15 @@ def load_checkpoint(path) -> Checkpoint:
                       adam_t=header.adam_t, provenance=list(header.provenance), history=history)
 
 
-def model_from_checkpoint(ckpt: Checkpoint):
-    """Rebuild a model of the checkpointed kind and restore its parameters."""
-    config = make_model_config(ckpt.kind, ckpt.model_config, "checkpoint")
-    model = MODEL_KINDS[ckpt.kind](config, Vocabulary(list(ckpt.vocab_tokens)), tokenizer_mode=ckpt.tokenizer_mode)
-    model.load_parameters(ckpt.params)
+def model_from_checkpoint(ckpt: Checkpoint, where="checkpoint"):
+    """Rebuild a model of the checkpointed kind and restore its parameters.
+    A config, vocabulary or block that does not fit the model ends in an
+    error naming ``where``, the file the checkpoint was read from."""
+    config = make_model_config(ckpt.kind, ckpt.model_config, where)
+    try:
+        vocab = Vocabulary(list(ckpt.vocab_tokens))
+        model = MODEL_KINDS[ckpt.kind](config, vocab, tokenizer_mode=ckpt.tokenizer_mode)
+        model.load_parameters(ckpt.params)
+    except DataError as exc:
+        raise ParseError(f"{where}: {exc}") from None
     return model

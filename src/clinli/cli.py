@@ -35,7 +35,7 @@ import numpy as np
 
 from .abbrev import expand_dataset, load_table
 from .checkpoint import MODEL_KINDS, load_checkpoint, make_model_config, model_from_checkpoint, save_checkpoint
-from .data import load_jsonl, read_text, save_jsonl
+from .data import load_jsonl, read_text, save_jsonl, write_atomic
 from .errors import ClinliError, ConfigError, DataError, ParseError
 from .evaluate import (
     Prediction,
@@ -224,15 +224,16 @@ def cmd_train(args) -> int:
     ckpt_path = out_dir / "model.ckpt"
     save_checkpoint(ckpt, ckpt_path)
     summary = _summarize(ckpt)
-    (out_dir / "summary.txt").write_text(summary + "\n", encoding="utf-8")
+    with write_atomic(out_dir / "summary.txt") as fh:
+        fh.write(summary + "\n")
     print(f"wrote {ckpt_path} (chain: {' -> '.join(ckpt.provenance)})")
     print(summary)
     return 0
 
 
 def cmd_predict(args) -> int:
-    ckpt = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    model = model_from_checkpoint(ckpt)
+    path = _require_file(args.checkpoint, "checkpoint")
+    model = model_from_checkpoint(load_checkpoint(path), path)
     examples = load_jsonl(_require_file(args.dataset, "dataset"))
     out_dir = _out_dir(args)
 
@@ -304,7 +305,7 @@ def cmd_expand(args) -> int:
     expanded, report = expand_dataset(examples, table)
     out_path = out_dir / "expanded.jsonl"
     save_jsonl(out_path, expanded)
-    with open(out_dir / "expand_report.txt", "w", encoding="utf-8") as fh:
+    with write_atomic(out_dir / "expand_report.txt") as fh:
         fh.write(f"total={report.total}\n")
         for surface in sorted(report.counts):
             fh.write(f"{surface}\t{report.counts[surface]}\n")
@@ -313,7 +314,9 @@ def cmd_expand(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    ckpt = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+    path = _require_file(args.checkpoint, "checkpoint")
+    ckpt = load_checkpoint(path)
+    model_from_checkpoint(ckpt, path)  # report what predict would reject
     print(f"kind: {ckpt.kind}")
     print(f"tokenizer_mode: {ckpt.tokenizer_mode}")
     print(f"config: {json.dumps(ckpt.model_config, sort_keys=True)}")

@@ -10,12 +10,15 @@ de-identification handling is applied at load time.
 from __future__ import annotations
 
 import json
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 from .errors import DataError, ParseError
 
-__all__ = ["LABELS", "NLIExample", "NLITriple", "label_id", "load_jsonl", "read_text", "save_jsonl"]
+__all__ = ["LABELS", "NLIExample", "NLITriple", "label_id", "load_jsonl", "read_text", "save_jsonl", "write_atomic"]
 
 LABELS = ("entailment", "contradiction", "neutral")
 _LABEL_TO_ID = {name: i for i, name in enumerate(LABELS)}
@@ -78,6 +81,24 @@ def read_text(path) -> str:
             raise ParseError(f"{path}:{line}: not UTF-8 ({exc.reason}: {bad!r})") from None
 
 
+@contextmanager
+def write_atomic(path, binary: bool = False):
+    """Write ``path`` (UTF-8 text, or bytes if ``binary``) through a temporary
+    file in its directory: ``os.replace`` moves it into place when the block
+    ends cleanly, and it is removed if the block raises, so ``path`` holds its
+    old content or all of the new.  Nothing is fsynced: this guards against a
+    failing writer, not a power loss."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def load_jsonl(path) -> list[NLIExample]:
     """The examples of a JSONL dataset.  A line that is not a JSON object,
     lacks a key or holds a value that is not text (not a string, or a lone
@@ -111,7 +132,7 @@ def load_jsonl(path) -> list[NLIExample]:
 
 
 def save_jsonl(path, examples) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomic(path) as fh:
         for ex in examples:
             obj = {"sentence1": ex.premise, "sentence2": ex.hypothesis, "gold_label": ex.gold_label}
             if ex.pair_id is not None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LABELS, NLIExample, NLITriple, label_id, read_text
+from .data import LABELS, NLIExample, NLITriple, label_id, read_text, write_atomic
 from .errors import ClinliError, DataError
 
 __all__ = [
@@ -251,7 +251,7 @@ def mean_correct_confidence(predictions, golds) -> float:
 
 
 def write_predictions(path, predictions) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomic(path) as fh:
         for p in predictions:
             pe, pc, pn = (float(v) for v in p.probs)
             fh.write(f"{p.pair_id}\t{pe!r}\t{pc!r}\t{pn!r}\t{p.predicted_label}\n")
@@ -281,7 +281,7 @@ def read_predictions(path) -> list[Prediction]:
 
 def write_metrics(path, metrics: dict) -> None:
     """Plain-text key=value lines, sorted by key."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomic(path) as fh:
         for key in sorted(metrics):
             value = metrics[key]
             if isinstance(value, (float, np.floating)):

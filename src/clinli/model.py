@@ -131,10 +131,11 @@ class PairClassifier:
 
     def load_parameters(self, arrays: dict[str, np.ndarray]) -> None:
         params = self.parameters()
-        if set(arrays) != set(params):
-            missing = set(params) - set(arrays)
-            extra = set(arrays) - set(params)
-            raise DataError(f"parameter name mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
+        missing = [name for name in params if name not in arrays]
+        extra = [name for name in arrays if name not in params]
+        if missing or extra:
+            first = [f"{what} block {names[0]!r}" for what, names in (("missing", missing), ("extra", extra)) if names]
+            raise DataError(f"parameter name mismatch: {', '.join(first)}")
         for name, p in params.items():
             if arrays[name].shape != p.shape:
                 raise DataError(f"parameter {name}: shape {arrays[name].shape} != expected {p.shape}")

@@ -470,12 +470,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result(lambda: stats()[0] * gain.data + bias.data, (x, gain, bias), "layer_norm", backward_fn)
 
 
+def _window_matrix(x: np.ndarray, width: int) -> np.ndarray:
+    """The (features x width, positions) matrix whose column t holds the
+    window ``x[:, t : t + width]``, row-major like a (features, width) filter.
+    One slice copy per offset: at the model's sizes that is 2-4x faster than
+    reshaping a ``sliding_window_view``."""
+    d, m = x.shape
+    span = m - width + 1
+    cols = np.empty((d, width, span))
+    for k in range(width):
+        cols[:, k] = x[:, k : k + span]
+    return cols.reshape(d * width, span)
+
+
 def conv1d_maxpool(x: Tensor, banks: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
     """Convolve ``x`` (features x positions) with each filter bank, apply
     relu, max-pool over positions, and concatenate the pooled scalars.
 
     Each bank is a (weight, bias) pair with weight shaped
-    (num_filters, features, width) and bias shaped (num_filters,).
+    (num_filters, features, width) and bias shaped (num_filters,).  Each
+    bank is one matrix product (im2col): the (num_filters, features x width)
+    weight times the window matrix of ``x``.  The backward puts the gated
+    gradient at each filter's pooled position (the first, on ties) in a
+    dense (num_filters, positions) matrix and rebuilds the window matrix.
     """
     if x.data.ndim != 2:
         raise DimensionError(f"conv1d_maxpool expects a matrix, got shape {x.shape}")
@@ -496,9 +513,8 @@ def conv1d_maxpool(x: Tensor, banks: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
         saved.clear()
         pooled = []
         for w, b in banks:
-            width = w.shape[2]
-            windows = np.lib.stride_tricks.sliding_window_view(x.data, width, axis=1)
-            pre = np.einsum("fdw,dtw->ft", w.data, windows) + b.data[:, None]
+            nf, _, width = w.shape
+            pre = w.data.reshape(nf, d * width) @ _window_matrix(x.data, width) + b.data[:, None]
             act = np.maximum(pre, 0.0)
             saved.append((act.argmax(axis=1), pre))
             pooled.append(act.max(axis=1))
@@ -509,20 +525,16 @@ def conv1d_maxpool(x: Tensor, banks: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
         offset = 0
         for (w, b), (args, pre) in zip(banks, saved):
             nf, _, width = w.shape
-            g_bank = g[offset : offset + nf]
+            rows = np.arange(nf)
+            gf = g[offset : offset + nf] * (pre[rows, args] > 0)
             offset += nf
-            gate = pre[np.arange(nf), args] > 0
-            gf = g_bank * gate
-            dw = np.zeros_like(w.data)
-            db = gf.copy()
-            for f in range(nf):
-                if gf[f] == 0.0:
-                    continue
-                t = args[f]
-                dw[f] = gf[f] * x.data[:, t : t + width]
-                dx[:, t : t + width] += gf[f] * w.data[f]
-            _accumulate(w, dw)
-            _accumulate(b, db)
+            gpos = np.zeros_like(pre)  # gf at each filter's pooled position, zero elsewhere
+            gpos[rows, args] = gf
+            _accumulate(w, (gpos @ _window_matrix(x.data, width).T).reshape(w.shape))
+            _accumulate(b, gf)
+            dcols = (w.data.reshape(nf, d * width).T @ gpos).reshape(d, width, -1)
+            for k in range(width):  # window row k of column t is input position t + k
+                dx[:, k : k + pre.shape[1]] += dcols[:, k]
         _accumulate(x, dx)
 
     parents = [x]

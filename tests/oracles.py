@@ -73,6 +73,37 @@ def loop_conv_maxpool(x, banks):
     return np.array(pooled)
 
 
+def loop_conv_maxpool_backward(x, banks, g):
+    """Gradients of ``loop_conv_maxpool`` for the output gradient ``g``, one
+    filter at a time: a filter whose pooled pre-activation is positive sends
+    its gradient to the window at its first maximal position.
+
+    Returns (dx, [dweight per bank], [dbias per bank]).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    d, m = x.shape
+    dx = np.zeros_like(x)
+    dws, dbs = [], []
+    offset = 0
+    for weight, bias in banks:
+        nf, _, w = weight.shape
+        dw = np.zeros_like(weight)
+        db = np.zeros(nf)
+        for f in range(nf):
+            pre = [float(np.sum(weight[f] * x[:, t : t + w])) + bias[f] for t in range(m - w + 1)]
+            t = int(np.argmax(pre))
+            if pre[t] <= 0.0:
+                continue
+            gf = g[offset + f]
+            db[f] = gf
+            dw[f] = gf * x[:, t : t + w]
+            dx[:, t : t + w] += gf * weight[f]
+        offset += nf
+        dws.append(dw)
+        dbs.append(db)
+    return dx, dws, dbs
+
+
 def loop_multi_head_attention(x, mask, wq, bq, wk, bk, wv, bv, wo, bo, num_heads):
     """Multi-head attention via explicit per-head, per-query, per-key loops."""
     x = np.asarray(x, dtype=np.float64)

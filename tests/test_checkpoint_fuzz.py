@@ -97,16 +97,17 @@ def write(original, blob: bytes, sidecar: bytes | None = None):
 
 def load_or_reject(path, named: str):
     """Load ``path``; a ParseError must match ``named``.  A model rebuilt
-    from what loads may raise only a ClinliError."""
+    from what loads may raise only a ClinliError, and it must match
+    ``named`` too."""
     try:
         ckpt = load_checkpoint(path)
     except ParseError as exc:
         assert re.search(named, str(exc)), exc
         return
     try:
-        model_from_checkpoint(ckpt)
-    except ClinliError:
-        pass
+        model_from_checkpoint(ckpt, path)
+    except ClinliError as exc:
+        assert re.search(named, str(exc)), exc
 
 
 @FUZZ

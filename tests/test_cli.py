@@ -498,13 +498,27 @@ class TestPredictEval:
         # a lone surrogate escape is not text
         (lambda h: h.update(provenance=["tr\ud800"]), "provenance"),
         (lambda h: h["blocks"][0].update(name="cls.w\ud800"), "block name"),
+        (lambda h: h.update(vocab=[]), "vocabulary must start with"),
     ], ids=["unknown_key", "missing_key", "block_shape", "block_name", "repeated_block", "num_classes",
-            "format_version_1", "filter_widths", "provenance_surrogate", "block_name_surrogate"])
+            "format_version_1", "filter_widths", "provenance_surrogate", "block_name_surrogate", "empty_vocab"])
     def test_malformed_checkpoint_header_exits_2(self, tmp_path, trained, capsys, edit, named):
         data, ckpt = trained
         bad = tmp_path / "bad_header.ckpt"
         rewrite_header(ckpt, bad, edit)
         assert_checkpoint_rejected(capsys, bad, data / "test.jsonl", tmp_path / "p", named)
+
+    def test_renamed_block_exits_2_naming_file_and_block(self, tmp_path, trained, capsys):
+        data, ckpt = trained
+        renamed = []
+
+        def edit(header):
+            renamed.append(header["blocks"][0]["name"])
+            header["blocks"][0]["name"] = "renamed.block"
+
+        bad = tmp_path / "renamed_block.ckpt"
+        rewrite_header(ckpt, bad, edit)
+        assert_checkpoint_rejected(capsys, bad, data / "test.jsonl", tmp_path / "p",
+                                   f"missing block {renamed[0]!r}", "extra block 'renamed.block'")
 
 
 PAIR = {"sentence1": "pt has MI", "sentence2": "pt is ill", "gold_label": "neutral", "pairID": "p1"}

@@ -7,7 +7,7 @@ from clinli.data import NLIExample
 from clinli.errors import ConfigError, ContractError, DataError, DimensionError, NumericError
 from clinli.tokenizer import build_word_vocab
 
-from oracles import finite_diff_grad, loop_conv_maxpool, loop_softmax, rel_err
+from oracles import finite_diff_grad, loop_conv_maxpool, loop_conv_maxpool_backward, loop_softmax, rel_err
 
 
 def param(rng, *shape):
@@ -276,6 +276,67 @@ class TestConvMaxpool:
                 return (loop_conv_maxpool(x0, nb) * c).sum()
 
             assert rel_err(w.grad, finite_diff_grad(f_w, banks_np[i][0].copy())) < 1e-5
+
+    @staticmethod
+    def grads(x0, banks_np, c):
+        x = T.Tensor(x0, requires_grad=True)
+        banks = [(T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)) for w, b in banks_np]
+        T.sum_all(T.mul(T.conv1d_maxpool(x, banks), T.Tensor(c))).backward()
+        return x.grad, [w.grad for w, _ in banks], [b.grad for _, b in banks]
+
+    def assert_matches_loop_backward(self, x0, banks_np, c):
+        dx, dws, dbs = self.grads(x0, banks_np, c)
+        ref_dx, ref_dws, ref_dbs = loop_conv_maxpool_backward(x0, banks_np, c)
+        np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=1e-12)
+        for got, want in zip(dws + dbs, ref_dws + ref_dbs):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [12, 5], ids=["twelve_positions", "one_position_at_widest"])
+    def test_backward_matches_per_filter_loop_at_full_scale(self, m):
+        rng = np.random.default_rng(m)
+        x0 = rng.uniform(-1, 1, size=(100, m))
+        banks_np = [(rng.uniform(-0.1, 0.1, size=(100, 100, w)), rng.uniform(-0.1, 0.1, size=100)) for w in range(1, 6)]
+        c = rng.uniform(-1, 1, size=500)
+        self.assert_matches_loop_backward(x0, banks_np, c)
+
+    def test_dead_bank_gets_zero_gradients(self):
+        rng = np.random.default_rng(7)
+        x0 = rng.uniform(-1, 1, size=(6, 8))
+        live = (rng.uniform(-1, 1, size=(4, 6, 2)), rng.uniform(-0.2, 0.2, size=4))
+        dead = (rng.uniform(-1, 1, size=(3, 6, 3)), np.full(3, -100.0))
+        c = rng.uniform(-1, 1, size=7)
+        self.assert_matches_loop_backward(x0, [live, dead], c)
+        _, dws, dbs = self.grads(x0, [live, dead], c)
+        assert not dws[1].any() and not dbs[1].any()
+        assert dws[0].any()
+
+    def test_tied_maxima_go_to_the_first_position(self):
+        # integer entries make every window sum exact, so the ties are exact;
+        # columns 0-1 repeat as columns 3-4
+        x0 = np.array([[1.0, 2.0, 0.0, 1.0, 2.0, -1.0], [3.0, -1.0, 1.0, 3.0, -1.0, 0.0]])
+        banks_np = [(np.array([[[1.0], [1.0]]]), np.zeros(1)), (np.array([[[1.0, 1.0], [1.0, 0.0]]]), np.zeros(1))]
+        c = np.array([2.0, -3.0])
+        self.assert_matches_loop_backward(x0, banks_np, c)
+        dx, _, _ = self.grads(x0, banks_np, c)
+        np.testing.assert_array_equal(dx[:, 3:], 0.0)
+        assert dx[:, 0].any()
+
+    def test_backward_after_replay_on_changed_input_equals_fresh_run(self):
+        rng = np.random.default_rng(3)
+        x0, x1 = rng.uniform(-1, 1, size=(2, 5, 9))
+        banks_np = [(rng.uniform(-1, 1, size=(4, 5, w)), rng.uniform(-0.2, 0.2, size=4)) for w in (1, 2, 3)]
+        c = rng.uniform(-1, 1, size=12)
+        x = T.Tensor(x0, requires_grad=True)
+        banks = [(T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)) for w, b in banks_np]
+        loss = T.sum_all(T.mul(T.conv1d_maxpool(x, banks), T.Tensor(c)))
+        x.data = x1.copy()
+        T.replay(loss)
+        loss.backward()
+        fresh_dx, fresh_dws, fresh_dbs = self.grads(x1, banks_np, c)
+        np.testing.assert_array_equal(x.grad, fresh_dx)
+        for (w, b), dw, db in zip(banks, fresh_dws, fresh_dbs):
+            np.testing.assert_array_equal(w.grad, dw)
+            np.testing.assert_array_equal(b.grad, db)
 
 
 class TestBackward:
