@@ -2,7 +2,8 @@
 
 Trains a greedy pair-merge vocabulary on a toy clinical corpus, segments
 unseen words by longest-match, and encodes a premise/hypothesis pair with
-special tokens, segments, and padding.
+special tokens and segments, unpadded (a classifier pads each batch to its
+longest pair; ``max_len`` is the truncation budget).
 """
 
 from clinli import tokenizer as tk
@@ -33,4 +34,4 @@ tokens = [vocab.token_of(i) for i in enc.token_ids]
 print("\nencoded pair layout:")
 print("tokens:  ", tokens)
 print("segments:", enc.segment_ids)
-print("mask:    ", enc.attention_mask)
+print("valid length:", len(enc.token_ids), "of max_len 20")

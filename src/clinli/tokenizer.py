@@ -7,10 +7,11 @@ the ``##`` continuation prefix.  A word-level mode maps each whitespace word
 to a single id, with [UNK] for out-of-vocabulary words.
 
 Pair encoding lays out ``[CLS] premise [SEP] hypothesis [SEP]`` with segment
-ids 0 through the first [SEP] and 1 after it, pads to a fixed length, and
-masks the padding; token i sits at position i.  Overlong pairs are truncated
-by trimming the currently longer side one token at a time (premise first on
-ties), which keeps both sentence heads.
+ids 0 through the first [SEP] and 1 after it, token i at position i, and no
+padding: the classifier pads each batch to the batch's longest pair, and
+``max_len`` is the truncation budget and position-table size.  Overlong
+pairs are truncated by trimming the currently longer side one token at a
+time (premise first on ties), which keeps both sentence heads.
 
 A vocabulary starts with the special tokens [PAD], [UNK], [CLS], [SEP] in
 that order, and is stored only in the checkpoint header of its model.
@@ -209,16 +210,14 @@ def word_tokenize(text: str, vocab: Vocabulary) -> list[int]:
 
 @dataclass
 class EncodedPair:
-    """A padded, masked sentence pair ready for the sequence classifier;
-    token i sits at position i."""
+    """An unpadded sentence pair of at most ``max_len`` tokens, token i at
+    position i; the classifier pads each batch to the batch's longest pair."""
 
     token_ids: list[int]
     segment_ids: list[int]
-    attention_mask: list[int]
 
     def __post_init__(self):
-        n = len(self.token_ids)
-        if not (len(self.segment_ids) == len(self.attention_mask) == n):
+        if len(self.segment_ids) != len(self.token_ids):
             raise DataError("encoded pair sequences have unequal lengths")
 
 
@@ -230,7 +229,7 @@ def encode_pair(
     mode: str = "wordpiece",
 ) -> EncodedPair:
     """Encode a sentence pair as [CLS] premise [SEP] hypothesis [SEP] with
-    segments and a padding mask, truncated and padded to ``max_len``."""
+    segments, truncated to at most ``max_len`` tokens and not padded."""
     if max_len < 5:
         raise ConfigError(f"max_len must be at least 5, got {max_len}")
     tok = tokenize if mode == "wordpiece" else word_tokenize
@@ -252,9 +251,4 @@ def encode_pair(
 
     ids = [vocab.cls_id] + p_ids + [vocab.sep_id] + h_ids + [vocab.sep_id]
     segments = [0] * (len(p_ids) + 2) + [1] * (len(h_ids) + 1)
-    mask = [1] * len(ids)
-    pad = max_len - len(ids)
-    ids += [vocab.pad_id] * pad
-    segments += [0] * pad
-    mask += [0] * pad
-    return EncodedPair(token_ids=ids, segment_ids=segments, attention_mask=mask)
+    return EncodedPair(token_ids=ids, segment_ids=segments)

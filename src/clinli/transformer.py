@@ -6,17 +6,17 @@ layer norm, position-wise feed-forward, residual, layer norm), and the
 hidden state at the leading [CLS] position feeds an affine three-way
 softmax head.
 
-A batch runs as one graph.  Every pair is padded to ``max_len`` = L, so B
-pairs embed to one (B, L, d_e) tensor; each head's queries, keys and values
-are (B, L, d_k) column slices, its attention weights are (B, L, L), and the
-head returns a (B, 3) probability matrix, one column per label.  The block
-and attention functions also accept a single unbatched (L, d_e) sequence
-with an (L,) mask.
+A batch runs as one graph, padded to the batch's longest pair (``max_len``
+is the truncation budget and position-table size): B pairs of at most n
+tokens embed to one (B, n, d_e) tensor, each head's queries, keys and
+values are (B, n, d_k) column slices, its attention weights are (B, n, n),
+and the head returns a (B, 3) probability matrix, one column per label.
+The block and attention functions also accept a single unbatched (L, d_e)
+sequence with an (L,) mask.
 
 Padded key positions receive -1e9 attention logits before the softmax, so
-appending padding to an input never changes the classification.  Position
-embeddings are learned.  Head width is the embedding width divided by the
-head count.
+padding never changes the classification of a pair.  Position embeddings
+are learned.  Head width is the embedding width divided by the head count.
 """
 
 from __future__ import annotations
@@ -96,18 +96,22 @@ class BlockParams:
 
 
 def embed(batch: Sequence[EncodedPair], token_table: T.Tensor, pos_table: T.Tensor, seg_table: T.Tensor) -> T.Tensor:
-    """(B, L, d_e) per-position sums of token, position, and segment
-    embedding rows for B encoded pairs of one padded length L, token i at position i."""
+    """(B, n, d_e) per-position sums of token, position, and segment
+    embedding rows for B encoded pairs padded to the longest, n tokens, with
+    [PAD] in segment 0; token i at position i."""
     if not batch:
         raise ContractError("embed of an empty batch")
-    length = len(batch[0].token_ids)
-    if any(len(e.token_ids) != length for e in batch):
-        raise DimensionError("encoded pairs in one batch must share one padded length")
+    length = max(len(e.token_ids) for e in batch)
     if length > pos_table.shape[0]:
         raise DataError(f"sequence length {length} exceeds position table {pos_table.shape[0]}")
-    tok = T.take_rows(token_table, [e.token_ids for e in batch])
+    ids = np.full((len(batch), length), Vocabulary.pad_id)
+    segments = np.zeros((len(batch), length), dtype=np.int64)
+    for row, e in enumerate(batch):
+        ids[row, : len(e.token_ids)] = e.token_ids
+        segments[row, : len(e.segment_ids)] = e.segment_ids
+    tok = T.take_rows(token_table, ids)
     pos = T.take_rows(pos_table, np.tile(np.arange(length), (len(batch), 1)))
-    seg = T.take_rows(seg_table, [e.segment_ids for e in batch])
+    seg = T.take_rows(seg_table, segments)
     return T.add(T.add(tok, pos), seg)
 
 
@@ -216,9 +220,10 @@ class TransformerClassifier(PairClassifier):
         return encode_pair(premise, hypothesis, self.vocab, self.config.max_len, mode=self.tokenizer_mode)
 
     def forward(self, batch: Sequence[EncodedPair], training: bool = False, rng: np.random.Generator | None = None) -> T.Tensor:
-        """(B, 3) class probabilities for a list of B encoded pairs."""
+        """(B, 3) class probabilities for B encoded pairs, each masked past its length."""
         x = embed(batch, self.token_table, self.pos_table, self.seg_table)
-        mask = [e.attention_mask for e in batch]
+        lengths = np.array([len(e.token_ids) for e in batch])
+        mask = np.arange(x.shape[1]) < lengths[:, None]
         for bp in self.blocks:
             x = transformer_block(
                 x, mask, bp, self.config.num_heads,

@@ -84,9 +84,9 @@ class TestEncodePair:
     def test_layout(self, ab_vocab):
         enc = tk.encode_pair("a", "b", ab_vocab, max_len=8)
         a, b = ab_vocab.token_to_id["a"], ab_vocab.token_to_id["b"]
-        assert enc.token_ids == [2, a, 3, b, 3, 0, 0, 0]
-        assert enc.segment_ids == [0, 0, 0, 1, 1, 0, 0, 0]
-        assert enc.attention_mask == [1, 1, 1, 1, 1, 0, 0, 0]
+        # unpadded: the classifier pads each batch to its longest pair
+        assert enc.token_ids == [2, a, 3, b, 3]
+        assert enc.segment_ids == [0, 0, 0, 1, 1]
 
     def test_equal_overflow_trims_one_from_each_side(self, ab_vocab):
         # 4 + 4 tokens with budget 6: one token trimmed from each side.
@@ -119,17 +119,17 @@ class TestEncodePair:
         for _ in range(100):
             p, h = rng.choice(sentences), rng.choice(sentences)
             enc = tk.encode_pair(p, h, vocab, max_len=max_len)
-            assert len(enc.token_ids) == max_len
-            assert len(enc.segment_ids) == len(enc.attention_mask) == max_len
+            untruncated = 3 + len(tk.tokenize(p, vocab)) + len(tk.tokenize(h, vocab))
+            assert len(enc.token_ids) == min(untruncated, max_len)
+            assert len(enc.segment_ids) == len(enc.token_ids)
             assert enc.token_ids[0] == vocab.cls_id
+            assert vocab.pad_id not in enc.token_ids
             seps = [i for i, t in enumerate(enc.token_ids) if t == vocab.sep_id]
             assert len(seps) == 2
             first, second = seps
+            assert second == len(enc.token_ids) - 1
             assert all(s == 0 for s in enc.segment_ids[: first + 1])
-            assert all(s == 1 for s in enc.segment_ids[first + 1 : second + 1])
-            for i, t in enumerate(enc.token_ids):
-                assert (enc.attention_mask[i] == 0) == (i > second)
-                assert (t == vocab.pad_id) == (i > second)
+            assert all(s == 1 for s in enc.segment_ids[first + 1 :])
 
 
 class TestVocabulary:

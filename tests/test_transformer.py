@@ -51,7 +51,7 @@ class TestEmbed:
         zp = T.Tensor(np.zeros((8, 8)))
         zs = T.Tensor(np.zeros((2, 8)))
         out = tr.embed([enc], zt, zp, zs)
-        np.testing.assert_array_equal(out.data, np.zeros((1, 8, 8)))
+        np.testing.assert_array_equal(out.data, np.zeros((1, len(enc.token_ids), 8)))
 
     def test_rows_are_triple_sums(self):
         rng = np.random.default_rng(2)
@@ -61,9 +61,26 @@ class TestEmbed:
         pos = rng.normal(size=(8, 8))
         seg = rng.normal(size=(2, 8))
         out = tr.embed([enc], T.Tensor(tok), T.Tensor(pos), T.Tensor(seg)).data[0]
-        for i in range(8):  # token i at position i
+        assert out.shape == (len(enc.token_ids), 8)
+        for i in range(len(enc.token_ids)):  # token i at position i
             expected = tok[enc.token_ids[i]] + pos[i] + seg[enc.segment_ids[i]]
             np.testing.assert_allclose(out[i], expected, atol=0)
+
+    def test_forward_embeds_batch_at_its_longest_pair(self, monkeypatch):
+        model = tiny_model()
+        encoded = [model.encode("a", "b"), model.encode("a b", "c"), model.encode("c", "d")]
+        shapes = []
+        real_embed = tr.embed
+
+        def spy(batch, *tables):
+            out = real_embed(batch, *tables)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(tr, "embed", spy)
+        model.forward(encoded)
+        # widths 5, 6, 5 with max_len 8: the batch is 6 wide, not 8
+        assert shapes == [(3, 6, 8)]
 
     def test_out_of_bounds_id_rejected(self):
         model = tiny_model()
@@ -209,6 +226,18 @@ class TestTransformerBlock:
 
         assert rel_err(bp.ffn_w1.grad, finite_diff_grad(f_w, bp.ffn_w1.data.copy())) < 1e-4
 
+    def test_masked_garbage_rows_leave_valid_rows_unchanged(self):
+        rng = np.random.default_rng(43)
+        d_e, length = 4, 5
+        bp = random_block_params(rng, d_e, 8)
+        x0 = rng.uniform(-1, 1, (length, d_e))
+        out = tr.transformer_block(T.Tensor(x0), [1] * length, bp, num_heads=2).data
+        garbage = rng.uniform(-50, 50, (3, d_e))
+        padded = tr.transformer_block(
+            T.Tensor(np.vstack([x0, garbage])), [1] * length + [0] * 3, bp, num_heads=2,
+        ).data
+        np.testing.assert_allclose(padded[:length], out, rtol=0, atol=1e-12)
+
 
 class TestClassify:
     def test_zero_head_uniform(self):
@@ -257,7 +286,7 @@ class TestBatching:
     def test_batch_rows_match_single_forwards(self):
         model = tiny_model(seed=13)
         encoded = [model.encode(p, h) for p, h in self.PAIRS]
-        assert len({sum(e.attention_mask) for e in encoded}) == len(encoded)
+        assert len({len(e.token_ids) for e in encoded}) == len(encoded)
         batched = model.forward(encoded).data
         assert batched.shape == (len(encoded), 3)
         for row, enc in zip(batched, encoded):
@@ -268,6 +297,15 @@ class TestBatching:
         short = [tk.encode_pair(p, h, model.vocab, max_len=8) for p, h in self.PAIRS]
         long = [tk.encode_pair(p, h, model.vocab, max_len=16) for p, h in self.PAIRS]
         np.testing.assert_allclose(model.forward(long).data, model.forward(short).data, atol=1e-9)
+
+    def test_single_pair_matches_its_row_beside_a_pair_at_max_len(self):
+        model = tiny_model(seed=19)
+        encoded = [model.encode(p, h) for p, h in self.PAIRS[:2]]
+        encoded.append(model.encode("a b c d e f", "g h"))  # 11 tokens truncated to 8
+        assert len(encoded[-1].token_ids) == model.config.max_len == model.pos_table.shape[0]
+        batched = model.forward(encoded).data
+        for row, enc in zip(batched, encoded):
+            np.testing.assert_allclose(row, model.forward([enc]).data[0], rtol=0, atol=1e-12)
 
     def test_batched_attention_matches_loop_oracle_per_sequence(self):
         rng = np.random.default_rng(29)
