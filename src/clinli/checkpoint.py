@@ -219,11 +219,14 @@ def load_checkpoint(path) -> Checkpoint:
 def model_from_checkpoint(ckpt: Checkpoint, where="checkpoint"):
     """Rebuild a model of the checkpointed kind and restore its parameters.
     A config, vocabulary or block that does not fit the model ends in an
-    error naming ``where``, the file the checkpoint was read from."""
+    error naming ``where``, the file the checkpoint was read from.  The
+    model is made to the stored block shapes, so a header config claiming a
+    huge dimension is rejected before the model allocates it."""
     config = make_model_config(ckpt.kind, ckpt.model_config, where)
     try:
         vocab = Vocabulary(list(ckpt.vocab_tokens))
-        model = MODEL_KINDS[ckpt.kind](config, vocab, tokenizer_mode=ckpt.tokenizer_mode)
+        shapes = {name: arr.shape for name, arr in ckpt.params.items()}
+        model = MODEL_KINDS[ckpt.kind](config, vocab, tokenizer_mode=ckpt.tokenizer_mode, shapes=shapes)
         model.load_parameters(ckpt.params)
     except DataError as exc:
         raise ParseError(f"{where}: {exc}") from None

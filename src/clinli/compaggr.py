@@ -9,6 +9,19 @@ width in ``FILTER_WIDTHS`` (1..5, fixed; the config sets only how many per
 width) with relu and max-over-time pooling aggregates the comparison into a
 fixed vector for a three-way softmax head.
 
+A mini-batch runs as one graph.  Its premises, and apart from them its
+hypotheses, are padded at the end with ``Vocabulary.pad_id`` to the longest,
+L words, and encode to one (B, d, L) tensor; each direction projects every
+step at once, then records five nodes per step for the whole batch.  Neither
+direction needs a blend of old and new states: the forward one reads padding
+only after a row's last word, and the backward one reads it first, from a
+zero state that a multiply by the step's row mask keeps exactly zero.
+Padded premise columns get -1e9 alignment logits, so exactly zero weight.
+Padded hypothesis columns of the comparison are zeroed, and the convolution
+masks each window past a row's length, or past the widest filter for a
+shorter row, zero-padded as when it runs alone.  So a pair's probabilities
+do not depend on its batch beyond the last bits of the float sums.
+
 The recurrent encoder is a self-contained, trainable stand-in for a large
 pretrained contextual embedder; it sits behind the ``contextual_encode``
 interface so it can be swapped out, and it can be frozen via
@@ -26,6 +39,7 @@ from .data import LABELS
 from .errors import ConfigError, DataError, DimensionError
 from .model import PairClassifier, initializers
 from .tokenizer import Vocabulary, word_tokenize
+from .transformer import MASK_LOGIT
 
 __all__ = [
     "FILTER_WIDTHS",
@@ -75,50 +89,66 @@ class EncoderDirection:
 
 
 def contextual_encode(
-    word_ids,
+    batch_ids,
     emb_table: T.Tensor,
     fwd: EncoderDirection,
     bwd: EncoderDirection,
-) -> T.Tensor:
-    """Context-dependent column representations of a word sequence.
+) -> tuple[T.Tensor, np.ndarray]:
+    """Context-dependent column representations of a batch of word
+    sequences, and their lengths.
 
-    Column t concatenates the forward recurrent state after reading words
-    0..t with the backward state after reading words t..end, giving a matrix
-    of width len(word_ids).
+    Sequence i is padded at the end to the longest, L words; column t of
+    row i concatenates the forward recurrent state after reading words 0..t
+    with the backward state after reading words t..end, giving a (B, d, L)
+    tensor whose columns past a row's length are padding.
     """
-    ids = list(word_ids)
-    if not ids:
+    lengths = np.array([len(ids) for ids in batch_ids], dtype=np.int64)
+    if not lengths.size or lengths.min() == 0:
         raise DataError("cannot encode an empty word sequence")
+    batch, width = lengths.size, int(lengths.max())
+    ids = np.full((batch, width), Vocabulary.pad_id, dtype=np.int64)
+    for i, row in enumerate(batch_ids):
+        ids[i, : len(row)] = row
     rows = T.take_rows(emb_table, ids)
-    length = len(ids)
-    hidden = fwd.b.shape[0]
+    valid = np.arange(width) < lengths[:, None]
 
-    def run(direction: EncoderDirection, order):
-        states: dict[int, T.Tensor] = {}
-        h = T.Tensor(np.zeros(hidden))
+    def run(direction: EncoderDirection, order, masked: bool) -> T.Tensor:
+        inputs = T.add(T.matmul(rows, T.transpose(direction.wx)), direction.b)  # (B, L, hidden), every step at once
+        wh = T.transpose(direction.wh)
+        states: list[T.Tensor] = [None] * width
+        h = None
         for t in order:
-            x_t = T.ravel(T.slice_rows(rows, t, t + 1))
-            h = T.tanh(T.add(T.add(T.matmul(direction.wx, x_t), T.matmul(direction.wh, h)), direction.b))
+            x_t = T.reshape(T.slice_rows(inputs, t, t + 1), (batch, -1))
+            h = T.tanh(x_t if h is None else T.add(x_t, T.matmul(h, wh)))
+            if masked and not valid[:, t].all():
+                h = T.mul(h, T.Tensor(valid[:, t : t + 1]))
             states[t] = h
-        return states
+        return T.stack_cols(states)
 
-    f_states = run(fwd, range(length))
-    b_states = run(bwd, reversed(range(length)))
-    return T.stack_cols([T.concat([f_states[t], b_states[t]], axis=0) for t in range(length)])
+    f_states = run(fwd, range(width), masked=False)
+    b_states = run(bwd, reversed(range(width)), masked=True)
+    return T.concat([f_states, b_states], axis=-2), lengths
 
 
-def cross_attention(ep: T.Tensor, eh: T.Tensor, w: T.Tensor) -> T.Tensor:
+def cross_attention(ep: T.Tensor, eh: T.Tensor, w: T.Tensor, premise_lengths=None) -> T.Tensor:
     """Soft-align premise columns onto each hypothesis column.
 
     Output column j is the softmax-weighted sum of premise columns, where the
     weights normalize over premise positions using logits (w @ ep)^T @ eh.
+    ``ep`` and ``eh`` are (d, n) and (d, m) matrices or (B, d, n) and
+    (B, d, m) batches; ``premise_lengths`` gives each batch row's premise
+    length, and padded premise columns get -1e9 logits.
     """
-    if ep.data.ndim != 2 or eh.data.ndim != 2 or ep.shape[0] != eh.shape[0]:
+    if ep.data.ndim not in (2, 3) or eh.data.ndim != ep.data.ndim or ep.shape[:-1] != eh.shape[:-1]:
         raise DimensionError(f"cross_attention: width mismatch {ep.shape} vs {eh.shape}")
-    if w.shape != (ep.shape[0], ep.shape[0]):
-        raise DimensionError(f"cross_attention: projection shape {w.shape} does not match width {ep.shape[0]}")
+    d, n = ep.shape[-2:]
+    if w.shape != (d, d):
+        raise DimensionError(f"cross_attention: projection shape {w.shape} does not match width {d}")
     logits = T.matmul(T.transpose(T.matmul(w, ep)), eh)
-    weights = T.softmax(logits, axis=0)
+    if premise_lengths is not None and min(premise_lengths) < n:
+        padded = np.arange(n) >= np.asarray(premise_lengths)[:, None]
+        logits = T.add(logits, T.Tensor(np.where(padded, MASK_LOGIT, 0.0)[:, :, None]))
+    weights = T.softmax(logits, axis=-2)
     return T.matmul(ep, weights)
 
 
@@ -134,26 +164,29 @@ def aggregate_classify(
     banks,
     cls_w: T.Tensor,
     cls_b: T.Tensor,
+    lengths=None,
     dropout: float = 0.0,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> T.Tensor:
-    """Convolve, pool, and classify a comparison matrix into class
-    probabilities.  Inputs narrower than the widest filter are padded with
-    zero columns."""
+    """Convolve, pool, and classify a (d, m) comparison matrix into class
+    probabilities, or a (B, d, m) batch of them, with each row's valid
+    length in ``lengths``, into a (B, classes) matrix.  A batch's padded
+    columns are zeroed first; an input narrower than the widest filter is
+    padded with zero columns."""
     max_width = max(w.shape[2] for w, _ in banks)
-    d, m = c.shape
+    m = c.shape[-1]
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if lengths.min() < m:
+            c = T.mul(c, T.Tensor((np.arange(m) < lengths[:, None])[:, None, :]))
+        lengths = np.maximum(lengths, max_width)
     if m < max_width:
-        c = T.concat([c, T.Tensor(np.zeros((d, max_width - m)))], axis=1)
-    pooled = T.conv1d_maxpool(c, banks)
+        c = T.concat([c, T.Tensor(np.zeros(c.shape[:-1] + (max_width - m,)))], axis=-1)
+    pooled = T.conv1d_maxpool(c, banks, lengths)
     pooled = T.dropout(pooled, dropout, training, rng)
     logits = T.add(T.matmul(pooled, cls_w), cls_b)
-    return T.softmax(logits, axis=0)
-
-
-def _stack_rows(rows) -> T.Tensor:
-    """Per-example probability vectors as one (batch, classes) matrix."""
-    return T.reshape(T.concat(rows, axis=0), (len(rows), -1))
+    return T.softmax(logits, axis=-1)
 
 
 class CompAggrModel(PairClassifier):
@@ -163,10 +196,11 @@ class CompAggrModel(PairClassifier):
     config_class = CompAggrConfig
     tokenizer_modes = ("word",)
 
-    def __init__(self, config: CompAggrConfig, vocab: Vocabulary, seed: int = 0, tokenizer_mode: str = "word"):
+    def __init__(self, config: CompAggrConfig, vocab: Vocabulary, seed: int = 0, tokenizer_mode: str = "word",
+                 shapes: dict[str, tuple[int, ...]] | None = None):
         super().__init__(config, vocab, tokenizer_mode)
         self.freeze_encoder = False
-        mat, zeros, _ = initializers(seed, self._params)
+        mat, zeros, _ = initializers(seed, self._params, shapes)
         hidden = config.repr_dim // 2
         self.emb_table = mat("emb.word", len(vocab), config.word_dim)
         self.enc_fwd, self.enc_bwd = (
@@ -188,31 +222,28 @@ class CompAggrModel(PairClassifier):
             raise DataError(f"text tokenized to nothing: {text!r}")
         return ids
 
-    def encode_sentence(self, text: str) -> T.Tensor:
-        return contextual_encode(self._ids(text), self.emb_table, self.enc_fwd, self.enc_bwd)
+    def _encode(self, texts) -> tuple[T.Tensor, np.ndarray]:
+        out, lengths = contextual_encode([self._ids(t) for t in texts], self.emb_table, self.enc_fwd, self.enc_bwd)
+        return (out.detach() if self.freeze_encoder else out), lengths
 
     def forward(
-        self, premise: str, hypothesis: str,
-        training: bool = False, rng: np.random.Generator | None = None,
+        self, pairs, training: bool = False, rng: np.random.Generator | None = None,
     ) -> T.Tensor:
-        if self.freeze_encoder:
-            ep = self.encode_sentence(premise).detach()
-            eh = self.encode_sentence(hypothesis).detach()
-        else:
-            ep = self.encode_sentence(premise)
-            eh = self.encode_sentence(hypothesis)
+        """(B, 3) class probabilities for B (premise, hypothesis) pairs, from one graph."""
+        ep, premise_lengths = self._encode([premise for premise, _ in pairs])
+        eh, hypothesis_lengths = self._encode([hypothesis for _, hypothesis in pairs])
         ep = T.dropout(ep, self.dropout, training, rng)
         eh = T.dropout(eh, self.dropout, training, rng)
-        aligned = cross_attention(ep, eh, self.attn_w)
+        aligned = cross_attention(ep, eh, self.attn_w, premise_lengths)
         c = compare(aligned, eh)
         return aggregate_classify(
-            c, self.banks, self.cls_w, self.cls_b,
+            c, self.banks, self.cls_w, self.cls_b, hypothesis_lengths,
             dropout=self.dropout, training=training, rng=rng,
         )
 
     def predict_proba(self, premise: str, hypothesis: str) -> np.ndarray:
-        return self.forward(premise, hypothesis).data.copy()
+        return self.forward([(premise, hypothesis)]).data[0].copy()
 
     def batch_loss(self, batch, training: bool = False, rng: np.random.Generator | None = None):
-        probs = _stack_rows([self.forward(ex.premise, ex.hypothesis, training=training, rng=rng) for ex in batch])
+        probs = self.forward([(ex.premise, ex.hypothesis) for ex in batch], training=training, rng=rng)
         return self._scored(probs, batch)

@@ -82,27 +82,42 @@ def _holds_surrogate(value, hint) -> bool:
     return get_origin(hint) is tuple and get_args(hint)[0] is str and _SURROGATE.search("".join(value)) is not None
 
 
-def initializers(seed: int, params: dict[str, T.Tensor]):
+def initializers(seed: int, params: dict[str, T.Tensor], shapes: dict[str, tuple[int, ...]] | None = None):
     """``mat(name, *shape)``, ``zeros(name, n)`` and ``ones(name, n)``
     makers of trainable tensors, each stored in ``params`` under ``name``;
     ``mat`` draws Xavier-uniform values from one generator seeded with
-    ``seed``, in call order."""
-    rng = np.random.default_rng(seed)
+    ``seed``, in call order.
 
-    def made(name, values):
+    Given the stored block shapes of a checkpoint by name, a maker checks
+    its shape before it allocates: one that differs from its stored block
+    raises a DataError, and one with no stored block makes an empty
+    placeholder, left for ``load_parameters`` to report by name.  More
+    placeholders than stored blocks raise at once, so a header that claims
+    a huge block count costs no more work than its stored blocks."""
+    rng = np.random.default_rng(seed)
+    missing: list[str] = []
+
+    def made(name, shape, values):
         if name in params:
             raise ContractError(f"parameter {name} made twice")
-        params[name] = T.Tensor(values, requires_grad=True)
+        stored = shape if shapes is None else shapes.get(name)
+        if stored is None:
+            missing.append(name)
+            if len(missing) > len(shapes):
+                raise DataError(f"parameter name mismatch: missing block {missing[0]!r} and {len(missing) - 1} more")
+        elif tuple(stored) != shape:
+            raise DataError(f"block {name!r}: stored shape {tuple(stored)} != model shape {shape}")
+        params[name] = T.Tensor(np.zeros(0) if stored is None else values(), requires_grad=True)
         return params[name]
 
     def mat(name, *shape):
-        return made(name, T.xavier_uniform(rng, shape))
+        return made(name, shape, lambda: T.xavier_uniform(rng, shape))
 
     def zeros(name, n):
-        return made(name, np.zeros(n))
+        return made(name, (n,), lambda: np.zeros(n))
 
     def ones(name, n):
-        return made(name, np.ones(n))
+        return made(name, (n,), lambda: np.ones(n))
 
     return mat, zeros, ones
 
@@ -110,7 +125,9 @@ def initializers(seed: int, params: dict[str, T.Tensor]):
 class PairClassifier:
     """Three-way sentence-pair classifier.  Subclasses set ``kind``,
     ``config_class`` and ``tokenizer_modes`` (the first is the default)
-    and make their tensors with ``initializers(seed, self._params)``."""
+    and make their tensors with ``initializers(seed, self._params, shapes)``,
+    ``shapes`` being the stored block shapes when the model is rebuilt from
+    a checkpoint."""
 
     kind: str
     config_class: type
@@ -130,6 +147,9 @@ class PairClassifier:
         return dict(self._params)
 
     def load_parameters(self, arrays: dict[str, np.ndarray]) -> None:
+        """Restore every parameter by name; a missing or extra name raises a
+        DataError.  Shapes are checked where a model is rebuilt from stored
+        blocks, by its makers (``initializers``)."""
         params = self.parameters()
         missing = [name for name in params if name not in arrays]
         extra = [name for name in arrays if name not in params]
@@ -137,8 +157,6 @@ class PairClassifier:
             first = [f"{what} block {names[0]!r}" for what, names in (("missing", missing), ("extra", extra)) if names]
             raise DataError(f"parameter name mismatch: {', '.join(first)}")
         for name, p in params.items():
-            if arrays[name].shape != p.shape:
-                raise DataError(f"parameter {name}: shape {arrays[name].shape} != expected {p.shape}")
             p.data = np.array(arrays[name], dtype=np.float64)
 
     def reset_head(self, seed: int = 0) -> None:

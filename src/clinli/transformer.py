@@ -189,9 +189,10 @@ class TransformerClassifier(PairClassifier):
         vocab: Vocabulary,
         seed: int = 0,
         tokenizer_mode: str = "wordpiece",
+        shapes: dict[str, tuple[int, ...]] | None = None,
     ):
         super().__init__(config, vocab, tokenizer_mode)
-        mat, zeros, ones = initializers(seed, self._params)
+        mat, zeros, ones = initializers(seed, self._params, shapes)
         d_e, d_ff = config.d_e, config.d_ff
         self.token_table = mat("emb.token", len(vocab), d_e)
         self.pos_table = mat("emb.pos", config.max_len, d_e)

@@ -1,15 +1,18 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from clinli import cli
-from clinli.checkpoint import load_checkpoint, make_model_config, save_checkpoint
+from clinli.checkpoint import Checkpoint, load_checkpoint, make_model_config, save_checkpoint
 from clinli.data import load_jsonl
 from clinli.evaluate import read_predictions
 from clinli.model import parse_config
+from clinli.tokenizer import build_word_vocab
 from clinli.training import TrainConfig
+from clinli.transformer import TransformerClassifier, TransformerConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -520,6 +523,32 @@ class TestPredictEval:
         assert_checkpoint_rejected(capsys, bad, data / "test.jsonl", tmp_path / "p",
                                    f"missing block {renamed[0]!r}", "extra block 'renamed.block'")
 
+
+
+class TestHugeHeaderDimension:
+    @pytest.mark.parametrize("key,value,named", [
+        ("d_ff", 4_000_000, "block 'block0.ffn.w1'"),  # a 4 x 4,000,000 float64 block alone is 128 MB
+        ("num_blocks", 2**31, "missing block 'block1.attn.wq'"),
+    ], ids=["d_ff", "num_blocks"])
+    def test_predict_and_inspect_exit_2_before_allocating_the_claimed_model(self, tmp_path, capsys, key, value, named):
+        data = synth_dir(tmp_path, count=10)
+        vocab = build_word_vocab(["the patient has a fever"])
+        model = TransformerClassifier(
+            TransformerConfig(d_e=4, num_heads=2, num_blocks=1, d_ff=4, max_len=8, dropout=0.0), vocab,
+            tokenizer_mode="word",
+        )
+        small = tmp_path / "small.ckpt"
+        save_checkpoint(Checkpoint(model.kind, model.config_dict(), list(vocab.tokens), model.tokenizer_mode,
+                                   {name: p.data for name, p in model.parameters().items()}, {}, {}), small)
+        huge = tmp_path / "huge.ckpt"
+        rewrite_header(small, huge, lambda h: h["config"].update({key: value}))
+        tracemalloc.start()
+        try:
+            assert_checkpoint_rejected(capsys, huge, data / "test.jsonl", tmp_path / "p", named)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak
 
 PAIR = {"sentence1": "pt has MI", "sentence2": "pt is ill", "gold_label": "neutral", "pairID": "p1"}
 

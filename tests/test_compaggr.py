@@ -28,6 +28,35 @@ def tiny_model(seed=0, **overrides):
     return ca.CompAggrModel(ca.CompAggrConfig(**cfg), word_vocab(), seed=seed)
 
 
+def encode(model, batch):
+    return ca.contextual_encode(batch, model.emb_table, model.enc_fwd, model.enc_bwd)[0].data
+
+
+def bi_rnn_oracle(model, ids):
+    return loop_bi_rnn(
+        model.emb_table.data[ids],
+        model.enc_fwd.wx.data, model.enc_fwd.wh.data, model.enc_fwd.b.data,
+        model.enc_bwd.wx.data, model.enc_bwd.wh.data, model.enc_bwd.b.data,
+    )
+
+
+def mixed_batch(n):
+    """``n`` examples whose premises have 1..9 words (in a shuffled order)
+    and whose hypotheses have 9, 1, 2, ... words: every length from 1 to 9,
+    hypotheses shorter than the widest filter among them."""
+    words = "alpha beta gamma delta epsilon zeta".split()
+    premise_lengths = [4, 1, 9, 2, 7, 3, 8, 5, 6]
+    hypothesis_lengths = [9, 1, 2, 3, 4, 5, 6, 7, 8]
+    return [
+        NLIExample(
+            " ".join(words[(i + k) % 6] for k in range(premise_lengths[i])),
+            " ".join(words[(2 * i + k) % 6] for k in range(hypothesis_lengths[i])),
+            ("entailment", "neutral", "contradiction")[i % 3], f"p{i}",
+        )
+        for i in range(n)
+    ]
+
+
 class TestConfig:
     def test_odd_repr_dim_rejected(self):
         with pytest.raises(ConfigError):
@@ -54,7 +83,7 @@ class TestContextualEncode:
     def test_single_word_matches_single_step(self):
         model = tiny_model(seed=4)
         ids = [model.vocab.id_of("alpha")]
-        out = ca.contextual_encode(ids, model.emb_table, model.enc_fwd, model.enc_bwd).data
+        out = encode(model, [ids])[0]
         x = model.emb_table.data[ids[0]]
         f = np.tanh(model.enc_fwd.wx.data @ x + model.enc_fwd.b.data)
         b = np.tanh(model.enc_bwd.wx.data @ x + model.enc_bwd.b.data)
@@ -63,26 +92,33 @@ class TestContextualEncode:
     def test_deterministic(self):
         model = tiny_model(seed=5)
         ids = [model.vocab.id_of(w) for w in ("alpha", "beta", "gamma")]
-        a = ca.contextual_encode(ids, model.emb_table, model.enc_fwd, model.enc_bwd).data
-        b = ca.contextual_encode(ids, model.emb_table, model.enc_fwd, model.enc_bwd).data
+        a = encode(model, [ids])
+        b = encode(model, [ids])
         np.testing.assert_array_equal(a, b)
 
     def test_matches_loop_recurrence_oracle(self):
         model = tiny_model(seed=6)
         ids = [model.vocab.id_of(w) for w in ("alpha", "beta", "gamma")]
-        out = ca.contextual_encode(ids, model.emb_table, model.enc_fwd, model.enc_bwd).data
-        oracle = loop_bi_rnn(
-            model.emb_table.data[ids],
-            model.enc_fwd.wx.data, model.enc_fwd.wh.data, model.enc_fwd.b.data,
-            model.enc_bwd.wx.data, model.enc_bwd.wh.data, model.enc_bwd.b.data,
-        )
-        assert np.max(np.abs(out - oracle)) <= 1e-10
-        assert out.shape == (8, 3)
+        out = encode(model, [ids])
+        assert np.max(np.abs(out[0] - bi_rnn_oracle(model, ids))) <= 1e-10
+        assert out.shape == (1, 8, 3)
+
+    def test_batch_rows_match_loop_recurrence_oracle_within_their_lengths(self):
+        model = tiny_model(seed=7)
+        rng = np.random.default_rng(7)
+        batch = [list(rng.integers(4, len(model.vocab), n)) for n in (3, 1, 6, 4)]
+        out, lengths = ca.contextual_encode(batch, model.emb_table, model.enc_fwd, model.enc_bwd)
+        assert out.shape == (4, 8, 6) and lengths.tolist() == [3, 1, 6, 4]
+        for row, ids in zip(out.data, batch):
+            assert np.max(np.abs(row[:, : len(ids)] - bi_rnn_oracle(model, ids))) <= 1e-10
+            # the backward direction stays exactly zero through the padding
+            assert not row[4:, len(ids):].any()
 
     def test_empty_sequence_rejected(self):
         model = tiny_model()
-        with pytest.raises(DataError):
-            ca.contextual_encode([], model.emb_table, model.enc_fwd, model.enc_bwd)
+        for batch in ([], [[]], [[4, 5], []]):
+            with pytest.raises(DataError):
+                ca.contextual_encode(batch, model.emb_table, model.enc_fwd, model.enc_bwd)
 
 
 class TestCrossAttention:
@@ -135,6 +171,20 @@ class TestCrossAttention:
     def test_width_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             ca.cross_attention(T.Tensor(np.zeros((3, 2))), T.Tensor(np.zeros((4, 2))), T.Tensor(np.zeros((3, 3))))
+
+    def test_batch_rows_match_loop_oracle_on_their_premise_prefix(self):
+        rng = np.random.default_rng(13)
+        lengths = [2, 5, 1]
+        ep0 = rng.uniform(-1, 1, (3, 4, 5))
+        eh0 = rng.uniform(-1, 1, (3, 4, 3))
+        w0 = rng.uniform(-1, 1, (4, 4))
+        out = ca.cross_attention(T.Tensor(ep0), T.Tensor(eh0), T.Tensor(w0), lengths).data
+        for i, n in enumerate(lengths):
+            assert np.max(np.abs(out[i] - loop_cross_attention(ep0[i, :, :n], eh0[i], w0))) <= 1e-10
+
+    def test_batch_of_different_row_counts_rejected(self):
+        with pytest.raises(DimensionError):
+            ca.cross_attention(T.Tensor(np.zeros((2, 3, 2))), T.Tensor(np.zeros((3, 3, 2))), T.Tensor(np.zeros((3, 3))))
 
 
 class TestCompare:
@@ -210,27 +260,39 @@ class TestAggregateClassify:
         expected = loop_softmax(pooled @ cls_w0, 0)
         np.testing.assert_allclose(probs, expected, atol=1e-10)
 
+    def test_batch_rows_match_single_rows_and_the_zero_padded_oracle(self):
+        # hypothesis lengths 2 and 4 are shorter than the widest filter, 7 is not
+        rng = np.random.default_rng(12)
+        banks = self._banks(rng, 4, 2)
+        cls_w0 = rng.uniform(-1, 1, (10, 3))
+        cls_b0 = rng.uniform(-0.1, 0.1, 3)
+        lengths = [2, 7, 4]
+        c0 = rng.uniform(-1, 1, (3, 4, 7))  # garbage past each length: the mask must hide it
+        probs = ca.aggregate_classify(T.Tensor(c0), banks, T.Tensor(cls_w0), T.Tensor(cls_b0), lengths).data
+        assert probs.shape == (3, 3)
+        for i, m in enumerate(lengths):
+            single = ca.aggregate_classify(T.Tensor(c0[i, :, :m]), banks, T.Tensor(cls_w0), T.Tensor(cls_b0)).data
+            np.testing.assert_allclose(probs[i], single, rtol=0, atol=1e-12)
+            padded = np.concatenate([c0[i, :, :m], np.zeros((4, max(5 - m, 0)))], axis=1)
+            pooled = loop_conv_maxpool(padded, [(w.data, b.data) for w, b in banks])
+            np.testing.assert_allclose(probs[i], loop_softmax(pooled @ cls_w0 + cls_b0, 0), atol=1e-10)
+
 
 class TestNllLoss:
     def test_perfect_prediction(self):
-        loss = T.nll_from_probs(ca._stack_rows([T.Tensor([0.0, 1.0, 0.0])]), [1])
+        loss = T.nll_from_probs(T.Tensor([[0.0, 1.0, 0.0]]), [1])
         assert float(loss.data) == 0.0
 
     def test_uniform_single(self):
-        loss = T.nll_from_probs(ca._stack_rows([T.Tensor([1 / 3, 1 / 3, 1 / 3])]), [0])
+        loss = T.nll_from_probs(T.Tensor([[1 / 3, 1 / 3, 1 / 3]]), [0])
         np.testing.assert_allclose(float(loss.data), np.log(3.0), rtol=1e-12)
 
     def test_batch_matches_direct_sum(self):
-        # per-example rows stacked as batch_loss stacks them, then scored
         rng = np.random.default_rng(12)
-        preds, gold, expected = [], [], 0.0
-        for _ in range(4):
-            p = rng.dirichlet(np.ones(3))
-            g = int(rng.integers(3))
-            preds.append(T.Tensor(p))
-            gold.append(g)
-            expected -= np.log(p[g])
-        loss = T.nll_from_probs(ca._stack_rows(preds), gold)
+        probs = rng.dirichlet(np.ones(3), size=4)
+        gold = [int(g) for g in rng.integers(3, size=4)]
+        expected = -sum(np.log(p[g]) for p, g in zip(probs, gold))
+        loss = T.nll_from_probs(T.Tensor(probs), gold)
         np.testing.assert_allclose(float(loss.data), expected, rtol=1e-12)
 
 
@@ -297,7 +359,63 @@ class TestFullModel:
         assert model.emb_table.grad is None
         assert model.cls_w.grad is not None
 
+    def test_freeze_encoder_blocks_encoder_gradients_in_a_padded_batch(self):
+        model = tiny_model(seed=16)
+        model.freeze_encoder = True
+        loss, _ = model.batch_loss(mixed_batch(4))
+        loss.backward()
+        for name, p in model.parameters().items():
+            if name.startswith(("emb.", "enc.")):
+                assert p.grad is None, name
+            else:
+                assert p.grad is not None and p.grad.any(), name
+
     def test_unknown_words_map_to_unk_and_still_classify(self):
         model = tiny_model(seed=17)
         probs = model.predict_proba("outofvocab words here", "alpha")
         np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-9)
+
+
+class TestBatchPath:
+    def test_rows_match_single_pairs(self):
+        # premise and hypothesis lengths 1..9, hypotheses shorter than the widest filter among them
+        model = tiny_model(seed=18)
+        batch = mixed_batch(9)
+        assert {len(ex.hypothesis.split()) for ex in batch} >= {1, 2, 3, 4, 9}
+        probs = model.forward([(ex.premise, ex.hypothesis) for ex in batch]).data
+        assert probs.shape == (9, 3)
+        for row, ex in zip(probs, batch):
+            np.testing.assert_allclose(row, model.predict_proba(ex.premise, ex.hypothesis), rtol=0, atol=1e-12)
+
+    def test_adding_a_longer_pair_leaves_the_other_rows_unchanged(self):
+        model = tiny_model(seed=19)
+        pairs = [(ex.premise, ex.hypothesis) for ex in mixed_batch(5)]
+        longest = ("alpha beta gamma delta epsilon zeta alpha beta gamma delta epsilon zeta",
+                   "zeta epsilon delta gamma beta alpha zeta epsilon delta gamma beta alpha")
+        short = model.forward(pairs).data
+        padded = model.forward(pairs[:2] + [longest] + pairs[2:]).data
+        np.testing.assert_allclose(np.delete(padded, 2, axis=0), short, rtol=0, atol=1e-12)
+
+    def test_gradients_equal_the_summed_per_example_gradients(self):
+        model = tiny_model(seed=20)
+        batch = mixed_batch(6)
+        loss, correct = model.batch_loss(batch)
+        loss.backward()
+        batched = {name: p.grad.copy() for name, p in model.parameters().items()}
+        T.zero_grads(model.parameters().values())
+        total, total_correct = 0.0, 0
+        for ex in batch:
+            single, c = model.batch_loss([ex])
+            single.backward()
+            total += float(single.data)
+            total_correct += c
+        np.testing.assert_allclose(float(loss.data), total, rtol=1e-12)
+        assert correct == total_correct
+        for name, p in model.parameters().items():
+            np.testing.assert_allclose(batched[name], p.grad, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_training_step_tape_does_not_grow_with_the_batch(self):
+        # 3 and 9 pairs with the same longest premise and hypothesis (9 words each)
+        model = tiny_model(seed=21)
+        sizes = [len(T.record(model.batch_loss(mixed_batch(n))[0])) for n in (3, 9)]
+        assert sizes[0] == sizes[1], sizes

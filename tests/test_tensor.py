@@ -321,6 +321,48 @@ class TestConvMaxpool:
         np.testing.assert_array_equal(dx[:, 3:], 0.0)
         assert dx[:, 0].any()
 
+    def test_masked_batch_rows_match_per_filter_loops(self):
+        # entries past each row's length are garbage the mask must hide
+        rng = np.random.default_rng(21)
+        lengths = [3, 9, 5, 7]
+        x0 = rng.uniform(-1, 1, size=(4, 6, 9))
+        banks_np = [(rng.uniform(-1, 1, size=(3, 6, w)), rng.uniform(-0.2, 0.2, size=3)) for w in (1, 2, 3)]
+        c = rng.uniform(-1, 1, size=(4, 9))
+        x = T.Tensor(x0, requires_grad=True)
+        banks = [(T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)) for w, b in banks_np]
+        out = T.conv1d_maxpool(x, banks, lengths)
+        assert out.shape == (4, 9)
+        T.sum_all(T.mul(out, T.Tensor(c))).backward()
+        want_dws = [np.zeros_like(w) for w, _ in banks_np]
+        want_dbs = [np.zeros_like(b) for _, b in banks_np]
+        for i, n in enumerate(lengths):
+            np.testing.assert_allclose(out.data[i], loop_conv_maxpool(x0[i, :, :n], banks_np), rtol=0, atol=1e-12)
+            ref_dx, ref_dws, ref_dbs = loop_conv_maxpool_backward(x0[i, :, :n], banks_np, c[i])
+            np.testing.assert_allclose(x.grad[i, :, :n], ref_dx, rtol=0, atol=1e-12)
+            assert not x.grad[i, :, n:].any()
+            for acc, got in zip(want_dws + want_dbs, ref_dws + ref_dbs):
+                acc += got
+        for (w, b), dw, db in zip(banks, want_dws, want_dbs):
+            np.testing.assert_allclose(w.grad, dw, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b.grad, db, rtol=0, atol=1e-12)
+
+    def test_unmasked_batch_rows_match_single_matrices(self):
+        rng = np.random.default_rng(22)
+        x0 = rng.uniform(-1, 1, size=(3, 4, 6))
+        banks = [(T.Tensor(rng.uniform(-1, 1, size=(2, 4, w))), T.Tensor(rng.uniform(-0.2, 0.2, size=2)))
+                 for w in (1, 2, 3)]
+        out = T.conv1d_maxpool(T.Tensor(x0), banks).data
+        for i in range(3):
+            np.testing.assert_allclose(out[i], T.conv1d_maxpool(T.Tensor(x0[i]), banks).data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape,lengths", [((2, 5), [5, 5]), ((2, 2, 5), [5]), ((2, 2, 5), [1, 5]),
+                                               ((2, 2, 5), [5, 6])],
+                             ids=["too_many", "too_few", "shorter_than_a_filter", "longer_than_the_input"])
+    def test_invalid_lengths_rejected(self, shape, lengths):
+        bank = (T.Tensor(np.zeros((1, 2, 2))), T.Tensor(np.zeros(1)))
+        with pytest.raises(DimensionError):
+            T.conv1d_maxpool(T.Tensor(np.zeros(shape)), [bank], lengths)
+
     def test_backward_after_replay_on_changed_input_equals_fresh_run(self):
         rng = np.random.default_rng(3)
         x0, x1 = rng.uniform(-1, 1, size=(2, 5, 9))
@@ -433,6 +475,19 @@ class TestGatherShapeOps:
         T.sum_all(T.slice_rows(m, 0, 2)).backward()
         for c in cols:
             np.testing.assert_array_equal(c.grad, [1.0, 1.0, 0.0])
+
+    def test_stack_cols_stacks_batches_along_a_new_last_axis(self):
+        rng = np.random.default_rng(19)
+        parts = [param(rng, 2, 3) for _ in range(4)]
+        m = T.stack_cols(parts)
+        assert m.shape == (2, 3, 4)
+        np.testing.assert_array_equal(m.data[..., 1], parts[1].data)
+        c = rng.uniform(-1, 1, size=(2, 3, 4))
+        T.sum_all(T.mul(m, T.Tensor(c))).backward()
+        for j, part in enumerate(parts):
+            np.testing.assert_array_equal(part.grad, c[..., j])
+        with pytest.raises(DimensionError):
+            T.stack_cols([param(rng, 2, 3), param(rng, 3, 2)])
 
     def test_ravel_roundtrip_grad(self):
         rng = np.random.default_rng(17)
