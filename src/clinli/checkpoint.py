@@ -4,7 +4,8 @@ Layout: an 8-byte magic, a length-prefixed canonical-JSON header (format
 version, model kind, config, vocabulary, tokenizer mode, training
 provenance, optimizer step count, and ordered block descriptors), then the
 raw little-endian float64 payload of every block in descriptor order.
-Blocks hold the model parameters followed by the Adam moment estimates.
+Blocks hold the model parameters, in the order the model makes them
+(``model.initializers``), followed by the Adam moment estimates.
 
 Saving also writes ``<file>.metrics.tsv`` with one evaluation per row
 (step, train_loss, dev_loss, dev_accuracy); loading reads it back when
@@ -41,8 +42,8 @@ FORMAT_VERSION = 2
 _SIDECAR_HEADER = "step\ttrain_loss\tdev_loss\tdev_accuracy"
 
 # The one place a model kind is decided: checkpoint headers, run configs and
-# the command line name a kind, and its class gives the config class and the
-# tokenizer modes it accepts (the first is the default).
+# the command line name a kind, and its class gives the config class and
+# checks the tokenizer mode (``PairClassifier.checked_tokenizer_mode``).
 MODEL_KINDS = {cls.kind: cls for cls in (TransformerClassifier, CompAggrModel)}
 
 
@@ -140,14 +141,11 @@ def _read_header(path, fh) -> Header:
         if header.format_version != FORMAT_VERSION:
             raise ParseError(f"{path}: unsupported format_version {header.format_version}")
         make_model_config(header.kind, header.config, path)
+        MODEL_KINDS[header.kind].checked_tokenizer_mode(header.tokenizer_mode, f"{path}: tokenizer_mode")
     except (ValueError, RecursionError) as exc:  # ValueError: not ASCII, not JSON, an int of over 4,300 digits
         raise ParseError(f"{path}: garbled header ({exc})") from None
     except ConfigError as exc:  # its message names the file
         raise ParseError(str(exc)) from None
-    modes = MODEL_KINDS[header.kind].tokenizer_modes
-    if header.tokenizer_mode not in modes:
-        raise ParseError(f"{path}: tokenizer_mode of a {header.kind} model must be one of {list(modes)}, "
-                         f"got {header.tokenizer_mode!r}")
     names = set()
     for desc in header.blocks:  # a plain loop: a transformer checkpoint has over a hundred blocks
         name, shape = desc.get("name"), desc.get("shape")
@@ -217,17 +215,19 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint, where="checkpoint"):
-    """Rebuild a model of the checkpointed kind and restore its parameters.
-    A config, vocabulary or block that does not fit the model ends in an
-    error naming ``where``, the file the checkpoint was read from.  The
-    model is made to the stored block shapes, so a header config claiming a
-    huge dimension is rejected before the model allocates it."""
+    """Rebuild a model of the checkpointed kind from its stored parameter
+    blocks, which each of its makers takes in creation order.  A config,
+    vocabulary or block that does not fit the model, and a block left over,
+    end in an error naming ``where``, the file the checkpoint was read from.
+    A block is checked before the model allocates it, so a header config
+    claiming a huge dimension is rejected at no more cost than the file."""
     config = make_model_config(ckpt.kind, ckpt.model_config, where)
     try:
         vocab = Vocabulary(list(ckpt.vocab_tokens))
-        shapes = {name: arr.shape for name, arr in ckpt.params.items()}
-        model = MODEL_KINDS[ckpt.kind](config, vocab, tokenizer_mode=ckpt.tokenizer_mode, shapes=shapes)
-        model.load_parameters(ckpt.params)
+        model = MODEL_KINDS[ckpt.kind](config, vocab, tokenizer_mode=ckpt.tokenizer_mode, stored=ckpt.params)
+        extra = list(ckpt.params)[len(model.parameters()):]
+        if extra:
+            raise DataError(f"parameter name mismatch: extra block {extra[0]!r}")
     except DataError as exc:
         raise ParseError(f"{where}: {exc}") from None
     return model

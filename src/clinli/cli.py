@@ -197,10 +197,7 @@ def cmd_train(args) -> int:
     kind = run.model
     seed = args.seed if args.seed is not None else run.seed
     model_config = make_model_config(kind, run.model_config or {}, config_path)
-    modes = MODEL_KINDS[kind].tokenizer_modes
-    tokenizer = run.tokenizer or modes[0]
-    if tokenizer not in modes:
-        raise ConfigError(f"{config_path}: tokenizer of a {kind} model must be one of {list(modes)}, got {tokenizer!r}")
+    tokenizer = MODEL_KINDS[kind].checked_tokenizer_mode(run.tokenizer, f"{config_path}: tokenizer")
     train_configs = [
         parse_config(TrainConfig, {"seed": seed, **(run.train_config or {}), **(s.train_config or {})},
                      f"{config_path}: stage {s.name}")

@@ -196,11 +196,11 @@ class CompAggrModel(PairClassifier):
     config_class = CompAggrConfig
     tokenizer_modes = ("word",)
 
-    def __init__(self, config: CompAggrConfig, vocab: Vocabulary, seed: int = 0, tokenizer_mode: str = "word",
-                 shapes: dict[str, tuple[int, ...]] | None = None):
+    def __init__(self, config: CompAggrConfig, vocab: Vocabulary, seed: int = 0, tokenizer_mode: str | None = None,
+                 stored: dict[str, np.ndarray] | None = None):
         super().__init__(config, vocab, tokenizer_mode)
         self.freeze_encoder = False
-        mat, zeros, _ = initializers(seed, self._params, shapes)
+        mat, zeros, _ = initializers(seed, self._params, stored)
         hidden = config.repr_dim // 2
         self.emb_table = mat("emb.word", len(vocab), config.word_dim)
         self.enc_fwd, self.enc_bwd = (

@@ -82,32 +82,33 @@ def _holds_surrogate(value, hint) -> bool:
     return get_origin(hint) is tuple and get_args(hint)[0] is str and _SURROGATE.search("".join(value)) is not None
 
 
-def initializers(seed: int, params: dict[str, T.Tensor], shapes: dict[str, tuple[int, ...]] | None = None):
+def initializers(seed: int, params: dict[str, T.Tensor], stored: dict[str, np.ndarray] | None = None):
     """``mat(name, *shape)``, ``zeros(name, n)`` and ``ones(name, n)``
     makers of trainable tensors, each stored in ``params`` under ``name``;
     ``mat`` draws Xavier-uniform values from one generator seeded with
     ``seed``, in call order.
 
-    Given the stored block shapes of a checkpoint by name, a maker checks
-    its shape before it allocates: one that differs from its stored block
-    raises a DataError, and one with no stored block makes an empty
-    placeholder, left for ``load_parameters`` to report by name.  More
-    placeholders than stored blocks raise at once, so a header that claims
-    a huge block count costs no more work than its stored blocks."""
+    Given the parameter blocks of a checkpoint (``stored``, in file order),
+    each maker instead takes a copy of the next block and draws nothing.  A
+    block of another name or shape raises a DataError before any array of
+    the model's size exists, so a header that claims a huge dimension or
+    block count costs no more work than its stored blocks."""
     rng = np.random.default_rng(seed)
-    missing: list[str] = []
+    blocks = iter((stored or {}).items())
 
-    def made(name, shape, values):
+    def take(name, shape):
+        block, arr = next(blocks, (None, None))
+        if block != name:
+            extra = "" if block is None else f", extra block {block!r} in its place"
+            raise DataError(f"parameter name mismatch: missing block {name!r}{extra}")
+        if arr.shape != shape:
+            raise DataError(f"block {name!r}: stored shape {arr.shape} != model shape {shape}")
+        return np.array(arr, dtype=np.float64)
+
+    def made(name, shape, draw):
         if name in params:
             raise ContractError(f"parameter {name} made twice")
-        stored = shape if shapes is None else shapes.get(name)
-        if stored is None:
-            missing.append(name)
-            if len(missing) > len(shapes):
-                raise DataError(f"parameter name mismatch: missing block {missing[0]!r} and {len(missing) - 1} more")
-        elif tuple(stored) != shape:
-            raise DataError(f"block {name!r}: stored shape {tuple(stored)} != model shape {shape}")
-        params[name] = T.Tensor(np.zeros(0) if stored is None else values(), requires_grad=True)
+        params[name] = T.Tensor(draw() if stored is None else take(name, shape), requires_grad=True)
         return params[name]
 
     def mat(name, *shape):
@@ -125,39 +126,34 @@ def initializers(seed: int, params: dict[str, T.Tensor], shapes: dict[str, tuple
 class PairClassifier:
     """Three-way sentence-pair classifier.  Subclasses set ``kind``,
     ``config_class`` and ``tokenizer_modes`` (the first is the default)
-    and make their tensors with ``initializers(seed, self._params, shapes)``,
-    ``shapes`` being the stored block shapes when the model is rebuilt from
-    a checkpoint."""
+    and make their tensors with ``initializers(seed, self._params, stored)``,
+    ``stored`` being the parameter blocks of a checkpoint when the model is
+    rebuilt from one."""
 
     kind: str
     config_class: type
     tokenizer_modes: tuple[str, ...]
 
-    def __init__(self, config, vocab: Vocabulary, tokenizer_mode: str):
-        if tokenizer_mode not in self.tokenizer_modes:
-            raise ConfigError(f"the {self.kind} model takes tokenizer {self.tokenizer_modes}, not {tokenizer_mode!r}")
+    def __init__(self, config, vocab: Vocabulary, tokenizer_mode: str | None):
         self.config = config
         self.vocab = vocab
-        self.tokenizer_mode = tokenizer_mode
+        self.tokenizer_mode = self.checked_tokenizer_mode(tokenizer_mode, "tokenizer_mode")
         self.dropout = config.dropout
         self._params: dict[str, T.Tensor] = {}
+
+    @classmethod
+    def checked_tokenizer_mode(cls, mode: str | None, where) -> str:
+        """``mode``, or the kind's default mode when it is None; a mode the
+        kind does not take ends in a ConfigError naming ``where``."""
+        if mode is None:
+            return cls.tokenizer_modes[0]
+        if mode not in cls.tokenizer_modes:
+            raise ConfigError(f"{where}: a {cls.kind} model takes one of {list(cls.tokenizer_modes)}, not {mode!r}")
+        return mode
 
     def parameters(self) -> dict[str, T.Tensor]:
         """Every trainable tensor by name, in creation order."""
         return dict(self._params)
-
-    def load_parameters(self, arrays: dict[str, np.ndarray]) -> None:
-        """Restore every parameter by name; a missing or extra name raises a
-        DataError.  Shapes are checked where a model is rebuilt from stored
-        blocks, by its makers (``initializers``)."""
-        params = self.parameters()
-        missing = [name for name in params if name not in arrays]
-        extra = [name for name in arrays if name not in params]
-        if missing or extra:
-            first = [f"{what} block {names[0]!r}" for what, names in (("missing", missing), ("extra", extra)) if names]
-            raise DataError(f"parameter name mismatch: {', '.join(first)}")
-        for name, p in params.items():
-            p.data = np.array(arrays[name], dtype=np.float64)
 
     def reset_head(self, seed: int = 0) -> None:
         rng = np.random.default_rng(seed)

@@ -183,7 +183,8 @@ def train(model, train_set, dev_set, config: TrainConfig, dataset_name: str = "t
             break
 
     best_params, best_m, best_v, best_t = best
-    model.load_parameters(best_params)
+    for name, p in params.items():
+        p.data = best_params[name].copy()
     return Checkpoint(
         kind=model.kind,
         model_config=model.config_dict(),

@@ -188,11 +188,11 @@ class TransformerClassifier(PairClassifier):
         config: TransformerConfig,
         vocab: Vocabulary,
         seed: int = 0,
-        tokenizer_mode: str = "wordpiece",
-        shapes: dict[str, tuple[int, ...]] | None = None,
+        tokenizer_mode: str | None = None,
+        stored: dict[str, np.ndarray] | None = None,
     ):
         super().__init__(config, vocab, tokenizer_mode)
-        mat, zeros, ones = initializers(seed, self._params, shapes)
+        mat, zeros, ones = initializers(seed, self._params, stored)
         d_e, d_ff = config.d_e, config.d_ff
         self.token_table = mat("emb.token", len(vocab), d_e)
         self.pos_table = mat("emb.pos", config.max_len, d_e)

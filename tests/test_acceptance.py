@@ -289,9 +289,6 @@ class ScriptedDevLossModel:
     def parameters(self):
         return {"w": self.w}
 
-    def load_parameters(self, arrays):
-        self.w.data = arrays["w"].copy()
-
     def batch_loss(self, batch, training=False, rng=None):
         if training:
             value = 1.0

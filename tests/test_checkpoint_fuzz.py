@@ -33,8 +33,9 @@ from clinli.transformer import TransformerClassifier, TransformerConfig
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "clinli-hypothesis")
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
-# Config values take huge integers too: a model is made to its stored block
-# shapes, so a dimension of 2**63 is rejected before anything is allocated.
+# Config values take huge integers too: each stored block is checked before
+# the model makes it, so a dimension of 2**63 is rejected before anything is
+# allocated.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.sampled_from([2**31, 2**63, 10**20, -(2**63)])
     | st.floats() | st.text(max_size=6),

@@ -523,6 +523,15 @@ class TestPredictEval:
         assert_checkpoint_rejected(capsys, bad, data / "test.jsonl", tmp_path / "p",
                                    f"missing block {renamed[0]!r}", "extra block 'renamed.block'")
 
+    def test_reordered_blocks_exit_2_naming_file_and_both_blocks(self, tmp_path, trained, capsys):
+        data, ckpt = trained
+        loaded = load_checkpoint(ckpt)
+        first, second, *rest = loaded.params
+        loaded.params = {name: loaded.params[name] for name in (second, first, *rest)}
+        bad = tmp_path / "reordered.ckpt"
+        save_checkpoint(loaded, bad)
+        assert_checkpoint_rejected(capsys, bad, data / "test.jsonl", tmp_path / "p",
+                                   f"missing block {first!r}", f"extra block {second!r}")
 
 
 class TestHugeHeaderDimension:

@@ -4,7 +4,7 @@ import pytest
 from clinli import tensor as T
 from clinli import tokenizer as tk
 from clinli import training as tr
-from clinli.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
+from clinli.checkpoint import Checkpoint, load_checkpoint, model_from_checkpoint, save_checkpoint
 from clinli.compaggr import CompAggrConfig, CompAggrModel
 from clinli.data import LABELS, NLIExample
 from clinli.errors import ConfigError, ContractError, DataError, NumericError, ParseError
@@ -124,9 +124,6 @@ class ScriptedModel:
 
     def parameters(self):
         return {"w": self.w}
-
-    def load_parameters(self, arrays):
-        self.w.data = arrays["w"].copy()
 
     def batch_loss(self, batch, training=False, rng=None):
         if training:
@@ -347,6 +344,38 @@ class TestCheckpointIO:
             restored.predict_proba(ex.premise, ex.hypothesis),
             model.predict_proba(ex.premise, ex.hypothesis),
         )
+
+    @pytest.fixture(params=["transformer", "compaggr"])
+    def stored(self, request):
+        """A freshly made model of each kind and a checkpoint of its parameters."""
+        corpus = generate_corpus(SynthSpec(count=6, seed=13))
+        if request.param == "compaggr":
+            model = small_compaggr(corpus, seed=9)
+        else:
+            vocab = build_word_vocab([s for ex in corpus for s in (ex.premise, ex.hypothesis)])
+            model = TransformerClassifier(TransformerConfig(d_e=8, num_heads=2, num_blocks=1, d_ff=8, max_len=16),
+                                          vocab, seed=9, tokenizer_mode="word")
+        params = {name: p.data.copy() for name, p in model.parameters().items()}
+        return model, Checkpoint(model.kind, model.config_dict(), list(model.vocab.tokens), model.tokenizer_mode,
+                                 params, {}, {})
+
+    def test_rebuild_draws_no_initial_values(self, stored, monkeypatch):
+        model, ckpt = stored
+
+        def no_draw(rng, shape):
+            raise AssertionError(f"drew an initial value of shape {shape}")
+
+        monkeypatch.setattr(T, "xavier_uniform", no_draw)
+        restored = model_from_checkpoint(ckpt)
+        np.testing.assert_array_equal(restored.predict_proba("a b", "c d"), model.predict_proba("a b", "c d"))
+
+    def test_rebuilt_parameters_are_copies(self, stored):
+        _, ckpt = stored
+        restored = model_from_checkpoint(ckpt).parameters()
+        assert list(restored) == list(ckpt.params)
+        for name, arr in ckpt.params.items():
+            np.testing.assert_array_equal(restored[name].data, arr)
+            assert not np.shares_memory(restored[name].data, arr), name
 
 
 class TestCheckpointParseErrors:

@@ -350,9 +350,9 @@ class TestBatching:
 class TestParameterPlumbing:
     def test_parameter_names_stable_and_loadable(self):
         model = tiny_model(seed=1)
-        other = tiny_model(seed=2)
         arrays = {k: v.data.copy() for k, v in model.parameters().items()}
-        other.load_parameters(arrays)
+        other = tr.TransformerClassifier(model.config, model.vocab, seed=2, stored=arrays)
+        assert list(other.parameters()) == list(arrays)
         np.testing.assert_array_equal(
             other.predict_proba("a b", "c d"), model.predict_proba("a b", "c d")
         )
@@ -361,8 +361,8 @@ class TestParameterPlumbing:
         model = tiny_model()
         arrays = {k: v.data.copy() for k, v in model.parameters().items()}
         arrays.pop("cls.w")
-        with pytest.raises(DataError):
-            model.load_parameters(arrays)
+        with pytest.raises(DataError, match="missing block 'cls.w'"):
+            tr.TransformerClassifier(model.config, model.vocab, stored=arrays)
 
     def test_reset_head_only_touches_head(self):
         model = tiny_model(seed=1)
