@@ -42,16 +42,16 @@ logits[3] = -1e9
 e = np.exp(logits - logits.max())
 print("loop weights row 0:", np.round(e / e.sum(), 3))
 
-# --- premise-to-hypothesis soft alignment
+# --- premise-to-hypothesis soft alignment, on a batch of one pair
 d, n, m = 3, 4, 2
 ep = rng.uniform(-1, 1, (d, n))
 eh = rng.uniform(-1, 1, (d, m))
 w = rng.uniform(-1, 1, (d, d))
-aligned = cross_attention(T.Tensor(ep), T.Tensor(eh), T.Tensor(w))
+aligned = cross_attention(T.Tensor(ep[None]), T.Tensor(eh[None]), T.Tensor(w), premise_lengths=[n]).data[0]
 print("\naligned premise (one column per hypothesis word):")
-print(np.round(aligned.data, 4))
+print(np.round(aligned, 4))
 col_weights = np.exp((w @ ep).T @ eh)
 col_weights /= col_weights.sum(axis=0)
 print("alignment weights sum to one per column:", np.allclose(col_weights.sum(axis=0), 1.0))
 print("each output column is a convex mix of premise columns:",
-      np.allclose(aligned.data, ep @ col_weights))
+      np.allclose(aligned, ep @ col_weights))

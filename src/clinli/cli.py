@@ -157,7 +157,6 @@ def cmd_synth(args) -> int:
     out_dir = _out_dir(args)
     spec = SynthSpec(
         vocab_size=args.vocab_size,
-        templates_per_class=args.templates_per_class,
         count=args.count,
         seed=args.seed or 0,
         shift=args.shift,
@@ -344,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=300)
     p.add_argument("--vocab-size", type=int, default=30)
-    p.add_argument("--templates-per-class", type=int, default=3)
     p.add_argument("--shift", type=float, default=0.0)
     p.add_argument("--transfer-pair", action="store_true", help="emit source_* and target_* corpora")
     p.add_argument("--source-count", type=int, default=None)

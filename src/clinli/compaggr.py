@@ -130,23 +130,25 @@ def contextual_encode(
     return T.concat([f_states, b_states], axis=-2), lengths
 
 
-def cross_attention(ep: T.Tensor, eh: T.Tensor, w: T.Tensor, premise_lengths=None) -> T.Tensor:
-    """Soft-align premise columns onto each hypothesis column.
+def cross_attention(ep: T.Tensor, eh: T.Tensor, w: T.Tensor, premise_lengths) -> T.Tensor:
+    """Soft-align each batch row's premise columns onto its hypothesis
+    columns.
 
-    Output column j is the softmax-weighted sum of premise columns, where the
-    weights normalize over premise positions using logits (w @ ep)^T @ eh.
-    ``ep`` and ``eh`` are (d, n) and (d, m) matrices or (B, d, n) and
-    (B, d, m) batches; ``premise_lengths`` gives each batch row's premise
-    length, and padded premise columns get -1e9 logits.
+    ``ep`` and ``eh`` are (B, d, n) and (B, d, m) batches, and
+    ``premise_lengths`` gives each row's premise length.  Output column j of
+    a row is the softmax-weighted sum of its premise columns, where the
+    weights normalize over premise positions using logits (w @ ep)^T @ eh;
+    padded premise columns get -1e9 logits.
     """
-    if ep.data.ndim not in (2, 3) or eh.data.ndim != ep.data.ndim or ep.shape[:-1] != eh.shape[:-1]:
-        raise DimensionError(f"cross_attention: width mismatch {ep.shape} vs {eh.shape}")
+    if ep.data.ndim != 3 or eh.data.ndim != 3 or ep.shape[:-1] != eh.shape[:-1]:
+        raise DimensionError(f"cross_attention expects (B, d, n) and (B, d, m) batches, got {ep.shape} and {eh.shape}")
     d, n = ep.shape[-2:]
     if w.shape != (d, d):
         raise DimensionError(f"cross_attention: projection shape {w.shape} does not match width {d}")
     logits = T.matmul(T.transpose(T.matmul(w, ep)), eh)
-    if premise_lengths is not None and min(premise_lengths) < n:
-        padded = np.arange(n) >= np.asarray(premise_lengths)[:, None]
+    premise_lengths = np.asarray(premise_lengths)
+    if premise_lengths.min() < n:
+        padded = np.arange(n) >= premise_lengths[:, None]
         logits = T.add(logits, T.Tensor(np.where(padded, MASK_LOGIT, 0.0)[:, :, None]))
     weights = T.softmax(logits, axis=-2)
     return T.matmul(ep, weights)
@@ -164,26 +166,23 @@ def aggregate_classify(
     banks,
     cls_w: T.Tensor,
     cls_b: T.Tensor,
-    lengths=None,
+    lengths,
     dropout: float = 0.0,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> T.Tensor:
-    """Convolve, pool, and classify a (d, m) comparison matrix into class
-    probabilities, or a (B, d, m) batch of them, with each row's valid
-    length in ``lengths``, into a (B, classes) matrix.  A batch's padded
-    columns are zeroed first; an input narrower than the widest filter is
-    padded with zero columns."""
+    """Convolve, pool, and classify a (B, d, m) batch of comparison matrices,
+    with each row's valid length in ``lengths``, into a (B, classes) matrix
+    of class probabilities.  Padded columns are zeroed first; a batch
+    narrower than the widest filter is padded with zero columns."""
     max_width = max(w.shape[2] for w, _ in banks)
     m = c.shape[-1]
-    if lengths is not None:
-        lengths = np.asarray(lengths)
-        if lengths.min() < m:
-            c = T.mul(c, T.Tensor((np.arange(m) < lengths[:, None])[:, None, :]))
-        lengths = np.maximum(lengths, max_width)
+    lengths = np.asarray(lengths)
+    if lengths.min() < m:
+        c = T.mul(c, T.Tensor((np.arange(m) < lengths[:, None])[:, None, :]))
     if m < max_width:
         c = T.concat([c, T.Tensor(np.zeros(c.shape[:-1] + (max_width - m,)))], axis=-1)
-    pooled = T.conv1d_maxpool(c, banks, lengths)
+    pooled = T.conv1d_maxpool(c, banks, np.maximum(lengths, max_width))
     pooled = T.dropout(pooled, dropout, training, rng)
     logits = T.add(T.matmul(pooled, cls_w), cls_b)
     return T.softmax(logits, axis=-1)

@@ -44,6 +44,8 @@ class NLIExample:
             raise DataError("premise and hypothesis must be non-empty")
         if self.gold_label not in LABELS:
             raise DataError(f"gold_label {self.gold_label!r} not in {LABELS}")
+        if self.pair_id is not None and any(ch in self.pair_id for ch in "\t\n\r"):
+            raise DataError(f"pairID {self.pair_id!r} holds a tab or a line break")
 
 
 @dataclass

@@ -46,24 +46,9 @@ _TEMPLATES = (
         "history shows no {a}",
         "history shows {z}",
     ),
-    (
-        "exam found {a} and {b} today",
-        "exam found {b} today",
-        "exam found no {a} today",
-        "exam found {z} today",
-    ),
-    (
-        "the chart lists {a} then {b}",
-        "the chart lists {a}",
-        "the chart does not list {a}",
-        "the chart lists {z}",
-    ),
 )
 
-FUNCTION_WORDS = frozenset(
-    "the patient has and does not have notes report with no history shows after "
-    "exam found today chart lists then list".split()
-)
+FUNCTION_WORDS = frozenset("the patient has and does not have notes report with no history shows after".split())
 
 _SYLLABLES = [c + v for c in "bdfglmnprstvz" for v in "aeiou"]
 _SPACE = len(_SYLLABLES) ** 2
@@ -83,7 +68,6 @@ def pseudo_lexicon(size: int) -> list[str]:
 @dataclass
 class SynthSpec:
     vocab_size: int = 30
-    templates_per_class: int = 3
     count: int = 120
     seed: int = 0
     shift: float = 0.0
@@ -91,8 +75,6 @@ class SynthSpec:
     def __post_init__(self):
         if self.vocab_size < 3:
             raise ConfigError("vocab_size must be at least 3")
-        if not 1 <= self.templates_per_class <= len(_TEMPLATES):
-            raise ConfigError(f"templates_per_class must be in [1, {len(_TEMPLATES)}]")
         if self.count < 1:
             raise ConfigError("count must be positive")
         if not 0.0 <= self.shift <= 1.0:
@@ -118,7 +100,7 @@ def generate_corpus(
     used_premises: set[str] = set()
     n_groups = math.ceil(spec.count / 3)
     for g in range(n_groups):
-        template = _TEMPLATES[g % spec.templates_per_class]
+        template = _TEMPLATES[g % len(_TEMPLATES)]
         for _ in range(50):
             a, b, z = rng.choice(pool_arr, size=3, replace=False)
             premise = template[0].format(a=a, b=b)

@@ -15,14 +15,15 @@ pooling indices, is recomputed from the current inputs.  A backward closure
 never refers to its own output node, so a finished graph holds no reference
 cycle and is freed as soon as the last reference to it goes.
 
-Only the operations the two sentence-pair classifiers need are implemented.
-Shape-changing ops work on the last axes, so a batch of B matrices is one
-(B, rows, cols) tensor: ``matmul`` treats leading axes as batch axes,
-``transpose`` swaps the last two axes, ``slice_rows``/``slice_cols`` slice
-the second-to-last/last axis, ``stack_cols`` stacks along a new last axis
-and ``layer_norm`` normalizes the last axis.  ``conv1d_maxpool`` takes one
-(features, positions) matrix or a (B, features, positions) batch with a
-valid length per item, and pools each item as it would alone.
+Only the operations the two sentence-pair classifiers need are implemented,
+in the batch forms the models call.  Shape-changing ops work on the last
+axes, so a batch of B matrices is one (B, rows, cols) tensor: ``matmul``
+multiplies operands of at least two axes and treats leading axes as batch
+axes, ``transpose`` swaps the last two axes, ``slice_rows``/``slice_cols``
+slice the second-to-last/last axis, ``stack_cols`` stacks along a new last
+axis and ``layer_norm`` normalizes the last axis.  ``conv1d_maxpool`` takes
+a (B, features, positions) batch with a valid length per item, and pools
+each item as it would alone.
 ``add`` and ``mul`` follow numpy broadcasting, and each operand's gradient
 is summed back to that operand's own shape, so a bias vector shared by every
 row of a (B, L, d) batch receives the sum over all B x L rows.
@@ -267,27 +268,22 @@ def relu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.  A 1-D operand is a vector multiplying a matrix; the
-    leading axes of N-D operands are batch axes and broadcast.  A 2-D right
-    operand is shared by the whole batch, so its gradient sums over it."""
-    na, nb = a.data.ndim, b.data.ndim
+    """Matrix product of operands of at least two axes.  Leading axes are
+    batch axes and broadcast; a 2-D right operand is shared by the whole
+    batch, so its gradient sums over it."""
+    nb = b.data.ndim
 
     def backward_fn(g: np.ndarray) -> None:
-        if na == 1:
-            ga, gb = b.data @ g, np.outer(a.data, g)
-        elif nb == 1:
-            ga, gb = np.outer(g, b.data), a.data.T @ g
+        ga = g @ np.swapaxes(b.data, -1, -2)
+        if nb == 2:
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         else:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            if nb == 2:
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = np.swapaxes(a.data, -1, -2) @ g
+            gb = np.swapaxes(a.data, -1, -2) @ g
         _accumulate(a, _unbroadcast(ga, a.shape))
         _accumulate(b, _unbroadcast(gb, b.shape))
 
     try:
-        if min(na, nb) == 0 or (min(na, nb) == 1 and max(na, nb) != 2):
+        if min(a.data.ndim, nb) < 2:
             raise ValueError
         return _result(lambda: a.data @ b.data, (a, b), "matmul", backward_fn)
     except ValueError:
@@ -490,27 +486,25 @@ def _window_matrix(x: np.ndarray, width: int) -> np.ndarray:
 
 
 def conv1d_maxpool(x: Tensor, banks: Sequence[tuple[Tensor, Tensor]], lengths=None) -> Tensor:
-    """Convolve ``x`` (features x positions) with each filter bank, apply
-    relu, max-pool over positions, and concatenate the pooled scalars.
+    """Convolve each (features, positions) item of the batch ``x`` with each
+    filter bank, apply relu, max-pool over positions, and concatenate the
+    pooled scalars into a (B, filters) result.
 
     Each bank is a (weight, bias) pair with weight shaped
     (num_filters, features, width) and bias shaped (num_filters,).  Each
     bank is one matrix product (im2col): the (num_filters, features x width)
-    weight times the window matrix of ``x``.  The backward puts the gated
-    gradient at each filter's pooled position (the first, on ties) in a
-    dense (num_filters, positions) matrix and rebuilds the window matrix.
+    weight times the (features x width, B x positions) window matrix of
+    ``x``.  The backward puts the gated gradient at each filter's pooled
+    position (the first, on ties) in a dense (num_filters, B, positions)
+    array and rebuilds the window matrix.
 
-    A (B, features, positions) batch gives a (B, filters) result from the
-    same one product per bank, over a (features x width, B x positions)
-    window matrix.  ``lengths`` holds each item's valid length: windows that
-    reach past it get -inf before the max, so an item pools exactly as it
-    would alone, cut to its length.
+    ``lengths`` holds each item's valid length (None: every item is full
+    length): windows that reach past it get -inf before the max, so an item
+    pools exactly as it would alone, cut to its length.
     """
-    if x.data.ndim not in (2, 3):
-        raise DimensionError(f"conv1d_maxpool expects a matrix or a batch of matrices, got shape {x.shape}")
-    batched = x.data.ndim == 3
-    bsz = x.shape[0] if batched else 1
-    d, m = x.shape[-2:]
+    if x.data.ndim != 3:
+        raise DimensionError(f"conv1d_maxpool expects a (batch, features, positions) tensor, got shape {x.shape}")
+    bsz, d, m = x.shape
     if m == 0:
         raise ContractError("conv1d_maxpool on an empty sequence")
     banks = [(w, b) for w, b in banks]
@@ -536,19 +530,16 @@ def conv1d_maxpool(x: Tensor, banks: Sequence[tuple[Tensor, Tensor]], lengths=No
         for w, b in banks:
             nf, _, width = w.shape
             span = m - width + 1
-            cols = _window_matrix(x.data.reshape(bsz, d, m), width)
+            cols = _window_matrix(x.data, width)
             pre = (w.data.reshape(nf, d * width) @ cols).reshape(nf, bsz, span) + b.data[:, None, None]
             act = np.maximum(pre, 0.0)
             if lengths is not None:
                 act[:, np.arange(span) > (lengths - width)[:, None]] = -np.inf
             saved.append((act.argmax(axis=-1), pre))
             pooled.append(act.max(axis=-1))
-        out = np.concatenate(pooled).T  # (B, filters)
-        return out if batched else out[0]
+        return np.concatenate(pooled).T  # (B, filters)
 
     def backward_fn(g: np.ndarray) -> None:
-        g = g.reshape(bsz, -1)
-        xb = x.data.reshape(bsz, d, m)
         dx = np.zeros((d, bsz, m))
         offset = 0
         for (w, b), (args, pre) in zip(banks, saved):
@@ -560,12 +551,12 @@ def conv1d_maxpool(x: Tensor, banks: Sequence[tuple[Tensor, Tensor]], lengths=No
             gpos = np.zeros_like(pre)  # gf at each filter's pooled position, zero elsewhere
             gpos[f_idx, b_idx, args] = gf
             gpos = gpos.reshape(nf, bsz * span)
-            _accumulate(w, (gpos @ _window_matrix(xb, width).T).reshape(w.shape))
+            _accumulate(w, (gpos @ _window_matrix(x.data, width).T).reshape(w.shape))
             _accumulate(b, gf.sum(axis=1))
             dcols = (w.data.reshape(nf, d * width).T @ gpos).reshape(d, width, bsz, span)
             for k in range(width):  # window row k of column t is input position t + k
                 dx[:, :, k : k + span] += dcols[:, k]
-        _accumulate(x, dx.transpose(1, 0, 2).reshape(x.shape))
+        _accumulate(x, dx.transpose(1, 0, 2))
 
     parents = [x]
     for w, b in banks:

@@ -154,8 +154,8 @@ class TestOracleEquivalence:
             ep = rng.uniform(-1, 1, (d, n))
             eh = rng.uniform(-1, 1, (d, m))
             w = rng.uniform(-1, 1, (d, d))
-            out = cross_attention(T.Tensor(ep), T.Tensor(eh), T.Tensor(w))
-            worst = max(worst, float(np.max(np.abs(out.data - loop_cross_attention(ep, eh, w)))))
+            out = cross_attention(T.Tensor(ep[None]), T.Tensor(eh[None]), T.Tensor(w), [n])
+            worst = max(worst, float(np.max(np.abs(out.data[0] - loop_cross_attention(ep, eh, w)))))
         criterion("oracle-cross-attention", worst <= 1e-10, f"max abs diff {worst:.2e} over 100 instances")
 
     def test_conv_maxpool_vs_loop_oracle(self):
@@ -170,8 +170,8 @@ class TestOracleEquivalence:
                 banks_np.append((rng.uniform(-1, 1, (nf, d, w)), rng.uniform(-0.3, 0.3, nf)))
             x = rng.uniform(-1, 1, (d, m))
             banks = [(T.Tensor(w), T.Tensor(b)) for w, b in banks_np]
-            out = T.conv1d_maxpool(T.Tensor(x), banks)
-            worst = max(worst, float(np.max(np.abs(out.data - loop_conv_maxpool(x, banks_np)))))
+            out = T.conv1d_maxpool(T.Tensor(x[None]), banks)
+            worst = max(worst, float(np.max(np.abs(out.data[0] - loop_conv_maxpool(x, banks_np)))))
         criterion("oracle-conv-maxpool", worst <= 1e-10, f"max abs diff {worst:.2e} over 100 instances")
 
     def test_listwise_assignment_vs_brute_force(self):

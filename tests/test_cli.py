@@ -580,6 +580,10 @@ class TestMalformedInputs:
         ("expand", "data.jsonl", jsonl_line() + b'{"sentence1": "caf\xff"}\n', 2, "not UTF-8"),
         ("expand", "data.jsonl", jsonl_line(sentence1=5), 1, "sentence1"),
         ("eval", "data.jsonl", jsonl_line(pairID=7), 1, "pairID"),
+        # a pair id becomes a field of a predictions.tsv row
+        ("eval", "data.jsonl", jsonl_line(pairID="p\t1"), 1, "pairID"),
+        ("eval", "data.jsonl", jsonl_line(pairID="p\n1"), 1, "pairID"),
+        ("eval", "data.jsonl", jsonl_line(pairID="p\r1"), 1, "pairID"),
         ("eval", "data.jsonl", jsonl_line(gold_label=None), 1, "gold_label"),
         ("eval", "preds.tsv", b"p1\t0.2\t0.3\t0.5\tneutral\xff\n", 1, "not UTF-8"),
         ("expand", "table.tsv", b"# table\nMI\xff\tx\n", 2, "not UTF-8"),
@@ -589,9 +593,9 @@ class TestMalformedInputs:
         ("train", "run.json", b"[" * 100_000, None, "invalid JSON"),  # no line: the whole file nests too deep
         ("expand", "data.jsonl", jsonl_line() + jsonl_line(sentence1="caf\ud800 MI"), 2, "sentence1"),
         ("eval", "preds.tsv", b"p1\t-1.0\t1.0\t1.0\tneutral\n", 1, "negative"),
-    ], ids=["dataset_utf8", "sentence1_int", "pair_id_int", "gold_label_null", "predictions_utf8", "table_utf8",
-            "table_identity", "dataset_long_int", "run_config_utf8", "run_config_nesting", "dataset_surrogate",
-            "predictions_negative"])
+    ], ids=["dataset_utf8", "sentence1_int", "pair_id_int", "pair_id_tab", "pair_id_line_feed",
+            "pair_id_carriage_return", "gold_label_null", "predictions_utf8", "table_utf8", "table_identity",
+            "dataset_long_int", "run_config_utf8", "run_config_nesting", "dataset_surrogate", "predictions_negative"])
     def test_exits_2_naming_file_and_line(self, tmp_path, capsys, command, name, content, line, named):
         (tmp_path / "data.jsonl").write_bytes(jsonl_line())
         (tmp_path / "preds.tsv").write_text("p1\t0.2\t0.3\t0.5\tneutral\n")
@@ -614,10 +618,13 @@ class TestMalformedInputs:
       "--out-dir", "o"], "--group-key"),
     (["transfer", "--config", "run.json", "--out-dir", "o"], "transfer"),
     (["train", "--config", "run.json"], "--out-dir"),
-], ids=["train_model", "transfer_model", "predict_group_key", "transfer", "train_without_out_dir"])
+    (["synth", "--out-dir", "o", "--templates-per-class", "2"], "--templates-per-class"),
+], ids=["train_model", "transfer_model", "predict_group_key", "transfer", "train_without_out_dir",
+        "synth_templates_per_class"])
 def test_removed_flags_are_usage_errors(tmp_path, capsys, monkeypatch, argv, named):
     # the run config's "model" is the only choice of model kind and its "chain" the
-    # only list of stages; --out-dir names the output directory; list-wise triples share a premise
+    # only list of stages; --out-dir names the output directory; list-wise triples share a premise;
+    # synthetic corpora cycle through every premise template
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)

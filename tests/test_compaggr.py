@@ -124,19 +124,19 @@ class TestContextualEncode:
 class TestCrossAttention:
     def test_single_premise_column(self):
         rng = np.random.default_rng(1)
-        ep = T.Tensor(rng.uniform(-1, 1, (4, 1)))
-        eh = T.Tensor(rng.uniform(-1, 1, (4, 3)))
+        ep = T.Tensor(rng.uniform(-1, 1, (1, 4, 1)))
+        eh = T.Tensor(rng.uniform(-1, 1, (1, 4, 3)))
         w = T.Tensor(rng.uniform(-1, 1, (4, 4)))
-        out = ca.cross_attention(ep, eh, w).data
+        out = ca.cross_attention(ep, eh, w, [1]).data[0]
         for j in range(3):
-            np.testing.assert_allclose(out[:, j], ep.data[:, 0], atol=1e-12)
+            np.testing.assert_allclose(out[:, j], ep.data[0, :, 0], atol=1e-12)
 
     def test_zero_projection_gives_uniform_mean(self):
         rng = np.random.default_rng(2)
-        ep = T.Tensor(rng.uniform(-1, 1, (4, 5)))
-        eh = T.Tensor(rng.uniform(-1, 1, (4, 2)))
-        out = ca.cross_attention(ep, eh, T.Tensor(np.zeros((4, 4)))).data
-        mean = ep.data.mean(axis=1)
+        ep = T.Tensor(rng.uniform(-1, 1, (1, 4, 5)))
+        eh = T.Tensor(rng.uniform(-1, 1, (1, 4, 2)))
+        out = ca.cross_attention(ep, eh, T.Tensor(np.zeros((4, 4))), [5]).data[0]
+        mean = ep.data[0].mean(axis=1)
         for j in range(2):
             np.testing.assert_allclose(out[:, j], mean, atol=1e-12)
 
@@ -145,7 +145,7 @@ class TestCrossAttention:
         ep0 = rng.uniform(-1, 1, (4, 3))
         eh0 = rng.uniform(-1, 1, (4, 2))
         w0 = rng.uniform(-1, 1, (4, 4))
-        out = ca.cross_attention(T.Tensor(ep0), T.Tensor(eh0), T.Tensor(w0)).data
+        out = ca.cross_attention(T.Tensor(ep0[None]), T.Tensor(eh0[None]), T.Tensor(w0), [3]).data[0]
         assert np.max(np.abs(out - loop_cross_attention(ep0, eh0, w0))) <= 1e-10
 
     def test_weights_are_convex(self):
@@ -157,20 +157,21 @@ class TestCrossAttention:
         weights = loop_softmax(logits, 0)
         assert np.all(weights >= 0)
         np.testing.assert_allclose(weights.sum(axis=0), 1.0, atol=1e-9)
-        out = ca.cross_attention(T.Tensor(ep0), T.Tensor(eh0), T.Tensor(w0)).data
+        out = ca.cross_attention(T.Tensor(ep0[None]), T.Tensor(eh0[None]), T.Tensor(w0), [6]).data[0]
         np.testing.assert_allclose(out, ep0 @ weights, atol=1e-12)
 
     def test_output_shape_fixed_by_hypothesis(self):
         rng = np.random.default_rng(5)
         w = T.Tensor(rng.uniform(-1, 1, (3, 3)))
-        eh = T.Tensor(rng.uniform(-1, 1, (3, 4)))
+        eh = T.Tensor(rng.uniform(-1, 1, (1, 3, 4)))
         for n in (1, 2, 7):
-            ep = T.Tensor(rng.uniform(-1, 1, (3, n)))
-            assert ca.cross_attention(ep, eh, w).shape == (3, 4)
+            ep = T.Tensor(rng.uniform(-1, 1, (1, 3, n)))
+            assert ca.cross_attention(ep, eh, w, [n]).shape == (1, 3, 4)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            ca.cross_attention(T.Tensor(np.zeros((3, 2))), T.Tensor(np.zeros((4, 2))), T.Tensor(np.zeros((3, 3))))
+            ca.cross_attention(T.Tensor(np.zeros((1, 3, 2))), T.Tensor(np.zeros((1, 4, 2))), T.Tensor(np.zeros((3, 3))),
+                               [2])
 
     def test_batch_rows_match_loop_oracle_on_their_premise_prefix(self):
         rng = np.random.default_rng(13)
@@ -184,7 +185,8 @@ class TestCrossAttention:
 
     def test_batch_of_different_row_counts_rejected(self):
         with pytest.raises(DimensionError):
-            ca.cross_attention(T.Tensor(np.zeros((2, 3, 2))), T.Tensor(np.zeros((3, 3, 2))), T.Tensor(np.zeros((3, 3))))
+            ca.cross_attention(T.Tensor(np.zeros((2, 3, 2))), T.Tensor(np.zeros((3, 3, 2))), T.Tensor(np.zeros((3, 3))),
+                               [2, 2])
 
 
 class TestCompare:
@@ -222,18 +224,18 @@ class TestAggregateClassify:
         rng = np.random.default_rng(9)
         banks = self._banks(rng, 6, 2)
         probs = ca.aggregate_classify(
-            T.Tensor(rng.uniform(-1, 1, (6, 4))), banks,
-            T.Tensor(np.zeros((10, 3))), T.Tensor(np.zeros(3)),
+            T.Tensor(rng.uniform(-1, 1, (1, 6, 4))), banks,
+            T.Tensor(np.zeros((10, 3))), T.Tensor(np.zeros(3)), [4],
         ).data
-        np.testing.assert_allclose(probs, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
+        np.testing.assert_allclose(probs, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-12)
 
     def test_bias_path(self):
         banks = [(T.Tensor(np.zeros((2, 6, w))), T.Tensor(np.zeros(2))) for w in (1, 2)]
         probs = ca.aggregate_classify(
-            T.Tensor(np.random.default_rng(0).uniform(-1, 1, (6, 4))), banks,
-            T.Tensor(np.zeros((4, 3))), T.Tensor(np.array([5.0, 0.0, 0.0])),
+            T.Tensor(np.random.default_rng(0).uniform(-1, 1, (1, 6, 4))), banks,
+            T.Tensor(np.zeros((4, 3))), T.Tensor(np.array([5.0, 0.0, 0.0])), [4],
         ).data
-        assert int(np.argmax(probs)) == 0
+        assert int(np.argmax(probs[0])) == 0
 
     def test_matches_composed_oracle(self):
         rng = np.random.default_rng(10)
@@ -242,7 +244,7 @@ class TestAggregateClassify:
         c0 = rng.uniform(-1, 1, (d, m))
         cls_w0 = rng.uniform(-1, 1, (nf * 5, 3))
         cls_b0 = rng.uniform(-0.1, 0.1, 3)
-        probs = ca.aggregate_classify(T.Tensor(c0), banks, T.Tensor(cls_w0), T.Tensor(cls_b0)).data
+        probs = ca.aggregate_classify(T.Tensor(c0[None]), banks, T.Tensor(cls_w0), T.Tensor(cls_b0), [m]).data[0]
         pooled = loop_conv_maxpool(c0, [(w.data, b.data) for w, b in banks])
         logits = pooled @ cls_w0 + cls_b0
         np.testing.assert_allclose(probs, loop_softmax(logits, 0), atol=1e-10)
@@ -253,8 +255,8 @@ class TestAggregateClassify:
         c0 = rng.uniform(-1, 1, (4, 2))
         cls_w0 = rng.uniform(-1, 1, (10, 3))
         probs = ca.aggregate_classify(
-            T.Tensor(c0), banks, T.Tensor(cls_w0), T.Tensor(np.zeros(3))
-        ).data
+            T.Tensor(c0[None]), banks, T.Tensor(cls_w0), T.Tensor(np.zeros(3)), [2]
+        ).data[0]
         padded = np.concatenate([c0, np.zeros((4, 3))], axis=1)
         pooled = loop_conv_maxpool(padded, [(w.data, b.data) for w, b in banks])
         expected = loop_softmax(pooled @ cls_w0, 0)
@@ -271,7 +273,8 @@ class TestAggregateClassify:
         probs = ca.aggregate_classify(T.Tensor(c0), banks, T.Tensor(cls_w0), T.Tensor(cls_b0), lengths).data
         assert probs.shape == (3, 3)
         for i, m in enumerate(lengths):
-            single = ca.aggregate_classify(T.Tensor(c0[i, :, :m]), banks, T.Tensor(cls_w0), T.Tensor(cls_b0)).data
+            single = ca.aggregate_classify(T.Tensor(c0[i, None, :, :m]), banks, T.Tensor(cls_w0), T.Tensor(cls_b0),
+                                           [m]).data[0]
             np.testing.assert_allclose(probs[i], single, rtol=0, atol=1e-12)
             padded = np.concatenate([c0[i, :, :m], np.zeros((4, max(5 - m, 0)))], axis=1)
             pooled = loop_conv_maxpool(padded, [(w.data, b.data) for w, b in banks])

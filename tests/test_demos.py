@@ -1,4 +1,5 @@
-"""Smoke test of the demos: each runs as a script and exits 0."""
+"""Smoke test of the demos: each runs as a script, exits 0 and prints no
+self-check line that ends in ``: False``."""
 
 import os
 import re
@@ -25,6 +26,8 @@ def run_demo(path: Path) -> subprocess.CompletedProcess:
 def test_demo_runs(path):
     proc = run_demo(path)
     assert proc.returncode == 0, proc.stderr
+    failed = [line for line in proc.stdout.splitlines() if line.rstrip().endswith(": False")]
+    assert not failed, failed
     if path.name == "01_autodiff_basics.py":
         assert "replay reproduces the forward value exactly: True" in proc.stdout
     if path.name == "04_overfit_two_models.py":

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from clinli.abbrev import expand, load_table
 from clinli.cli import RunConfig, load_run_config
-from clinli.data import LABELS, load_jsonl
-from clinli.errors import ClinliError
-from clinli.evaluate import read_predictions
+from clinli.data import LABELS, NLIExample, load_jsonl
+from clinli.errors import ClinliError, DataError
+from clinli.evaluate import Prediction, read_predictions, write_predictions
 
 # Hypothesis caches the constants it finds in the source while pytest
 # collects, before any fixture runs: keep that cache out of the checkout.
@@ -118,6 +118,18 @@ def test_edited_datasets_load_or_name_the_line(path, data):
 def test_edited_prediction_files_load_or_name_the_line(path, data):
     for row in load_or_name_the_line(read_predictions, path, edited_bytes(data, PREDICTIONS)) or []:
         assert row.probs.shape == (3,) and row.predicted_label in LABELS
+
+
+@FUZZ
+@given(pair_id=st.text(st.sampled_from("\t\n\r\x0b\x0c\x1c\x85\u2028 p1") | st.characters(codec="utf-8"), max_size=8))
+def test_pair_ids_a_dataset_accepts_survive_a_predictions_file(path, pair_id):
+    try:
+        NLIExample("pt has MI", "pt is ill", "neutral", pair_id)
+    except DataError:
+        assert any(ch in pair_id for ch in "\t\n\r"), pair_id  # the rows' field and line separators
+        return
+    write_predictions(path, [Prediction(pair_id, [0.2, 0.3, 0.5])])
+    assert [p.pair_id for p in read_predictions(path)] == [pair_id]
 
 
 @FUZZ

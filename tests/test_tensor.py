@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from clinli import tensor as T
-from clinli.compaggr import CompAggrConfig, CompAggrModel
+from clinli.compaggr import CompAggrConfig, CompAggrModel, aggregate_classify, cross_attention
 from clinli.data import NLIExample
 from clinli.errors import ConfigError, ContractError, DataError, DimensionError, NumericError
 from clinli.tokenizer import build_word_vocab
@@ -42,16 +44,24 @@ class TestMatmul:
         loss.backward()
         assert rel_err(a.grad, finite_diff_grad(f, a0)) < 1e-6
 
-    def test_vector_matmul_grads(self):
-        rng = np.random.default_rng(3)
-        a = param(rng, 4, 3)
-        v = param(rng, 3)
-        loss = T.sum_all(T.matmul(a, v))
-        loss.backward()
-        fd_a = finite_diff_grad(lambda m: (m @ v.data).sum(), a.data.copy())
-        fd_v = finite_diff_grad(lambda u: (a.data @ u).sum(), v.data.copy())
-        assert rel_err(a.grad, fd_a) < 1e-6
-        assert rel_err(v.grad, fd_v) < 1e-6
+
+BANK = (T.Tensor(np.zeros((1, 2, 2))), T.Tensor(np.zeros(1)))
+
+
+@pytest.mark.parametrize("call,shape", [
+    (lambda: T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(3))), (3,)),
+    (lambda: T.matmul(T.Tensor(np.zeros(2)), T.Tensor(np.zeros((2, 3)))), (2,)),
+    (lambda: T.conv1d_maxpool(T.Tensor(np.zeros((2, 5))), [BANK]), (2, 5)),
+    (lambda: cross_attention(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((2, 2))), [3]),
+     (2, 3)),
+    (lambda: aggregate_classify(T.Tensor(np.zeros((2, 5))), [BANK], T.Tensor(np.zeros((1, 3))), T.Tensor(np.zeros(3)),
+                                [5]), (2, 5)),
+], ids=["matmul_vector_right", "matmul_vector_left", "conv1d_maxpool_matrix", "cross_attention_matrices",
+        "aggregate_classify_matrix"])
+def test_unbatched_forms_are_rejected_naming_the_shape(call, shape):
+    # the models pass matmul operands of at least two axes and (B, d, m) batches to the compare-aggregate stages
+    with pytest.raises(DimensionError, match=re.escape(str(shape))):
+        call()
 
 
 class TestSoftmax:
@@ -234,42 +244,42 @@ class TestBatchedShapes:
 
 class TestConvMaxpool:
     def test_constant_input_unit_filter(self):
-        x = T.Tensor(np.full((1, 4), 2.5))
+        x = T.Tensor(np.full((1, 1, 4), 2.5))
         w = T.Tensor(np.ones((1, 1, 1)), requires_grad=True)
         b = T.Tensor(np.zeros(1), requires_grad=True)
         out = T.conv1d_maxpool(x, [(w, b)])
-        np.testing.assert_allclose(out.data, [2.5])
+        np.testing.assert_allclose(out.data, [[2.5]])
 
     def test_max_selection(self):
-        x = T.Tensor([[1.0, 5.0, 2.0]])
+        x = T.Tensor([[[1.0, 5.0, 2.0]]])
         w = T.Tensor(np.ones((1, 1, 1)))
         b = T.Tensor(np.zeros(1))
-        np.testing.assert_allclose(T.conv1d_maxpool(x, [(w, b)]).data, [5.0])
+        np.testing.assert_allclose(T.conv1d_maxpool(x, [(w, b)]).data, [[5.0]])
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ContractError):
-            T.conv1d_maxpool(T.Tensor(np.zeros((2, 0))), [])
+            T.conv1d_maxpool(T.Tensor(np.zeros((1, 2, 0))), [])
 
     def test_width_exceeding_length_rejected(self):
         with pytest.raises(DimensionError):
-            T.conv1d_maxpool(T.Tensor(np.zeros((2, 2))), [(T.Tensor(np.zeros((1, 2, 3))), T.Tensor(np.zeros(1)))])
+            T.conv1d_maxpool(T.Tensor(np.zeros((1, 2, 2))), [(T.Tensor(np.zeros((1, 2, 3))), T.Tensor(np.zeros(1)))])
 
     def test_matches_loop_oracle_and_finite_differences(self):
         rng = np.random.default_rng(42)
         x0 = rng.uniform(-1, 1, size=(4, 6))
         banks_np = [(rng.uniform(-1, 1, size=(2, 4, w)), rng.uniform(-0.2, 0.2, size=2)) for w in (1, 2, 3)]
-        x = T.Tensor(x0, requires_grad=True)
+        x = T.Tensor(x0[None], requires_grad=True)
         banks = [(T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)) for w, b in banks_np]
         out = T.conv1d_maxpool(x, banks)
-        np.testing.assert_allclose(out.data, loop_conv_maxpool(x0, banks_np), atol=1e-12)
+        np.testing.assert_allclose(out.data[0], loop_conv_maxpool(x0, banks_np), atol=1e-12)
 
-        c = rng.uniform(-1, 1, size=out.shape)
+        c = rng.uniform(-1, 1, size=out.shape[1:])
         T.sum_all(T.mul(out, T.Tensor(c))).backward()
 
         def f_x(a):
             return (loop_conv_maxpool(a, banks_np) * c).sum()
 
-        assert rel_err(x.grad, finite_diff_grad(f_x, x0.copy())) < 1e-5
+        assert rel_err(x.grad[0], finite_diff_grad(f_x, x0.copy())) < 1e-5
         for i, (w, b) in enumerate(banks):
             def f_w(arr, i=i):
                 nb = [(arr if j == i else wj, bj) for j, (wj, bj) in enumerate(banks_np)]
@@ -279,10 +289,12 @@ class TestConvMaxpool:
 
     @staticmethod
     def grads(x0, banks_np, c):
-        x = T.Tensor(x0, requires_grad=True)
+        """Gradients of a batch of one: the (features, positions) matrix
+        ``x0`` with the pooled outputs weighted by ``c``."""
+        x = T.Tensor(x0[None], requires_grad=True)
         banks = [(T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)) for w, b in banks_np]
         T.sum_all(T.mul(T.conv1d_maxpool(x, banks), T.Tensor(c))).backward()
-        return x.grad, [w.grad for w, _ in banks], [b.grad for _, b in banks]
+        return x.grad[0], [w.grad for w, _ in banks], [b.grad for _, b in banks]
 
     def assert_matches_loop_backward(self, x0, banks_np, c):
         dx, dws, dbs = self.grads(x0, banks_np, c)
@@ -353,9 +365,10 @@ class TestConvMaxpool:
                  for w in (1, 2, 3)]
         out = T.conv1d_maxpool(T.Tensor(x0), banks).data
         for i in range(3):
-            np.testing.assert_allclose(out[i], T.conv1d_maxpool(T.Tensor(x0[i]), banks).data, rtol=0, atol=1e-12)
+            single = T.conv1d_maxpool(T.Tensor(x0[i][None]), banks).data[0]
+            np.testing.assert_allclose(out[i], single, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("shape,lengths", [((2, 5), [5, 5]), ((2, 2, 5), [5]), ((2, 2, 5), [1, 5]),
+    @pytest.mark.parametrize("shape,lengths", [((1, 2, 5), [5, 5]), ((2, 2, 5), [5]), ((2, 2, 5), [1, 5]),
                                                ((2, 2, 5), [5, 6])],
                              ids=["too_many", "too_few", "shorter_than_a_filter", "longer_than_the_input"])
     def test_invalid_lengths_rejected(self, shape, lengths):
@@ -368,14 +381,14 @@ class TestConvMaxpool:
         x0, x1 = rng.uniform(-1, 1, size=(2, 5, 9))
         banks_np = [(rng.uniform(-1, 1, size=(4, 5, w)), rng.uniform(-0.2, 0.2, size=4)) for w in (1, 2, 3)]
         c = rng.uniform(-1, 1, size=12)
-        x = T.Tensor(x0, requires_grad=True)
+        x = T.Tensor(x0[None], requires_grad=True)
         banks = [(T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)) for w, b in banks_np]
         loss = T.sum_all(T.mul(T.conv1d_maxpool(x, banks), T.Tensor(c)))
-        x.data = x1.copy()
+        x.data = x1[None].copy()
         T.replay(loss)
         loss.backward()
         fresh_dx, fresh_dws, fresh_dbs = self.grads(x1, banks_np, c)
-        np.testing.assert_array_equal(x.grad, fresh_dx)
+        np.testing.assert_array_equal(x.grad[0], fresh_dx)
         for (w, b), dw, db in zip(banks, fresh_dws, fresh_dbs):
             np.testing.assert_array_equal(w.grad, dw)
             np.testing.assert_array_equal(b.grad, db)
@@ -634,21 +647,21 @@ class TestRecordReplay:
 
         def build(x):
             h = T.dropout(T.tanh(T.layer_norm(x, gain, bias)), 0.3, training=True, rng=np.random.default_rng(4))
-            probs = T.softmax(T.conv1d_maxpool(h, banks), axis=0)
-            return T.nll_from_probs(T.reshape(probs, (1, -1)), [2])
+            probs = T.softmax(T.conv1d_maxpool(h, banks), axis=-1)
+            return T.nll_from_probs(probs, [2])
 
         def grads(x, loss):
             T.zero_grads([x] + leaves)
             loss.backward()
             return [t.grad.copy() for t in [x] + leaves]
 
-        x = T.Tensor(x0.copy(), requires_grad=True)
+        x = T.Tensor(x0[None], requires_grad=True)
         loss = build(x)
-        x.data = x1.copy()
+        x.data = x1[None].copy()
         T.replay(loss)
         replayed = grads(x, loss)
 
-        fresh_x = T.Tensor(x1.copy(), requires_grad=True)
+        fresh_x = T.Tensor(x1[None], requires_grad=True)
         fresh_loss = build(fresh_x)
         assert np.array_equal(loss.data, fresh_loss.data)
         for g_replayed, g_fresh in zip(replayed, grads(fresh_x, fresh_loss)):
