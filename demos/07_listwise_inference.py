@@ -34,7 +34,7 @@ model = FixedModel({
     "the patient has ruda": (0.20, 0.15, 0.65),
 })
 
-pointwise = predict_pointwise(model, list(triple.examples))
+pointwise = predict_pointwise(model, list(triple.examples), [])
 print("point-wise labels (not exclusive):")
 for p in pointwise:
     print(f"  {p.pair_id}: {p.predicted_label}  probs={np.round(p.probs, 2)}")

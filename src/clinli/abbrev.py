@@ -28,7 +28,7 @@ class AbbrevTable:
 
     entries: list[tuple[str, str]]
     _pattern: re.Pattern | None = field(default=None, repr=False, compare=False)
-    _lookup: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
+    _ordered: list[tuple[str, str]] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         seen: dict[str, int] = {}
@@ -41,10 +41,10 @@ class AbbrevTable:
             seen[key] = i
             if expansion.casefold() == key:
                 raise DataError(f"entry {i + 1}: expansion equals its surface {surface!r}")
-        self._lookup = {s.casefold(): e for s, e in self.entries}
         if self.entries:
-            ordered = sorted(self.entries, key=lambda kv: -len(kv[0]))
-            alternation = "|".join(re.escape(s) for s, _ in ordered)
+            # one capture group per entry, so a match names its entry by group number
+            self._ordered = sorted(self.entries, key=lambda kv: -len(kv[0]))
+            alternation = "|".join(f"({re.escape(s)})" for s, _ in self._ordered)
             self._pattern = re.compile(rf"(?<![0-9A-Za-z])(?:{alternation})(?![0-9A-Za-z])", re.IGNORECASE)
 
     def __len__(self) -> int:
@@ -84,9 +84,9 @@ def _expand_counting(text: str, table: AbbrevTable, counts: Counter) -> str:
         return text
 
     def repl(match: re.Match) -> str:
-        surface = match.group(0).casefold()
-        counts[surface] += 1
-        return table._lookup[surface]
+        surface, expansion = table._ordered[match.lastindex - 1]
+        counts[surface.casefold()] += 1
+        return expansion
 
     return table._pattern.sub(repl, text)
 

@@ -92,8 +92,9 @@ class Checkpoint:
     provenance: list[str] = field(default_factory=list)
     history: list[MetricRow] = field(default_factory=list)
 
-    def best_dev_loss(self) -> float | None:
-        return min((row.dev_loss for row in self.history), default=None)
+    def best(self) -> MetricRow | None:
+        """The evaluation with the lowest dev loss (the first on ties), if any."""
+        return min(self.history, key=lambda row: row.dev_loss, default=None)
 
 
 def _blocks(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:

@@ -145,7 +145,7 @@ def _out_dir(args) -> Path:
 
 
 def _summarize(ckpt) -> str:
-    best = min(ckpt.history, key=lambda r: r.dev_loss)
+    best = ckpt.best()
     return f"best_dev_loss={best.dev_loss!r}, best_dev_acc={best.dev_accuracy!r}"
 
 
@@ -320,7 +320,7 @@ def cmd_inspect(args) -> int:
     print(f"provenance: {' -> '.join(ckpt.provenance) or '(none)'}")
     print(f"adam_t: {ckpt.adam_t}")
     if ckpt.history:
-        best = min(ckpt.history, key=lambda r: r.dev_loss)
+        best = ckpt.best()
         print(f"evaluations: {len(ckpt.history)}, best_dev_loss={best.dev_loss!r} at step {best.step}")
     total = 0
     for name, arr in ckpt.params.items():

@@ -23,9 +23,7 @@ shorter row, zero-padded as when it runs alone.  So a pair's probabilities
 do not depend on its batch beyond the last bits of the float sums.
 
 The recurrent encoder is a self-contained, trainable stand-in for a large
-pretrained contextual embedder; it sits behind the ``contextual_encode``
-interface so it can be swapped out, and it can be frozen via
-``freeze_encoder`` when a fixed embedder is wanted.
+pretrained contextual embedder, and trains with the rest of the model.
 """
 
 from __future__ import annotations
@@ -175,6 +173,8 @@ def aggregate_classify(
     with each row's valid length in ``lengths``, into a (B, classes) matrix
     of class probabilities.  Padded columns are zeroed first; a batch
     narrower than the widest filter is padded with zero columns."""
+    if c.data.ndim != 3:
+        raise DimensionError(f"aggregate_classify expects a (B, d, m) batch, got {c.shape}")
     max_width = max(w.shape[2] for w, _ in banks)
     m = c.shape[-1]
     lengths = np.asarray(lengths)
@@ -198,7 +198,6 @@ class CompAggrModel(PairClassifier):
     def __init__(self, config: CompAggrConfig, vocab: Vocabulary, seed: int = 0, tokenizer_mode: str | None = None,
                  stored: dict[str, np.ndarray] | None = None):
         super().__init__(config, vocab, tokenizer_mode)
-        self.freeze_encoder = False
         mat, zeros, _ = initializers(seed, self._params, stored)
         hidden = config.repr_dim // 2
         self.emb_table = mat("emb.word", len(vocab), config.word_dim)
@@ -222,8 +221,7 @@ class CompAggrModel(PairClassifier):
         return ids
 
     def _encode(self, texts) -> tuple[T.Tensor, np.ndarray]:
-        out, lengths = contextual_encode([self._ids(t) for t in texts], self.emb_table, self.enc_fwd, self.enc_bwd)
-        return (out.detach() if self.freeze_encoder else out), lengths
+        return contextual_encode([self._ids(t) for t in texts], self.emb_table, self.enc_fwd, self.enc_bwd)
 
     def forward(
         self, pairs, training: bool = False, rng: np.random.Generator | None = None,

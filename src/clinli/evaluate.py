@@ -18,7 +18,6 @@ round-trip exactly.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -43,8 +42,6 @@ __all__ = [
     "write_metrics",
     "write_predictions",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -90,9 +87,10 @@ def _pair_id(ex: NLIExample, index: int) -> str:
     return ex.pair_id if ex.pair_id is not None else f"idx-{index}"
 
 
-def predict_pointwise(model, examples, error_log: list | None = None, positions=None) -> list[Prediction]:
+def predict_pointwise(model, examples, error_log: list, positions=None) -> list[Prediction]:
     """One prediction per example, order preserved.  Examples the model
-    cannot encode are recorded (or logged) and skipped; the run continues.
+    cannot encode are skipped, each with a ``PredictionError`` appended to
+    ``error_log``; the run continues.
     ``positions`` are the examples' indices in their dataset (by default
     their order here); pairs without a pair id are named by them."""
     out: list[Prediction] = []
@@ -101,11 +99,7 @@ def predict_pointwise(model, examples, error_log: list | None = None, positions=
         try:
             probs = model.predict_proba(ex.premise, ex.hypothesis)
         except ClinliError as exc:
-            record = PredictionError(pair_id=pid, message=str(exc))
-            if error_log is not None:
-                error_log.append(record)
-            else:
-                logger.warning("skipping %s: %s", pid, exc)
+            error_log.append(PredictionError(pair_id=pid, message=str(exc)))
             continue
         out.append(Prediction(pair_id=pid, probs=probs))
     return out

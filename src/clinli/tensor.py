@@ -54,14 +54,12 @@ __all__ = [
     "layer_norm",
     "matmul",
     "mul",
-    "nll_clamp_count",
     "nll_from_probs",
     "ravel",
     "record",
     "relu",
     "replay",
     "reshape",
-    "reset_nll_clamp_count",
     "scale",
     "slice_cols",
     "slice_rows",
@@ -93,13 +91,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def backward(self) -> None:
         backward(self)
@@ -583,17 +574,6 @@ def dropout(x: Tensor, ratio: float, training: bool, rng: np.random.Generator | 
 
 
 _NLL_EPS = 1e-12
-_nll_clamp_count = 0
-
-
-def nll_clamp_count() -> int:
-    """How many gold-class probabilities have been clamped at 1e-12 so far."""
-    return _nll_clamp_count
-
-
-def reset_nll_clamp_count() -> None:
-    global _nll_clamp_count
-    _nll_clamp_count = 0
 
 
 def nll_from_probs(probs: Tensor, gold: Sequence[int]) -> Tensor:
@@ -601,10 +581,8 @@ def nll_from_probs(probs: Tensor, gold: Sequence[int]) -> Tensor:
 
     ``probs`` is a (batch, classes) matrix of per-example probability rows;
     ``gold`` the matching class indices.  Zero probabilities at the gold
-    class are clamped at 1e-12 (counted via ``nll_clamp_count``); clamped
-    entries get zero gradient.
+    class are clamped at 1e-12, and clamped entries get zero gradient.
     """
-    global _nll_clamp_count
     gold = np.asarray([int(g) for g in gold], dtype=np.int64)
     if probs.data.ndim != 2:
         raise DimensionError(f"probabilities must be a (batch, classes) matrix, got shape {probs.shape}")
@@ -620,8 +598,6 @@ def nll_from_probs(probs: Tensor, gold: Sequence[int]) -> Tensor:
         for p in probs.data[rows, gold].tolist():
             total -= math.log(max(p, _NLL_EPS))
         return np.asarray(total)
-
-    _nll_clamp_count += int((probs.data[rows, gold] < _NLL_EPS).sum())
 
     def backward_fn(gout: np.ndarray) -> None:
         picked = probs.data[rows, gold]

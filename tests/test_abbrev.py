@@ -73,6 +73,18 @@ class TestExpand:
         table = table_from([("CHF", "congestive heart failure")])
         assert abbrev.expand("chf, EF 55%", table) == "congestive heart failure, EF 55%"
 
+    # the case-insensitive pattern matches these, though their casefolds differ from the surface's
+    @pytest.mark.parametrize("surface,text", [
+        ("i", "\u0131"),  # dotless i
+        ("i", "\u0130"),  # dotted capital I
+        ("\u0131", "i"),
+        ("\u0131", "I"),
+        ("iv", "pt given \u0130V"),
+    ])
+    def test_match_expands_to_the_entry_it_matched(self, surface, text):
+        table = table_from([(surface, "EXPANDED")])
+        assert abbrev.expand(text, table) == text[:-len(surface)] + "EXPANDED"
+
     def test_no_recursive_expansion(self):
         # the expansion of "A" contains surface "B", which must not rescan
         table = table_from([("A", "B plus"), ("B", "C")])

@@ -320,8 +320,8 @@ class TestEarlyStopping:
                             early_stop_patience=patience, step_fraction=1.0),
             )
             ok = ok and model.evals == expected_stop
-            ok = ok and ckpt.best_dev_loss() == pytest.approx(expected_best)
-            details.append(f"patience {patience}: stop@{model.evals}, best={ckpt.best_dev_loss()}")
+            ok = ok and ckpt.best().dev_loss == pytest.approx(expected_best)
+            details.append(f"patience {patience}: stop@{model.evals}, best={ckpt.best().dev_loss}")
         criterion("early-stopping", ok, "; ".join(details))
 
 

@@ -675,6 +675,18 @@ class TestExpand:
         expanded = load_jsonl(out / "expanded.jsonl")
         assert expanded[0].premise == "Patient has normal sinus rhythm post-cardioversion"
 
+    def test_casefold_mismatch_expands(self, tmp_path):
+        # the pattern matches "\u0130V" case-insensitively, but its casefold is not "iv"
+        doc = {"sentence1": "given \u0130V fluids", "sentence2": "fluids", "gold_label": "neutral", "pairID": "a"}
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text(json.dumps(doc) + "\n")
+        table = tmp_path / "t.tsv"
+        table.write_text("iv\tintravenous\n")
+        out = tmp_path / "exp"
+        assert run_cli("expand", "--dataset", dataset, "--table", table, "--out-dir", out) == 0
+        assert load_jsonl(out / "expanded.jsonl")[0].premise == "given intravenous fluids"
+        assert "iv\t1" in (out / "expand_report.txt").read_text()
+
     def test_idempotent(self, tmp_path):
         data = synth_dir(tmp_path, count=30, seed=8)
         table = tmp_path / "t.tsv"

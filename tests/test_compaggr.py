@@ -352,26 +352,12 @@ class TestFullModel:
             fd = finite_diff_grad(f, p.data.copy())
             assert rel_err(p.grad, fd) < 1e-4, name
 
-    def test_freeze_encoder_blocks_encoder_gradients(self):
+    def test_every_parameter_gets_a_gradient_in_a_padded_batch(self):
         model = tiny_model(seed=16)
-        model.freeze_encoder = True
-        batch = [NLIExample("alpha beta", "beta", "entailment", "p1")]
-        loss, _ = model.batch_loss(batch)
-        loss.backward()
-        assert model.enc_fwd.wx.grad is None
-        assert model.emb_table.grad is None
-        assert model.cls_w.grad is not None
-
-    def test_freeze_encoder_blocks_encoder_gradients_in_a_padded_batch(self):
-        model = tiny_model(seed=16)
-        model.freeze_encoder = True
         loss, _ = model.batch_loss(mixed_batch(4))
         loss.backward()
         for name, p in model.parameters().items():
-            if name.startswith(("emb.", "enc.")):
-                assert p.grad is None, name
-            else:
-                assert p.grad is not None and p.grad.any(), name
+            assert p.grad is not None and p.grad.any(), name
 
     def test_unknown_words_map_to_unk_and_still_classify(self):
         model = tiny_model(seed=17)

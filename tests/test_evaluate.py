@@ -60,19 +60,19 @@ class TestPrediction:
 
 class TestPredictPointwise:
     def test_empty_input(self):
-        assert ev.predict_pointwise(DictModel({}), []) == []
+        assert ev.predict_pointwise(DictModel({}), [], []) == []
 
     def test_duplicated_example_identical_predictions(self):
         ex = NLIExample("a b", "c", "entailment", "e1")
         model = DictModel({("a b", "c"): (0.7, 0.2, 0.1)})
         ex2 = NLIExample("a b", "c", "entailment", "e2")
-        preds = ev.predict_pointwise(model, [ex, ex2])
+        preds = ev.predict_pointwise(model, [ex, ex2], [])
         np.testing.assert_array_equal(preds[0].probs, preds[1].probs)
         assert preds[0].predicted_label == preds[1].predicted_label
 
     def test_uniform_model_tie_breaks_to_entailment(self):
         examples = make_examples(["neutral", "contradiction"])
-        preds = ev.predict_pointwise(DictModel({}), examples)
+        preds = ev.predict_pointwise(DictModel({}), examples, [])
         assert [p.predicted_label for p in preds] == ["entailment", "entailment"]
 
     def test_errors_recorded_and_run_continues(self):

@@ -56,8 +56,10 @@ BANK = (T.Tensor(np.zeros((1, 2, 2))), T.Tensor(np.zeros(1)))
      (2, 3)),
     (lambda: aggregate_classify(T.Tensor(np.zeros((2, 5))), [BANK], T.Tensor(np.zeros((1, 3))), T.Tensor(np.zeros(3)),
                                 [5]), (2, 5)),
+    (lambda: aggregate_classify(T.Tensor(np.zeros((2, 5))), [BANK], T.Tensor(np.zeros((1, 3))), T.Tensor(np.zeros(3)),
+                                [3]), (2, 5)),
 ], ids=["matmul_vector_right", "matmul_vector_left", "conv1d_maxpool_matrix", "cross_attention_matrices",
-        "aggregate_classify_matrix"])
+        "aggregate_classify_matrix", "aggregate_classify_matrix_short"])
 def test_unbatched_forms_are_rejected_naming_the_shape(call, shape):
     # the models pass matmul operands of at least two axes and (B, d, m) batches to the compare-aggregate stages
     with pytest.raises(DimensionError, match=re.escape(str(shape))):
@@ -563,15 +565,12 @@ class TestNll:
         loss = T.nll_from_probs(T.Tensor(np.stack(rows)), gold)
         np.testing.assert_allclose(float(loss.data), expected, rtol=1e-12)
 
-    def test_zero_probability_clamped_and_counted(self):
-        T.reset_nll_clamp_count()
+    def test_zero_probability_clamped(self):
         probs = T.Tensor([[0.0, 1.0, 0.0]], requires_grad=True)
         loss = T.nll_from_probs(probs, [0])
         assert float(loss.data) == pytest.approx(-np.log(1e-12))
-        assert T.nll_clamp_count() == 1
         loss.backward()
         np.testing.assert_array_equal(probs.grad, np.zeros((1, 3)))
-        T.reset_nll_clamp_count()
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(33)

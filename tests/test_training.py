@@ -171,7 +171,7 @@ class TestTrainEarlyStopping:
         assert model.evals == expected_evals
         assert [row.step for row in ckpt.history] == list(range(1, expected_evals + 1))
         assert min(r.dev_loss for r in ckpt.history) == pytest.approx(expected_best)
-        assert ckpt.best_dev_loss() == pytest.approx(expected_best)
+        assert ckpt.best().dev_loss == pytest.approx(expected_best)
 
     def test_runs_out_of_epochs_without_stop(self):
         model = ScriptedModel([1.0, 0.9, 0.8, 0.7])
@@ -179,7 +179,7 @@ class TestTrainEarlyStopping:
         config = tr.TrainConfig(batch_size=1, max_epochs=4, early_stop_patience=4, step_fraction=1.0)
         ckpt = tr.train(model, train_set, dev_set, config)
         assert model.evals == 4
-        assert ckpt.best_dev_loss() == pytest.approx(0.7)
+        assert ckpt.best().dev_loss == pytest.approx(0.7)
 
     def test_empty_dataset_rejected(self):
         model = ScriptedModel([1.0])
@@ -219,7 +219,7 @@ class TestTrainRealModel:
         ckpt = tr.train(model, corpus[:18], corpus[18:], config)
         dev_loss_t, _ = model.batch_loss(corpus[18:], training=False)
         reeval = float(dev_loss_t.data) / len(corpus[18:])
-        assert reeval == pytest.approx(ckpt.best_dev_loss(), rel=1e-12)
+        assert reeval == pytest.approx(ckpt.best().dev_loss, rel=1e-12)
 
     def test_determinism_bit_identical_checkpoints(self, tmp_path):
         corpus = generate_corpus(SynthSpec(count=18, seed=5))
