@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from importlib import resources
 
 from .data import NLIExample, read_text
@@ -24,28 +24,33 @@ __all__ = ["AbbrevTable", "ExpansionReport", "demo_table", "expand", "expand_dat
 
 @dataclass
 class AbbrevTable:
-    """Ordered abbreviation entries, matched case-insensitively."""
+    """Ordered abbreviation entries, matched case-insensitively.  Messages
+    name an entry by its position, or by ``path`` and its ``lines`` entry."""
 
     entries: list[tuple[str, str]]
+    lines: InitVar[list[int] | None] = None
+    path: InitVar[str | None] = None
     _pattern: re.Pattern | None = field(default=None, repr=False, compare=False)
-    _ordered: list[tuple[str, str]] = field(default_factory=list, repr=False, compare=False)
+    _ordered: list[int] = field(default_factory=list, repr=False, compare=False)
 
-    def __post_init__(self):
-        seen: dict[str, int] = {}
+    def __post_init__(self, lines, path):
+        if not self.entries:
+            return
+        # one capture group per entry, longest first, so a match names its entry by group number
+        self._ordered = sorted(range(len(self.entries)), key=lambda i: -len(self.entries[i][0]))
+        alternation = "|".join(f"({re.escape(self.entries[i][0])})" for i in self._ordered)
+        self._pattern = re.compile(rf"(?<![0-9A-Za-z])(?:{alternation})(?![0-9A-Za-z])", re.IGNORECASE)
+        numbers = lines or range(1, len(self.entries) + 1)
+        at, unit = (f"{path}:", "line") if lines else ("entry ", "entry")
         for i, (surface, expansion) in enumerate(self.entries):
             if not surface:
-                raise DataError(f"entry {i + 1}: empty surface")
-            key = surface.casefold()
-            if key in seen:
-                raise DataError(f"duplicate surface {surface!r} (entries {seen[key] + 1} and {i + 1})")
-            seen[key] = i
-            if expansion.casefold() == key:
-                raise DataError(f"entry {i + 1}: expansion equals its surface {surface!r}")
-        if self.entries:
-            # one capture group per entry, so a match names its entry by group number
-            self._ordered = sorted(self.entries, key=lambda kv: -len(kv[0]))
-            alternation = "|".join(f"({re.escape(s)})" for s, _ in self._ordered)
-            self._pattern = re.compile(rf"(?<![0-9A-Za-z])(?:{alternation})(?![0-9A-Za-z])", re.IGNORECASE)
+                raise DataError(f"{at}{numbers[i]}: empty surface")
+            # the entry the matcher reads this surface as: an earlier one makes this one a duplicate
+            first = self._ordered[self._pattern.fullmatch(surface).lastindex - 1]
+            if first != i:
+                raise DataError(f"{at}{numbers[i]}: duplicate surface {surface!r} (first at {unit} {numbers[first]})")
+            if expansion.casefold() == surface.casefold():
+                raise DataError(f"{at}{numbers[i]}: expansion equals its surface {surface!r}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -54,22 +59,16 @@ class AbbrevTable:
 def load_table(path) -> AbbrevTable:
     """Parse a tab-separated abbreviation table, preserving file order."""
     entries: list[tuple[str, str]] = []
-    line_of: dict[str, int] = {}
+    lines: list[int] = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
             raise ParseError(f"{path}:{lineno}: expected 'surface<TAB>expansion', got {line!r}")
-        surface, expansion = fields[0].strip(), fields[1].strip()
-        key = surface.casefold()
-        if key in line_of:
-            raise DataError(f"{path}:{lineno}: duplicate surface {surface!r} (first at line {line_of[key]})")
-        if expansion.casefold() == key:
-            raise DataError(f"{path}:{lineno}: expansion equals its surface {surface!r}")
-        line_of[key] = lineno
-        entries.append((surface, expansion))
-    return AbbrevTable(entries=entries)
+        entries.append((fields[0].strip(), fields[1].strip()))
+        lines.append(lineno)
+    return AbbrevTable(entries=entries, lines=lines, path=str(path))
 
 
 def demo_table() -> AbbrevTable:
@@ -84,7 +83,7 @@ def _expand_counting(text: str, table: AbbrevTable, counts: Counter) -> str:
         return text
 
     def repl(match: re.Match) -> str:
-        surface, expansion = table._ordered[match.lastindex - 1]
+        surface, expansion = table.entries[table._ordered[match.lastindex - 1]]
         counts[surface.casefold()] += 1
         return expansion
 

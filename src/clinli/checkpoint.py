@@ -165,7 +165,9 @@ def _read_header(path, fh) -> Header:
 
 def _read_history(mpath: Path) -> list[MetricRow]:
     history: list[MetricRow] = []
-    lines = read_text(mpath).splitlines()
+    lines = read_text(mpath).split("\n")  # not splitlines(), which also breaks at \x0c, \x85, \u2028 and the like
+    if not lines[-1]:
+        lines.pop()  # the newline that ends the last row
     if lines[:1] != [_SIDECAR_HEADER]:
         raise ParseError(f"{mpath}:1: expected the header line {_SIDECAR_HEADER!r}, got {lines[:1]}")
     for lineno, line in enumerate(lines[1:], start=2):

@@ -243,7 +243,7 @@ def cmd_predict(args) -> int:
         for t in triples:
             try:
                 result = predict_listwise(model, t)
-            except ClinliError:
+            except DataError:
                 continue  # a pair the model cannot encode sends its triple point-wise
             rows += [Prediction(*row) for row in zip(result.pair_ids, result.probs, result.labels)]
             assigned.update(t.positions)

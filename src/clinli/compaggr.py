@@ -9,10 +9,12 @@ width in ``FILTER_WIDTHS`` (1..5, fixed; the config sets only how many per
 width) with relu and max-over-time pooling aggregates the comparison into a
 fixed vector for a three-way softmax head.
 
-A mini-batch runs as one graph.  Its premises, and apart from them its
-hypotheses, are padded at the end with ``Vocabulary.pad_id`` to the longest,
-L words, and encode to one (B, d, L) tensor; each direction projects every
-step at once, then records five nodes per step for the whole batch.  Neither
+``CompAggrModel.encode`` turns a pair into its premise's and its
+hypothesis's word ids, and ``forward`` runs a mini-batch of encoded pairs as
+one graph.  Its premises, and apart from them its hypotheses, are padded at
+the end with ``Vocabulary.pad_id`` to the longest, L words, and encode to
+one (B, d, L) tensor; each direction projects every step at once, then
+records five nodes per step for the whole batch.  Neither
 direction needs a blend of old and new states: the forward one reads padding
 only after a row's last word, and the backward one reads it first, from a
 zero state that a multiply by the step's row mask keeps exactly zero.
@@ -35,9 +37,8 @@ import numpy as np
 from . import tensor as T
 from .data import LABELS
 from .errors import ConfigError, DataError, DimensionError
-from .model import PairClassifier, initializers
+from .model import MASK_LOGIT, PairClassifier, initializers
 from .tokenizer import Vocabulary, word_tokenize
-from .transformer import MASK_LOGIT
 
 __all__ = [
     "FILTER_WIDTHS",
@@ -214,21 +215,18 @@ class CompAggrModel(PairClassifier):
         self.cls_w = mat("cls.w", config.total_filters, len(LABELS))
         self.cls_b = zeros("cls.b", len(LABELS))
 
-    def _ids(self, text: str) -> list[int]:
-        ids = word_tokenize(text, self.vocab)
-        if not ids:
-            raise DataError(f"text tokenized to nothing: {text!r}")
-        return ids
+    def encode(self, premise: str, hypothesis: str) -> tuple[list[int], list[int]]:
+        premise_ids, hypothesis_ids = word_tokenize(premise, self.vocab), word_tokenize(hypothesis, self.vocab)
+        if not premise_ids:
+            raise DataError(f"premise tokenized to nothing: {premise!r}")
+        if not hypothesis_ids:
+            raise DataError(f"hypothesis tokenized to nothing: {hypothesis!r}")
+        return premise_ids, hypothesis_ids
 
-    def _encode(self, texts) -> tuple[T.Tensor, np.ndarray]:
-        return contextual_encode([self._ids(t) for t in texts], self.emb_table, self.enc_fwd, self.enc_bwd)
-
-    def forward(
-        self, pairs, training: bool = False, rng: np.random.Generator | None = None,
-    ) -> T.Tensor:
-        """(B, 3) class probabilities for B (premise, hypothesis) pairs, from one graph."""
-        ep, premise_lengths = self._encode([premise for premise, _ in pairs])
-        eh, hypothesis_lengths = self._encode([hypothesis for _, hypothesis in pairs])
+    def forward(self, batch, training: bool = False, rng: np.random.Generator | None = None) -> T.Tensor:
+        """(B, 3) class probabilities for B encoded pairs, from one graph."""
+        ep, premise_lengths = contextual_encode([p for p, _ in batch], self.emb_table, self.enc_fwd, self.enc_bwd)
+        eh, hypothesis_lengths = contextual_encode([h for _, h in batch], self.emb_table, self.enc_fwd, self.enc_bwd)
         ep = T.dropout(ep, self.dropout, training, rng)
         eh = T.dropout(eh, self.dropout, training, rng)
         aligned = cross_attention(ep, eh, self.attn_w, premise_lengths)
@@ -239,8 +237,8 @@ class CompAggrModel(PairClassifier):
         )
 
     def predict_proba(self, premise: str, hypothesis: str) -> np.ndarray:
-        return self.forward([(premise, hypothesis)]).data[0].copy()
+        return self.forward([self.encode(premise, hypothesis)]).data[0].copy()
 
     def batch_loss(self, batch, training: bool = False, rng: np.random.Generator | None = None):
-        probs = self.forward([(ex.premise, ex.hypothesis) for ex in batch], training=training, rng=rng)
+        probs = self.forward([self.encode(ex.premise, ex.hypothesis) for ex in batch], training=training, rng=rng)
         return self._scored(probs, batch)

@@ -65,10 +65,6 @@ class NLITriple:
         if labels != sorted(LABELS):
             raise DataError(f"triple must cover all three classes exactly once, got {labels}")
 
-    @property
-    def premise(self) -> str:
-        return self.examples[0].premise
-
 
 def read_text(path) -> str:
     """The text of UTF-8 file ``path``, line endings read as text mode reads

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LABELS, NLIExample, NLITriple, label_id, read_text, write_atomic
-from .errors import ClinliError, DataError
+from .errors import DataError
 
 __all__ = [
     "AgreementPartition",
@@ -89,8 +89,8 @@ def _pair_id(ex: NLIExample, index: int) -> str:
 
 def predict_pointwise(model, examples, error_log: list, positions=None) -> list[Prediction]:
     """One prediction per example, order preserved.  Examples the model
-    cannot encode are skipped, each with a ``PredictionError`` appended to
-    ``error_log``; the run continues.
+    cannot encode (a DataError) are skipped, each with a ``PredictionError``
+    appended to ``error_log``; any other error propagates.
     ``positions`` are the examples' indices in their dataset (by default
     their order here); pairs without a pair id are named by them."""
     out: list[Prediction] = []
@@ -98,7 +98,7 @@ def predict_pointwise(model, examples, error_log: list, positions=None) -> list[
         pid = _pair_id(ex, i)
         try:
             probs = model.predict_proba(ex.premise, ex.hypothesis)
-        except ClinliError as exc:
+        except DataError as exc:
             error_log.append(PredictionError(pair_id=pid, message=str(exc)))
             continue
         out.append(Prediction(pair_id=pid, probs=probs))

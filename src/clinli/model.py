@@ -7,9 +7,8 @@ trainable tensor is named once, by the maker call that creates it
 (``initializers``); ``parameters()`` returns them by name in creation order,
 the order of checkpoint blocks and Adam state.  The
 classification head is ``cls_w``/``cls_b``, one column per label in
-``data.LABELS``.  ``forward``, ``batch_loss`` and ``predict_proba`` are
-defined in each model's own class; the base class, the parameter
-initializers and the config parser here do not depend on the architecture.
+``data.LABELS``.  The base class, the parameter initializers and the config
+parser here do not depend on the architecture.
 """
 
 from __future__ import annotations
@@ -25,7 +24,9 @@ from .data import _SURROGATE, label_id
 from .errors import ConfigError, ContractError, DataError
 from .tokenizer import Vocabulary
 
-__all__ = ["PairClassifier", "initializers", "parse_config"]
+__all__ = ["MASK_LOGIT", "PairClassifier", "initializers", "parse_config"]
+
+MASK_LOGIT = -1e9  # a padded position's logit: exactly zero weight after a softmax
 
 # resolving the string annotations of a config class takes about 0.15 ms
 # (Python 3.11, 2-core x86 VM), a sizeable share of loading a small
@@ -90,9 +91,9 @@ def initializers(seed: int, params: dict[str, T.Tensor], stored: dict[str, np.nd
 
     Given the parameter blocks of a checkpoint (``stored``, in file order),
     each maker instead takes a copy of the next block and draws nothing.  A
-    block of another name or shape raises a DataError before any array of
-    the model's size exists, so a header that claims a huge dimension or
-    block count costs no more work than its stored blocks."""
+    block of another name or shape, or holding NaN or inf, raises a DataError
+    before any array of the model's size exists, so a header that claims a
+    huge dimension or block count costs no more work than its stored blocks."""
     rng = np.random.default_rng(seed)
     blocks = iter((stored or {}).items())
 
@@ -103,6 +104,8 @@ def initializers(seed: int, params: dict[str, T.Tensor], stored: dict[str, np.nd
             raise DataError(f"parameter name mismatch: missing block {name!r}{extra}")
         if arr.shape != shape:
             raise DataError(f"block {name!r}: stored shape {arr.shape} != model shape {shape}")
+        if not np.isfinite(arr).all():
+            raise DataError(f"block {name!r}: holds NaN or inf")
         return np.array(arr, dtype=np.float64)
 
     def made(name, shape, draw):
@@ -128,7 +131,12 @@ class PairClassifier:
     ``config_class`` and ``tokenizer_modes`` (the first is the default)
     and make their tensors with ``initializers(seed, self._params, stored)``,
     ``stored`` being the parameter blocks of a checkpoint when the model is
-    rebuilt from one."""
+    rebuilt from one.  ``encode(premise, hypothesis)`` turns a pair into the
+    model's input, or raises the DataError naming a side with nothing to
+    encode that makes prediction skip the pair; ``forward`` maps a list of
+    encoded pairs to (B, 3) probabilities from one graph.  ``predict_proba``
+    and ``batch_loss`` are the same two lines over these in each class, not
+    here, because ``perfbench/tracer.py`` wraps them on each class by name."""
 
     kind: str
     config_class: type

@@ -30,7 +30,7 @@ import numpy as np
 from . import tensor as T
 from .data import LABELS
 from .errors import ConfigError, ContractError, DataError, DimensionError
-from .model import PairClassifier, initializers
+from .model import MASK_LOGIT, PairClassifier, initializers
 from .tokenizer import EncodedPair, Vocabulary, encode_pair
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "multi_head_attention",
     "transformer_block",
 ]
-
-MASK_LOGIT = -1e9
 
 
 @dataclass
@@ -238,7 +236,5 @@ class TransformerClassifier(PairClassifier):
         return self.forward([self.encode(premise, hypothesis)]).data[0].copy()
 
     def batch_loss(self, batch, training: bool = False, rng: np.random.Generator | None = None):
-        """Summed negative log-likelihood over a batch of examples, plus the
-        number of correct argmax predictions."""
         probs = self.forward([self.encode(ex.premise, ex.hypothesis) for ex in batch], training=training, rng=rng)
         return self._scored(probs, batch)

@@ -480,7 +480,10 @@ class TestPredictEval:
         (lambda c: setattr(c, "tokenizer_mode", 5), "tokenizer_mode"),
         (lambda c: setattr(c, "tokenizer_mode", "bogus"), "tokenizer_mode"),
         (lambda c: setattr(c, "adam_t", "x"), "adam_t"),
-    ], ids=["repr_dim", "kind", "provenance", "vocab", "vocab_ints", "tokenizer_int", "tokenizer_mode", "adam_t"])
+        # one NaN weight would make every softmax fail: the file is rejected, not each pair
+        (lambda c: c.params["cls.w"].put(0, float("nan")), "block 'cls.w': holds NaN or inf"),
+    ], ids=["repr_dim", "kind", "provenance", "vocab", "vocab_ints", "tokenizer_int", "tokenizer_mode", "adam_t",
+            "nan_block"])
     def test_checkpoint_header_value_rejected_exits_2(self, tmp_path, trained, capsys, edit, named):
         data, ckpt = trained
         loaded = load_checkpoint(ckpt)
@@ -588,6 +591,9 @@ class TestMalformedInputs:
         ("eval", "preds.tsv", b"p1\t0.2\t0.3\t0.5\tneutral\xff\n", 1, "not UTF-8"),
         ("expand", "table.tsv", b"# table\nMI\xff\tx\n", 2, "not UTF-8"),
         ("expand", "table.tsv", b"# table\nMI\tmi\n", 2, "expansion equals its surface"),
+        # case-insensitive matching equates i and dotless i: the second entry could never fire
+        ("expand", "table.tsv", "i\tiodine\n\u0131\tdotless\n".encode(), 2,
+         "duplicate surface '\u0131' (first at line 1)"),
         ("expand", "data.jsonl", jsonl_line() + b'{"sentence1": ' + b"1" * 5000 + b"}\n", 2, "invalid JSON"),
         ("train", "run.json", b'{\n"seed": "\xff"}\n', 2, "not UTF-8"),
         ("train", "run.json", b"[" * 100_000, None, "invalid JSON"),  # no line: the whole file nests too deep
@@ -595,7 +601,7 @@ class TestMalformedInputs:
         ("eval", "preds.tsv", b"p1\t-1.0\t1.0\t1.0\tneutral\n", 1, "negative"),
     ], ids=["dataset_utf8", "sentence1_int", "pair_id_int", "pair_id_tab", "pair_id_line_feed",
             "pair_id_carriage_return", "gold_label_null", "predictions_utf8", "table_utf8", "table_identity",
-            "dataset_long_int", "run_config_utf8", "run_config_nesting", "dataset_surrogate", "predictions_negative"])
+            "table_matcher_duplicate", "dataset_long_int", "run_config_utf8", "run_config_nesting", "dataset_surrogate", "predictions_negative"])
     def test_exits_2_naming_file_and_line(self, tmp_path, capsys, command, name, content, line, named):
         (tmp_path / "data.jsonl").write_bytes(jsonl_line())
         (tmp_path / "preds.tsv").write_text("p1\t0.2\t0.3\t0.5\tneutral\n")

@@ -371,16 +371,16 @@ class TestBatchPath:
         model = tiny_model(seed=18)
         batch = mixed_batch(9)
         assert {len(ex.hypothesis.split()) for ex in batch} >= {1, 2, 3, 4, 9}
-        probs = model.forward([(ex.premise, ex.hypothesis) for ex in batch]).data
+        probs = model.forward([model.encode(ex.premise, ex.hypothesis) for ex in batch]).data
         assert probs.shape == (9, 3)
         for row, ex in zip(probs, batch):
             np.testing.assert_allclose(row, model.predict_proba(ex.premise, ex.hypothesis), rtol=0, atol=1e-12)
 
     def test_adding_a_longer_pair_leaves_the_other_rows_unchanged(self):
         model = tiny_model(seed=19)
-        pairs = [(ex.premise, ex.hypothesis) for ex in mixed_batch(5)]
-        longest = ("alpha beta gamma delta epsilon zeta alpha beta gamma delta epsilon zeta",
-                   "zeta epsilon delta gamma beta alpha zeta epsilon delta gamma beta alpha")
+        pairs = [model.encode(ex.premise, ex.hypothesis) for ex in mixed_batch(5)]
+        longest = model.encode("alpha beta gamma delta epsilon zeta alpha beta gamma delta epsilon zeta",
+                               "zeta epsilon delta gamma beta alpha zeta epsilon delta gamma beta alpha")
         short = model.forward(pairs).data
         padded = model.forward(pairs[:2] + [longest] + pairs[2:]).data
         np.testing.assert_allclose(np.delete(padded, 2, axis=0), short, rtol=0, atol=1e-12)

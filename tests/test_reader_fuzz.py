@@ -140,6 +140,22 @@ def test_edited_abbreviation_tables_load_or_name_the_line(path, data):
         assert isinstance(expand("pt with MI and CHF", table), str)
 
 
+# letters case-insensitive matching equates: i ı İ I (whose casefolds differ), k K and the Kelvin sign, s ſ
+CASE_LETTERS = "i\u0131\u0130IkK\u212as\u017f"
+
+
+@FUZZ
+@given(surfaces=st.lists(st.text(st.sampled_from(CASE_LETTERS), min_size=1, max_size=3), min_size=1, max_size=6))
+def test_every_entry_of_a_table_that_loads_expands_its_own_surface(path, surfaces):
+    path.write_text("".join(f"{s}\tx{n}\n" for n, s in enumerate(surfaces)), encoding="utf-8")
+    try:
+        table = load_table(path)
+    except DataError as exc:
+        assert re.match(re.escape(str(path)) + r":\d+: duplicate surface .* \(first at line \d+\)$", str(exc)), exc
+        return
+    assert [expand(surface, table) for surface, _ in table.entries] == [e for _, e in table.entries]
+
+
 @FUZZ
 @given(data=st.data())
 def test_edited_run_configs_load_or_name_the_line_or_key(path, data):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -431,4 +433,15 @@ class TestCheckpointParseErrors:
         lines[1] = lines[1].replace("\t", " ", 1)
         sidecar.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=r"m.ckpt.metrics.tsv:2: expected step"):
+            load_checkpoint(saved)
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_metrics_row_is_named_by_its_own_line(self, saved, separator):
+        # str.splitlines() would also break at each of these, and name a line past the row at fault
+        sidecar = saved.with_name(saved.name + ".metrics.tsv")
+        header, row = sidecar.read_text().split("\n")[:2]
+        bad = f"{row}{separator}x"
+        sidecar.write_text(f"{header}\n{bad}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"m.ckpt.metrics.tsv:2: expected step, train_loss, dev_loss "
+                                                       f"and dev_accuracy, got {bad!r}")):
             load_checkpoint(saved)
