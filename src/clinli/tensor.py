@@ -10,10 +10,11 @@ Each op writes its forward once, as a closure that the node keeps: the
 closure computes the node's value when the op is called, and ``replay()``
 calls it again over the recorded graph.  Only dropout masks are drawn once
 and reused, so a replay on unchanged inputs reproduces the original outputs
-bit for bit; everything else a backward needs, such as ``conv1d_maxpool``'s
-pooling indices, is recomputed from the current inputs.  A backward closure
-never refers to its own output node, so a finished graph holds no reference
-cycle and is freed as soon as the last reference to it goes.
+bit for bit.  Each forward call refills a closure-local cell with what its
+backward reads: the output of ``softmax`` and ``tanh``, ``layer_norm``'s
+row mean and 1/std, ``conv1d_maxpool``'s pooling indices.  A backward
+closure never refers to its own output node, so a finished graph holds no
+reference cycle and is freed as soon as the last reference to it goes.
 
 Only the operations the two sentence-pair classifiers need are implemented,
 in the batch forms the models call.  Shape-changing ops work on the last
@@ -100,12 +101,15 @@ class Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g``, summed back to ``t``'s shape, to ``t.grad``.  The first
+    gradient is copied, so each tensor owns its grad array."""
     if not t.requires_grad:
         return
+    g = _unbroadcast(g, t.shape)
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
     else:
-        t.grad = t.grad + g
+        t.grad += g
 
 
 def _result(
@@ -117,12 +121,14 @@ def _result(
     """The output node of an op: its value is ``forward_fn()``, and the node
     keeps ``forward_fn`` for ``replay`` when any parent requires grad."""
     out = Tensor(forward_fn())
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out.op = op
-        out._parents = tuple(parents)
-        out._backward = backward_fn
-        out._forward = forward_fn
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out.op = op
+            out._parents = tuple(parents)
+            out._backward = backward_fn
+            out._forward = forward_fn
+            break
     return out
 
 
@@ -170,10 +176,10 @@ def replay(root: Tensor) -> np.ndarray:
     """Re-run the recorded forward pass for ``root`` on the current leaf
     values.
 
-    Dropout masks are reused; every other intermediate, pooling indices
-    included, is recomputed, so a later ``backward`` sees the replayed
-    values.  On unchanged inputs the result is bit-identical to the
-    original run.
+    Dropout masks are reused; every other intermediate, and every value a
+    forward saved for its backward, is recomputed, so a later ``backward``
+    sees the replayed values.  On unchanged inputs the result is
+    bit-identical to the original run.
     """
     for n in record(root):
         if n._forward is not None:
@@ -190,14 +196,6 @@ def zero_grads(tensors) -> None:
 # binary elementwise ops with numpy broadcasting
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        try:
-            np.broadcast_shapes(a.shape, b.shape)
-        except ValueError:
-            raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum the gradient of a broadcast result back to an operand's shape."""
     if g.shape == shape:
@@ -207,24 +205,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=axes).reshape(shape)
 
 
+def _broadcast_result(forward_fn, a: Tensor, b: Tensor, op: str, backward_fn) -> Tensor:
+    try:
+        return _result(forward_fn, (a, b), op, backward_fn)
+    except ValueError:  # numpy rejected the operands' shapes
+        raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-
     def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        _accumulate(a, g)
+        _accumulate(b, g)
 
-    return _result(lambda: a.data + b.data, (a, b), "add", backward_fn)
+    return _broadcast_result(lambda: a.data + b.data, a, b, "add", backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-
     def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
 
-    return _result(lambda: a.data * b.data, (a, b), "mul", backward_fn)
+    return _broadcast_result(lambda: a.data * b.data, a, b, "mul", backward_fn)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
@@ -241,10 +242,16 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * (1.0 - np.tanh(a.data) ** 2))
+    saved = [None]  # the output, read by the backward
 
-    return _result(lambda: np.tanh(a.data), (a,), "tanh", backward_fn)
+    def fwd() -> np.ndarray:
+        saved[0] = np.tanh(a.data)
+        return saved[0]
+
+    def backward_fn(g: np.ndarray) -> None:
+        _accumulate(a, g * (1.0 - saved[0] ** 2))
+
+    return _result(fwd, (a,), "tanh", backward_fn)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -270,15 +277,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         else:
             gb = np.swapaxes(a.data, -1, -2) @ g
-        _accumulate(a, _unbroadcast(ga, a.shape))
-        _accumulate(b, _unbroadcast(gb, b.shape))
+        _accumulate(a, ga)
+        _accumulate(b, gb)
 
-    try:
-        if min(a.data.ndim, nb) < 2:
-            raise ValueError
-        return _result(lambda: a.data @ b.data, (a, b), "matmul", backward_fn)
-    except ValueError:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
+    if min(a.data.ndim, nb) < 2:
+        raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    return _broadcast_result(lambda: a.data @ b.data, a, b, "matmul", backward_fn)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -299,16 +303,18 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     """
     if not -x.data.ndim <= axis < x.data.ndim:
         raise DimensionError(f"softmax axis {axis} out of range for shape {x.shape}")
-    if np.isnan(x.data).any():
-        raise NumericError("softmax input contains NaN")
+    saved = [None]  # the output, read by the backward
 
     def fwd() -> np.ndarray:
-        shifted = x.data - x.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=axis, keepdims=True)
+        top = x.data.max(axis=axis, keepdims=True)
+        if np.isnan(top).any():  # max propagates NaN: a slice holds NaN exactly when its max is NaN
+            raise NumericError("softmax input contains NaN")
+        e = np.exp(x.data - top)
+        saved[0] = e / e.sum(axis=axis, keepdims=True)
+        return saved[0]
 
     def backward_fn(g: np.ndarray) -> None:
-        p = fwd()
+        p = saved[0]
         _accumulate(x, p * (g - (g * p).sum(axis=axis, keepdims=True)))
 
     return _result(fwd, (x,), "softmax", backward_fn)
@@ -420,9 +426,10 @@ def take_rows(table: Tensor, ids) -> Tensor:
         )
 
     def backward_fn(g: np.ndarray) -> None:
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, idx, g)
-        _accumulate(table, buf)
+        # one bincount over flat (id, column) indices: it adds in index order, as np.add.at does
+        rows, width = table.shape
+        flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
+        _accumulate(table, np.bincount(flat, g.ravel(), rows * width).reshape(rows, width))
 
     return _result(lambda: table.data[idx], (table,), "take_rows", backward_fn)
 
@@ -442,23 +449,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match width {width}"
         )
 
-    def stats():
-        mu = x.data.mean(axis=-1, keepdims=True)
-        var = x.data.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu) * inv
-        return xhat, inv
+    saved = [None, None]  # row mean and 1/std, (..., 1) each, read by the backward
+
+    # sum / width in the op order of np.mean and np.var, so the bits are theirs
+    def fwd() -> np.ndarray:
+        mu = x.data.sum(axis=-1, keepdims=True) / width
+        c = x.data - mu
+        saved[:] = mu, 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / width + eps)
+        return c * saved[1] * gain.data + bias.data
 
     def backward_fn(g: np.ndarray) -> None:
-        xhat, inv = stats()
-        _accumulate(gain, _unbroadcast(g * xhat, gain.shape))
-        _accumulate(bias, _unbroadcast(g, bias.shape))
+        mu, inv = saved
+        xhat = (x.data - mu) * inv
+        _accumulate(gain, g * xhat)
+        _accumulate(bias, g)
         dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = dxhat.sum(axis=-1, keepdims=True) / width
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / width
         _accumulate(x, inv * (dxhat - m1 - xhat * m2))
 
-    return _result(lambda: stats()[0] * gain.data + bias.data, (x, gain, bias), "layer_norm", backward_fn)
+    return _result(fwd, (x, gain, bias), "layer_norm", backward_fn)
 
 
 def _window_matrix(x: np.ndarray, width: int) -> np.ndarray:

@@ -55,8 +55,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 < self.step_fraction <= 1.0:
             raise ConfigError(f"step_fraction must be in (0, 1], got {self.step_fraction}")
         if self.early_stop_patience < 1:
@@ -86,12 +86,15 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     t = state.t
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient in parameter {name!r}")
-        state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1 - beta2) * (g * g)
-        m_hat = state.m[name] / (1 - beta1**t)
-        v_hat = state.v[name] / (1 - beta2**t)
+        m, v = state.m[name], state.v[name]
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * (g * g)
+        m_hat = m / (1 - beta1**t)
+        v_hat = v / (1 - beta2**t)
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
@@ -107,7 +110,7 @@ def clip_gradients(params: dict[str, Tensor], threshold: float) -> float:
         factor = threshold / norm
         for p in params.values():
             if p.grad is not None:
-                p.grad = p.grad * factor
+                p.grad *= factor
     return norm
 
 

@@ -163,6 +163,9 @@ class TestTrain:
         # a lone surrogate escape is not text
         ("chain", "name", "S\ud800"), (None, "abbrev_table", "t\ud800.tsv"),
         (None, "chain", []),  # a run has at least one stage
+        # not finite: JSON Infinity, NaN, and "1e400" written as a bare number, which reads as inf
+        ("train_config", "learning_rate", float("inf")), ("train_config", "learning_rate", float("nan")),
+        ("train_config", "learning_rate", "1e400"),
     ])
     def test_wrong_value_type_exits_2_naming_file_and_key(self, tmp_path, capsys, section, key, value):
         # the datasets do not exist: every value error comes before any dataset is read or the output directory is made
@@ -171,7 +174,7 @@ class TestTrain:
         if key == "max_len":
             cfg.update(model="transformer", model_config={})
         config_section(cfg, section)[key] = value
-        config.write_text(json.dumps(cfg))
+        config.write_text(json.dumps(cfg).replace('"1e400"', "1e400"))
         assert_config_rejected(capsys, config, tmp_path / "o", key)
         assert not (tmp_path / "o").exists()
 

@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -472,6 +474,16 @@ class TestGatherShapeOps:
         expected[3] = 1.0
         np.testing.assert_array_equal(table.grad, expected)
 
+    def test_take_rows_scatter_of_repeated_ids_equals_add_at_bitwise(self):
+        rng = np.random.default_rng(12)
+        table = param(rng, 30, 8)
+        ids = rng.integers(0, 30, size=(6, 25))  # 150 ids over 30 rows: most rows repeat
+        g = rng.normal(size=(6, 25, 8)) * 10.0 ** rng.uniform(-8, 8, size=(6, 25, 1))  # sums depend on order
+        T.sum_all(T.mul(T.take_rows(table, ids), T.Tensor(g))).backward()
+        expected = np.zeros((30, 8))
+        np.add.at(expected, ids, g)
+        assert table.grad.tobytes() == expected.tobytes()
+
     def test_take_rows_out_of_bounds(self):
         with pytest.raises(DataError):
             T.take_rows(T.Tensor(np.zeros((2, 2))), [0, 5])
@@ -665,3 +677,58 @@ class TestRecordReplay:
         assert np.array_equal(loss.data, fresh_loss.data)
         for g_replayed, g_fresh in zip(replayed, grads(fresh_x, fresh_loss)):
             np.testing.assert_array_equal(g_replayed, g_fresh)
+
+    @pytest.mark.parametrize("op", ["softmax", "layer_norm", "tanh"])
+    def test_one_op_backward_after_replay_on_changed_input_equals_fresh_run(self, op):
+        # the op alone: a stale saved cell cannot hide behind another op's refresh
+        rng = np.random.default_rng(8)
+        x0, x1 = rng.uniform(-2, 2, size=(2, 3, 4, 6))
+        gain, bias = param(rng, 6), param(rng, 6)
+        c = T.Tensor(rng.uniform(-1, 1, size=(3, 4, 6)))  # softmax rows sum to 1: weight them
+        apply = {"softmax": lambda x: T.softmax(x, axis=-1), "tanh": T.tanh,
+                 "layer_norm": lambda x: T.layer_norm(x, gain, bias)}[op]
+
+        def grads(x, loss):
+            T.zero_grads([x, gain, bias])
+            loss.backward()
+            return [x.grad.copy()] + [t.grad.copy() for t in (gain, bias) if t.grad is not None]
+
+        x = T.Tensor(x0, requires_grad=True)
+        loss = T.sum_all(T.mul(apply(x), c))
+        x.data = x1.copy()
+        T.replay(loss)
+        replayed = grads(x, loss)
+
+        fresh_x = T.Tensor(x1, requires_grad=True)
+        fresh_loss = T.sum_all(T.mul(apply(fresh_x), c))
+        assert loss.data.tobytes() == fresh_loss.data.tobytes()
+        fresh = grads(fresh_x, fresh_loss)
+        assert len(replayed) == len(fresh) == (3 if op == "layer_norm" else 1)
+        for g_replayed, g_fresh in zip(replayed, fresh):
+            assert g_replayed.tobytes() == g_fresh.tobytes()
+
+    def test_finished_graph_is_freed_by_reference_counting_alone(self):
+        rng = np.random.default_rng(30)
+        gain, bias = param(rng, 6), param(rng, 6)
+        table = param(rng, 10, 6)
+        banks = [(param(rng, 3, 6, w), param(rng, 3)) for w in (1, 2)]
+
+        def train_step():
+            """Weak references to every op node's value and closures after a backward."""
+            h = T.layer_norm(T.take_rows(table, [[1, 2, 2, 5, 7]]), gain, bias)
+            h = T.dropout(T.tanh(h), 0.3, training=True, rng=np.random.default_rng(1))
+            probs = T.softmax(T.conv1d_maxpool(T.transpose(h), banks), axis=-1)
+            loss = T.nll_from_probs(probs, [1])
+            loss.backward()
+            nodes = [n for n in T.record(loss) if n._backward is not None]
+            assert {n.op for n in nodes} >= {"layer_norm", "tanh", "softmax", "conv1d_maxpool", "take_rows"}
+            return [weakref.ref(obj) for n in nodes for obj in (n.data, n._forward, n._backward)]
+
+        gc.collect()
+        gc.disable()
+        try:
+            refs = train_step()
+            alive = [r() for r in refs if r() is not None]
+        finally:
+            gc.enable()
+        assert not alive, f"{len(alive)} of {len(refs)} objects outlived their graph"

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -68,6 +69,43 @@ class TestAdamStep:
         assert np.all(diffs > 0)  # moves toward 3 monotonically from 0
         assert abs(trace[-1] - 3.0) < 3.0
 
+    def test_in_place_update_equals_the_textbook_update_bitwise(self):
+        rng = np.random.default_rng(4)
+        shapes = {"w": (3, 4), "b": (4,), "k": (2, 3, 2), "unused": (5,)}
+        params = {name: T.Tensor(rng.normal(size=shape), requires_grad=True) for name, shape in shapes.items()}
+        state = tr.AdamState(params)
+        ref = {name: (p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for name, p in params.items()}
+        beta1, beta2 = tr.ADAM_BETAS
+        for t in range(1, 6):
+            for name, p in params.items():
+                p.grad = None if name == "unused" else rng.normal(size=p.shape) * 10.0 ** rng.uniform(-6, 2)
+            tr.adam_step(params, state, lr=0.01)
+            for name, p in params.items():
+                g = np.zeros(p.shape) if p.grad is None else p.grad
+                w, m, v = ref[name]
+                m = beta1 * m + (1 - beta1) * g
+                v = beta2 * v + (1 - beta2) * (g * g)
+                w = w - 0.01 * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + tr.ADAM_EPS)
+                ref[name] = w, m, v
+                for got, want in zip((p.data, state.m[name], state.v[name]), ref[name]):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, t)
+        assert state.t == 5
+
+    def test_snapshot_keeps_its_moments_after_later_steps(self):
+        w = T.Tensor(np.zeros(3), requires_grad=True)
+        params = {"w": w}
+        state = tr.AdamState(params)
+        w.grad = np.array([1.0, -2.0, 3.0])
+        tr.adam_step(params, state, lr=0.1)
+        snap = tr._snapshot(params, state)
+        kept = [{k: a.copy() for k, a in part.items()} for part in snap[:3]]
+        for _ in range(3):
+            tr.adam_step(params, state, lr=0.1)
+        assert not np.array_equal(state.m["w"], snap[1]["w"])
+        for part, copy in zip(snap[:3], kept):
+            np.testing.assert_array_equal(part["w"], copy["w"])
+        assert snap[3] == 1
+
     def test_nan_gradient_aborts_naming_parameter(self):
         w = T.Tensor([0.0], requires_grad=True)
         params = {"enc.fwd.wx": w}
@@ -109,6 +147,16 @@ class TestClipGradients:
         np.testing.assert_allclose(flat, flat[0], rtol=1e-12)
         assert np.all(np.abs(np.concatenate([params[k].grad for k in params]))
                       <= np.abs(np.concatenate(list(before.values()))) + 1e-15)
+
+    def test_parameters_fed_one_upstream_gradient_are_each_scaled_once(self):
+        # add passes one gradient array to both operands; each must get its own copy
+        p1, p2 = (T.Tensor(np.zeros(2), requires_grad=True) for _ in range(2))
+        T.sum_all(T.mul(T.add(p1, p2), T.Tensor([6.0, 8.0]))).backward()
+        norm = tr.clip_gradients({"p1": p1, "p2": p2}, threshold=5.0)
+        assert norm == math.sqrt(200.0)
+        expected = np.array([6.0, 8.0]) * (5.0 / math.sqrt(200.0))
+        for p in (p1, p2):
+            assert p.grad.tobytes() == expected.tobytes()
 
 
 class ScriptedModel:
