@@ -20,7 +20,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +112,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     blocks = _blocks(ckpt)
     header = Header(FORMAT_VERSION, ckpt.kind, ckpt.model_config, ckpt.vocab_tokens, ckpt.tokenizer_mode,
                     ckpt.provenance, ckpt.adam_t, [{"name": name, "shape": list(arr.shape)} for name, arr in blocks])
-    header_bytes = json.dumps(asdict(header), sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("ascii")
+    header_bytes = json.dumps(vars(header), sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("ascii")
     with write_atomic(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))

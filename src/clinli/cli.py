@@ -20,7 +20,9 @@ Every run is a chain of stages, each a ``StageConfig``; a plain run is a
 one-stage chain.  A stage without a ``name`` is named after its train
 file's stem.  The whole config, every stage included, is parsed before any
 dataset is read, and a malformed config ends in exit code 2 with a message
-naming the file and the key.
+naming the file and the key.  ``train --seed`` is the run's seed; a stage's
+``train_config`` may override its training seed.  ``expand`` is the only
+abbreviation expansion: run it with one table on every file a model reads.
 """
 
 from __future__ import annotations
@@ -82,8 +84,6 @@ class RunConfig:
     model_config: dict | None = None
     train_config: dict | None = None
     head_reset: str = "keep"
-    abbrev_table: str | None = None  # expands every dataset as it is read
-    seed: int = 0
 
     def __post_init__(self):
         if self.vocab_size < 1:
@@ -131,16 +131,21 @@ def _sentences(datasets) -> list[str]:
     return out
 
 
-def _load_and_expand(path: Path, table) -> list:
+def _stage_dataset(stage: StageConfig, part: str) -> list:
+    what = f"stage {stage.name} {part} dataset"
+    path = _require_file(getattr(stage, part), what)
     examples = load_jsonl(path)
-    if table is not None:
-        examples, _ = expand_dataset(examples, table)
+    if not examples:
+        raise DataError(f"{path}: {what} is empty")
     return examples
 
 
 def _out_dir(args) -> Path:
     path = Path(args.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"--out-dir is a file or lies under one: {path}") from None
     return path
 
 
@@ -158,7 +163,7 @@ def cmd_synth(args) -> int:
     spec = SynthSpec(
         vocab_size=args.vocab_size,
         count=args.count,
-        seed=args.seed or 0,
+        seed=args.seed,
         shift=args.shift,
     )
 
@@ -194,28 +199,21 @@ def cmd_train(args) -> int:
     config_path = _require_file(args.config, "run config")
     run = load_run_config(config_path)
     kind = run.model
-    seed = args.seed if args.seed is not None else run.seed
     model_config = make_model_config(kind, run.model_config or {}, config_path)
     tokenizer = MODEL_KINDS[kind].checked_tokenizer_mode(run.tokenizer, f"{config_path}: tokenizer")
     train_configs = [
-        parse_config(TrainConfig, {"seed": seed, **(run.train_config or {}), **(s.train_config or {})},
+        parse_config(TrainConfig, {"seed": args.seed, **(run.train_config or {}), **(s.train_config or {})},
                      f"{config_path}: stage {s.name}")
         for s in run.chain
     ]
-    out_dir = _out_dir(args)
-    table = load_table(_require_file(run.abbrev_table, "abbreviation table")) if run.abbrev_table else None
-
-    stages = []
-    for s, train_config in zip(run.chain, train_configs):
-        train_set = _load_and_expand(_require_file(s.train, f"stage {s.name} train dataset"), table)
-        dev_set = _load_and_expand(_require_file(s.dev, f"stage {s.name} dev dataset"), table)
-        stages.append(Stage(s.name, train_set, dev_set, train_config))
-
+    stages = [Stage(s.name, _stage_dataset(s, "train"), _stage_dataset(s, "dev"), train_config)
+              for s, train_config in zip(run.chain, train_configs)]
     chain = TransferChain(stages=stages, head_reset=run.head_reset)
     # one vocabulary from the union of all chain corpora, built up front
     union_sentences = _sentences([s.train_set for s in stages] + [s.dev_set for s in stages])
     vocab = _vocabulary(tokenizer, run.vocab_size, union_sentences, config_path)
-    ckpt = run_chain(lambda: MODEL_KINDS[kind](model_config, vocab, seed=seed, tokenizer_mode=tokenizer), chain)
+    out_dir = _out_dir(args)
+    ckpt = run_chain(lambda: MODEL_KINDS[kind](model_config, vocab, seed=args.seed, tokenizer_mode=tokenizer), chain)
 
     ckpt_path = out_dir / "model.ckpt"
     save_checkpoint(ckpt, ckpt_path)
@@ -263,10 +261,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if len(args.predictions) > 2:
+        raise ConfigError("eval takes one or two prediction files")
     golds = load_jsonl(_require_file(args.dataset, "dataset"))
     pred_sets = [read_predictions(_require_file(p, "prediction file")) for p in args.predictions]
-    if len(pred_sets) not in (1, 2):
-        raise ConfigError("eval takes one or two prediction files")
     out_dir = _out_dir(args)
 
     metrics: dict = {}
@@ -351,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model through a run config's chain of stages")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)
 

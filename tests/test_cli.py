@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,18 @@ def assert_checkpoint_rejected(capsys, ckpt, dataset, out, *names):
     assert len(errors) == 2, errors
     assert all(name in err for err in errors for name in (str(ckpt), *names)), errors
     assert not out.exists()
+
+
+def small_checkpoint(path) -> Path:
+    """Write an untrained word-level transformer's checkpoint to ``path``."""
+    vocab = build_word_vocab(["the patient has a fever"])
+    model = TransformerClassifier(
+        TransformerConfig(d_e=4, num_heads=2, num_blocks=1, d_ff=4, max_len=8, dropout=0.0), vocab,
+        tokenizer_mode="word",
+    )
+    save_checkpoint(Checkpoint(model.kind, model.config_dict(), list(vocab.tokens), model.tokenizer_mode,
+                               {name: p.data for name, p in model.parameters().items()}, {}, {}), path)
+    return path
 
 
 def rewrite_header(src, dst, edit):
@@ -141,6 +154,8 @@ class TestTrain:
         ("model_config", "bogus"), ("train_config", "learning_rte"), ("train_config", "preset"), ("chain", "tset"),
         # datasets are named only by chain stages, and the output directory only by --out-dir
         (None, "datasets"), (None, "out_dir"),
+        # abbreviations are expanded only by `clinli expand`, and the run's seed is only `train --seed`
+        (None, "abbrev_table"), (None, "seed"),
     ])
     def test_unknown_section_key_exits_2_naming_file_and_key(self, tmp_path, capsys, section, key):
         # the datasets do not exist: the error comes before any is read or the output directory is made
@@ -148,12 +163,12 @@ class TestTrain:
         cfg = json.loads(config.read_text())
         config_section(cfg, section)[key] = "paper"
         config.write_text(json.dumps(cfg))
-        assert_config_rejected(capsys, config, tmp_path / "o", key)
+        assert_config_rejected(capsys, config, tmp_path / "o", f"keys {[key]}")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("section,key,value", [
         ("model_config", "word_dim", "abc"), ("model_config", "word_dim", 8.5), ("train_config", "batch_size", "8"),
-        (None, "seed", "abc"), (None, "vocab_size", "abc"), (None, "abbrev_table", 5), ("chain", "train", 5),
+        (None, "vocab_size", "abc"), ("chain", "train", 5),
         # values of the right type that the config class rejects
         ("model_config", "repr_dim", 3), ("train_config", "learning_rate", -1),
         (None, "vocab_size", -5), (None, "head_reset", "bogus"), (None, "tokenizer", "bogus"),
@@ -161,7 +176,7 @@ class TestTrain:
         # fixed values, no config keys: the clip norm and the filter widths
         ("train_config", "clip_norm", 5.0), ("model_config", "filter_widths", [1, 2, 3, 4, 5]),
         # a lone surrogate escape is not text
-        ("chain", "name", "S\ud800"), (None, "abbrev_table", "t\ud800.tsv"),
+        ("chain", "name", "S\ud800"), (None, "tokenizer", "word\ud800"),
         (None, "chain", []),  # a run has at least one stage
         # not finite: JSON Infinity, NaN, and "1e400" written as a bare number, which reads as inf
         ("train_config", "learning_rate", float("inf")), ("train_config", "learning_rate", float("nan")),
@@ -261,6 +276,21 @@ class TestTransfer:
         out = tmp_path / "chain_out"
         assert run_cli("train", "--config", path, "--out-dir", out) == 0
         assert "(chain: S -> T)" in capsys.readouterr().out
+
+    def test_empty_dataset_exits_2_naming_file_and_stage_before_training(self, tmp_path, capsys):
+        # the second stage's dev file is empty: nothing may train, not even the first stage
+        data = synth_dir(tmp_path, count=30, seed=4)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        cfg = json.loads(compaggr_run_config(tmp_path, data).read_text())
+        stage = {"train": str(data / "train.jsonl"), "dev": str(data / "dev.jsonl")}
+        cfg["chain"] = [{"name": "S", **stage}, {"name": "T", **stage, "dev": str(empty)}]
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "chain_out"
+        assert run_cli("train", "--config", path, "--out-dir", out) == 2
+        assert f"error: {empty}: stage T dev dataset is empty" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit,key", [
         ({"name": 3}, "name"), ({"trian": "x"}, "trian"), ({"dev": None}, "dev"),
@@ -405,6 +435,16 @@ class TestPredictEval:
                        "--dataset", data / "test.jsonl", "--out-dir", tmp_path / "dup_eval") == 2
         assert "repeat pair id" in capsys.readouterr().err
 
+    def test_eval_three_prediction_files_exits_2_before_reading_them(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_bytes(jsonl_line())
+        (tmp_path / "a.tsv").write_text("p1\t0.2\t0.3\t0.5\tneutral\n")
+        (tmp_path / "bad.tsv").write_text("not a prediction\n")
+        assert run_cli("eval", "--predictions", tmp_path / "a.tsv", tmp_path / "a.tsv", tmp_path / "bad.tsv",
+                       "--dataset", gold, "--out-dir", tmp_path / "e") == 2
+        assert "eval takes one or two prediction files" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
     def test_eval_non_numeric_probability_exits_2(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"
         gold.write_text(json.dumps({"sentence1": "a", "sentence2": "b", "gold_label": "neutral",
@@ -547,14 +587,7 @@ class TestHugeHeaderDimension:
     ], ids=["d_ff", "num_blocks"])
     def test_predict_and_inspect_exit_2_before_allocating_the_claimed_model(self, tmp_path, capsys, key, value, named):
         data = synth_dir(tmp_path, count=10)
-        vocab = build_word_vocab(["the patient has a fever"])
-        model = TransformerClassifier(
-            TransformerConfig(d_e=4, num_heads=2, num_blocks=1, d_ff=4, max_len=8, dropout=0.0), vocab,
-            tokenizer_mode="word",
-        )
-        small = tmp_path / "small.ckpt"
-        save_checkpoint(Checkpoint(model.kind, model.config_dict(), list(vocab.tokens), model.tokenizer_mode,
-                                   {name: p.data for name, p in model.parameters().items()}, {}, {}), small)
+        small = small_checkpoint(tmp_path / "small.ckpt")
         huge = tmp_path / "huge.ckpt"
         rewrite_header(small, huge, lambda h: h["config"].update({key: value}))
         tracemalloc.start()
@@ -620,6 +653,28 @@ class TestMalformedInputs:
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", ["synth", "train", "predict", "eval", "expand"])
+def test_out_dir_that_is_a_file_exits_2_naming_it(tmp_path, capsys, command, under):
+    data = synth_dir(tmp_path, count=30, seed=1)
+    (tmp_path / "preds.tsv").write_text("p1\t0.2\t0.3\t0.5\tneutral\n")
+    (tmp_path / "table.tsv").write_text("MI\tmyocardial infarction\n")
+    argv = {
+        "synth": ["synth"],
+        "train": ["train", "--config", compaggr_run_config(tmp_path, data)],
+        "predict": ["predict", "--checkpoint", small_checkpoint(tmp_path / "small.ckpt"),
+                    "--dataset", data / "test.jsonl"],
+        "eval": ["eval", "--predictions", tmp_path / "preds.tsv", "--dataset", data / "test.jsonl"],
+        "expand": ["expand", "--dataset", data / "test.jsonl", "--table", tmp_path / "table.tsv"],
+    }[command]
+    afile = tmp_path / "afile"
+    afile.write_text("keep me\n")
+    out = afile / "sub" if under else afile
+    assert run_cli(*argv, "--out-dir", out) == 2
+    assert f"error: --out-dir is a file or lies under one: {out}" in capsys.readouterr().err
+    assert afile.read_text() == "keep me\n"
+
+
 @pytest.mark.parametrize("argv,named", [
     (["train", "--config", "run.json", "--model", "transformer", "--out-dir", "o"], "--model"),
     (["transfer", "--config", "run.json", "--model", "compaggr", "--out-dir", "o"], "transfer"),
@@ -655,6 +710,15 @@ def test_readme_run_configs_parse(tmp_path):
         for stage in run.chain:
             assert isinstance(stage, cli.StageConfig) and stage.name
             parse_config(TrainConfig, {**(run.train_config or {}), **(stage.train_config or {})}, path)
+
+
+def test_readme_names_every_run_config_key():
+    """Every key a run config or a chain stage may hold is named in the
+    README, as a JSON key or in backticks, so no key goes undocumented."""
+    readme = README.read_text(encoding="utf-8")
+    for cls in (cli.RunConfig, cli.StageConfig):
+        for f in fields(cls):
+            assert f'"{f.name}"' in readme or f"`{f.name}`" in readme, f"{cls.__name__}.{f.name}"
 
 
 class TestExpand:
