@@ -4,9 +4,9 @@ Tables are tab-separated ``surface<TAB>expansion`` files (UTF-8, one entry
 per line, ``#`` comment lines and blank lines ignored).  Expansion makes a
 single left-to-right pass over the text: at each position the longest
 matching surface wins, matches must sit on token boundaries (no
-alphanumeric character on either side, so "MI" never fires inside
-"MIMIC"), matching is case-insensitive, and replaced spans are
-never rescanned, which rules out recursive expansion.
+character that is alphanumeric in any script on either side, so "MI" never
+fires inside "MIMIC" or "caféMI"), matching is case-insensitive, and
+replaced spans are never rescanned, which rules out recursive expansion.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class AbbrevTable:
         # one capture group per entry, longest first, so a match names its entry by group number
         self._ordered = sorted(range(len(self.entries)), key=lambda i: -len(self.entries[i][0]))
         alternation = "|".join(f"({re.escape(self.entries[i][0])})" for i in self._ordered)
-        self._pattern = re.compile(rf"(?<![0-9A-Za-z])(?:{alternation})(?![0-9A-Za-z])", re.IGNORECASE)
+        self._pattern = re.compile(rf"(?<![^\W_])(?:{alternation})(?![^\W_])", re.IGNORECASE)
         numbers = lines or range(1, len(self.entries) + 1)
         at, unit = (f"{path}:", "line") if lines else ("entry ", "entry")
         for i, (surface, expansion) in enumerate(self.entries):

@@ -159,7 +159,9 @@ def _summarize(ckpt) -> str:
 
 
 def cmd_synth(args) -> int:
-    out_dir = _out_dir(args)
+    for flag in ("source_count", "target_count"):
+        if getattr(args, flag) is not None and not args.transfer_pair:
+            raise ConfigError(f"--{flag.replace('_', '-')} needs --transfer-pair")
     spec = SynthSpec(
         vocab_size=args.vocab_size,
         count=args.count,
@@ -182,15 +184,12 @@ def cmd_synth(args) -> int:
             print(f"wrote {out_dir / f'{stem}{name}.jsonl'} ({len(part)} examples)")
 
     if args.transfer_pair:
-        source, target = generate_transfer_pair(
-            spec,
-            source_count=args.source_count,
-            target_count=args.target_count,
-        )
-        split_and_write(source, "source_")
-        split_and_write(target, "target_")
+        corpora = dict(zip(("source_", "target_"), generate_transfer_pair(spec, args.source_count, args.target_count)))
     else:
-        split_and_write(generate_corpus(spec), "")
+        corpora = {"": generate_corpus(spec)}
+    out_dir = _out_dir(args)
+    for stem, examples in corpora.items():
+        split_and_write(examples, stem)
     return 0
 
 

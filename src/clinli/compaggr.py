@@ -38,7 +38,7 @@ from . import tensor as T
 from .data import LABELS
 from .errors import ConfigError, DataError, DimensionError
 from .model import MASK_LOGIT, PairClassifier, initializers
-from .tokenizer import Vocabulary, word_tokenize
+from .tokenizer import Vocabulary, tokenize_sides, word_tokenize
 
 __all__ = [
     "FILTER_WIDTHS",
@@ -216,12 +216,7 @@ class CompAggrModel(PairClassifier):
         self.cls_b = zeros("cls.b", len(LABELS))
 
     def encode(self, premise: str, hypothesis: str) -> tuple[list[int], list[int]]:
-        premise_ids, hypothesis_ids = word_tokenize(premise, self.vocab), word_tokenize(hypothesis, self.vocab)
-        if not premise_ids:
-            raise DataError(f"premise tokenized to nothing: {premise!r}")
-        if not hypothesis_ids:
-            raise DataError(f"hypothesis tokenized to nothing: {hypothesis!r}")
-        return premise_ids, hypothesis_ids
+        return tokenize_sides(premise, hypothesis, word_tokenize, self.vocab)
 
     def forward(self, batch, training: bool = False, rng: np.random.Generator | None = None) -> T.Tensor:
         """(B, 3) class probabilities for B encoded pairs, from one graph."""

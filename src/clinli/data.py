@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError, ParseError
+from .errors import ConfigError, DataError, ParseError
 
 __all__ = ["LABELS", "NLIExample", "NLITriple", "label_id", "load_jsonl", "read_text", "save_jsonl", "write_atomic"]
 
@@ -84,9 +84,12 @@ def write_atomic(path, binary: bool = False):
     """Write ``path`` (UTF-8 text, or bytes if ``binary``) through a temporary
     file in its directory: ``os.replace`` moves it into place when the block
     ends cleanly, and it is removed if the block raises, so ``path`` holds its
-    old content or all of the new.  Nothing is fsynced: this guards against a
-    failing writer, not a power loss."""
+    old content or all of the new.  A ``path`` that is a directory raises a
+    ConfigError before anything is written.  Nothing is fsynced: this guards
+    against a failing writer, not a power loss."""
     path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"output path is a directory: {path}")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:

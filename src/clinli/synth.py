@@ -90,7 +90,8 @@ def generate_corpus(
 
     Counts divisible by 3 yield perfect class balance; otherwise the final
     premise group is emitted partially, in entailment/contradiction/neutral
-    order.
+    order.  Every premise group has its own premise: a group that finds no
+    unused one in 50 draws raises a ConfigError.
     """
     if pool is None:
         pool = pseudo_lexicon(spec.vocab_size)
@@ -106,6 +107,9 @@ def generate_corpus(
             premise = template[0].format(a=a, b=b)
             if premise not in used_premises:
                 break
+        else:
+            raise ConfigError(f"vocab_size {spec.vocab_size} is too small for count {spec.count}: "
+                              f"premise group {g + 1} of {n_groups} found no unused premise in 50 draws")
         used_premises.add(premise)
         hypotheses = (
             (template[1].format(a=a, b=b), "entailment", "e"),

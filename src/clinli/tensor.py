@@ -438,7 +438,10 @@ def take_rows(table: Tensor, ids) -> Tensor:
 # normalization, convolution, dropout, loss
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+_LN_EPS = 1e-5  # added to the variance
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize ``x`` to zero mean and unit variance along its last axis,
     then apply a per-feature affine transform."""
     if x.data.ndim < 2:
@@ -455,7 +458,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def fwd() -> np.ndarray:
         mu = x.data.sum(axis=-1, keepdims=True) / width
         c = x.data - mu
-        saved[:] = mu, 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / width + eps)
+        saved[:] = mu, 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / width + _LN_EPS)
         return c * saved[1] * gain.data + bias.data
 
     def backward_fn(g: np.ndarray) -> None:

@@ -4,7 +4,8 @@ Sub-word vocabularies are trained by greedy pair merging (most frequent
 adjacent pair first, ties broken by first occurrence in the scan), and text
 is segmented by greedy longest-match-first lookup.  Non-initial pieces carry
 the ``##`` continuation prefix.  A word-level mode maps each whitespace word
-to a single id, with [UNK] for out-of-vocabulary words.
+to a single id (most frequent first, ties in order of first occurrence), with
+[UNK] for out-of-vocabulary words.
 
 Pair encoding lays out ``[CLS] premise [SEP] hypothesis [SEP]`` with segment
 ids 0 through the first [SEP] and 1 after it, token i at position i, and no
@@ -23,6 +24,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ConfigError, DataError
 
@@ -35,6 +37,7 @@ __all__ = [
     "encode_pair",
     "pretokenize",
     "tokenize",
+    "tokenize_sides",
     "tokenize_to_tokens",
     "train_wordpiece",
     "word_tokenize",
@@ -102,22 +105,12 @@ def train_wordpiece(corpus: list[str], target_size: int) -> Vocabulary:
     """
     if not corpus:
         raise DataError("cannot train a vocabulary on an empty corpus")
-    word_freq: Counter[str] = Counter()
-    for sentence in corpus:
-        word_freq.update(pretokenize(sentence))
+    word_freq = Counter(w for sentence in corpus for w in pretokenize(sentence))
     if not word_freq:
         raise DataError("corpus contains no words")
 
-    alphabet: list[str] = []
-    seen = set()
-    for word in word_freq:
-        for sym in _word_symbols(word):
-            base = sym.removeprefix(CONTINUATION_PREFIX)
-            for form in (base, CONTINUATION_PREFIX + base):
-                if form not in seen:
-                    seen.add(form)
-                    alphabet.append(form)
-    alphabet.sort()
+    chars = {c for word in word_freq for c in word}
+    alphabet = sorted(chars | {CONTINUATION_PREFIX + c for c in chars})
 
     floor = len(SPECIAL_TOKENS) + len(alphabet)
     if target_size < floor:
@@ -128,18 +121,13 @@ def train_wordpiece(corpus: list[str], target_size: int) -> Vocabulary:
 
     while len(vocab) < target_size:
         pair_counts: Counter[tuple[str, str]] = Counter()
-        first_seen: dict[tuple[str, str], int] = {}
-        serial = 0
         for symbols, freq in sequences:
             for pair in zip(symbols, symbols[1:]):
                 pair_counts[pair] += freq
-                if pair not in first_seen:
-                    first_seen[pair] = serial
-                    serial += 1
-        repeated = [(cnt, -first_seen[p], p) for p, cnt in pair_counts.items() if cnt >= 2]
-        if not repeated:
+        # max keeps the first of equal counts, and a Counter iterates in first-seen order
+        best = max(pair_counts, key=pair_counts.__getitem__, default=None)
+        if pair_counts[best] < 2:  # no pair repeats (a missing key counts 0)
             break
-        _, _, best = max(repeated)
         merged = best[0] + best[1].removeprefix(CONTINUATION_PREFIX)
         vocab.append(merged)
         for symbols, _ in sequences:
@@ -154,17 +142,12 @@ def train_wordpiece(corpus: list[str], target_size: int) -> Vocabulary:
 
 
 def build_word_vocab(corpus: list[str]) -> Vocabulary:
-    """Word-level vocabulary: one id per word, most frequent first."""
+    """Word-level vocabulary: one id per word, most frequent first, words of
+    equal frequency in order of first occurrence."""
     if not corpus:
         raise DataError("cannot build a vocabulary from an empty corpus")
-    freq: Counter[str] = Counter()
-    order: dict[str, int] = {}
-    for sentence in corpus:
-        for w in pretokenize(sentence):
-            freq[w] += 1
-            order.setdefault(w, len(order))
-    words = sorted(freq, key=lambda w: (-freq[w], order[w]))
-    return Vocabulary(list(SPECIAL_TOKENS) + words)
+    freq = Counter(w for sentence in corpus for w in pretokenize(sentence))
+    return Vocabulary(list(SPECIAL_TOKENS) + [w for w, _ in freq.most_common()])  # a stable sort
 
 
 def _wordpiece_word(word: str, vocab: Vocabulary) -> list[str]:
@@ -208,6 +191,18 @@ def word_tokenize(text: str, vocab: Vocabulary) -> list[int]:
     return [vocab.id_of(w) for w in pretokenize(text)]
 
 
+def tokenize_sides(premise: str, hypothesis: str, tok: Callable[[str, Vocabulary], list[int]],
+                   vocab: Vocabulary) -> tuple[list[int], list[int]]:
+    """The ids ``tok(text, vocab)`` gives each side of a pair.  A side with no
+    token raises the DataError, naming that side, which marks a pair that no
+    model can encode."""
+    p_ids, h_ids = tok(premise, vocab), tok(hypothesis, vocab)
+    for side, ids, text in (("premise", p_ids, premise), ("hypothesis", h_ids, hypothesis)):
+        if not ids:
+            raise DataError(f"{side} tokenized to nothing: {text!r}")
+    return p_ids, h_ids
+
+
 @dataclass
 class EncodedPair:
     """An unpadded sentence pair of at most ``max_len`` tokens, token i at
@@ -235,12 +230,7 @@ def encode_pair(
     tok = tokenize if mode == "wordpiece" else word_tokenize
     if mode not in ("wordpiece", "word"):
         raise ConfigError(f"unknown tokenizer mode {mode!r}")
-    p_ids = tok(premise, vocab)
-    h_ids = tok(hypothesis, vocab)
-    if not p_ids:
-        raise DataError(f"premise tokenized to nothing: {premise!r}")
-    if not h_ids:
-        raise DataError(f"hypothesis tokenized to nothing: {hypothesis!r}")
+    p_ids, h_ids = tokenize_sides(premise, hypothesis, tok, vocab)
 
     budget = max_len - 3
     while len(p_ids) + len(h_ids) > budget:

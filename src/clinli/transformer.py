@@ -63,10 +63,6 @@ class TransformerConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
-    @property
-    def d_k(self) -> int:
-        return self.d_e // self.num_heads
-
 
 @dataclass
 class AttentionParams:

@@ -68,6 +68,11 @@ class TestExpand:
     def test_word_boundaries_respected(self):
         table = table_from([("MI", "myocardial infarction")])
         assert abbrev.expand("MIMIC notes MI today", table) == "MIMIC notes myocardial infarction today"
+        # alphanumeric in any script is inside a token; an underscore or a bracket is not
+        assert abbrev.expand("caféMI MIé 2MI MI2 (MI) MI_x", table) == \
+            "caféMI MIé 2MI MI2 (myocardial infarction) myocardial infarction_x"
+        table = table_from([("pt", "patient")])
+        assert abbrev.expand("ptérygion pt_x рpt pt", table) == "ptérygion patient_x рpt patient"
 
     def test_case_insensitive_by_default(self):
         table = table_from([("CHF", "congestive heart failure")])

@@ -103,6 +103,7 @@ class TestSynth:
         code = run_cli("synth", "--out-dir", tmp_path / "x", "--shift", "1.5")
         assert code == 2
         assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_roundtrip_write_load(self, tmp_path):
         out = synth_dir(tmp_path, count=30, seed=3)
@@ -120,6 +121,16 @@ class TestSynth:
         for stem in ("source_", "target_"):
             for name in ("train", "dev", "test"):
                 assert (out / f"{stem}{name}.jsonl").exists()
+
+    @pytest.mark.parametrize("argv,named", [
+        (["--source-count", "60"], "--source-count"),
+        (["--target-count", "30"], "--target-count"),
+        (["--vocab-size", "3", "--count", "300"], "vocab_size 3 is too small for count 300"),
+    ], ids=["source_count", "target_count", "too_few_premises"])
+    def test_unusable_flags_exit_2_before_out_dir_is_made(self, tmp_path, capsys, argv, named):
+        assert run_cli("synth", "--out-dir", tmp_path / "x", *argv) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestTrain:
@@ -673,6 +684,25 @@ def test_out_dir_that_is_a_file_exits_2_naming_it(tmp_path, capsys, command, und
     assert run_cli(*argv, "--out-dir", out) == 2
     assert f"error: --out-dir is a file or lies under one: {out}" in capsys.readouterr().err
     assert afile.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("command,output", [
+    ("train", "model.ckpt"), ("predict", "predictions.tsv"), ("expand", "expanded.jsonl")])
+def test_output_path_that_is_a_directory_exits_2_naming_it(tmp_path, capsys, command, output):
+    data = synth_dir(tmp_path, count=30, seed=1)
+    (tmp_path / "table.tsv").write_text("MI\tmyocardial infarction\n")
+    argv = {
+        "train": ["train", "--config", compaggr_run_config(tmp_path, data, max_epochs=1)],
+        "predict": ["predict", "--checkpoint", small_checkpoint(tmp_path / "small.ckpt"),
+                    "--dataset", data / "test.jsonl"],
+        "expand": ["expand", "--dataset", data / "test.jsonl", "--table", tmp_path / "table.tsv"],
+    }[command]
+    out = tmp_path / "o"
+    (out / output).mkdir(parents=True)
+    assert run_cli(*argv, "--out-dir", out) == 2
+    assert f"error: output path is a directory: {out / output}" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [output]  # no temporary file left beside it
+    assert list((out / output).iterdir()) == []
 
 
 @pytest.mark.parametrize("argv,named", [

@@ -46,6 +46,11 @@ class TestGenerateCorpus:
             counts[ex.gold_label] += 1
         assert set(counts.values()) == {40}
 
+    def test_too_few_premises_for_count_rejected(self):
+        # vocab_size 3 gives 3 x 2 ordered content pairs per template: 18 premises
+        with pytest.raises(ConfigError, match="vocab_size 3 is too small for count 300"):
+            synth.generate_corpus(synth.SynthSpec(vocab_size=3, count=300))
+
     def test_bad_shift_rejected(self):
         with pytest.raises(ConfigError):
             synth.SynthSpec(shift=1.5)

@@ -13,6 +13,13 @@ class TestTrainWordpiece:
         vocab = tk.train_wordpiece(["aaab", "aab"], target_size=floor + 2)
         assert "aa" in vocab
 
+    @pytest.mark.parametrize("corpus,merged", [(["ab cd", "ab cd"], "ab"), (["cd ab", "cd ab"], "cd")])
+    def test_merge_tie_goes_to_the_pair_first_seen_in_the_scan(self, corpus, merged):
+        # (a, ##b) and (c, ##d) both count 2; one merge slot above the floor
+        vocab = tk.train_wordpiece(corpus, target_size=4 + 8 + 1)
+        assert vocab.tokens[-1] == merged
+        assert len(vocab) == 13
+
     def test_single_character_corpus(self):
         vocab = tk.train_wordpiece(["a"], target_size=10)
         assert vocab.tokens[:4] == list(tk.SPECIAL_TOKENS)
@@ -67,6 +74,10 @@ class TestTokenize:
             assert not pieces[0].startswith(tk.CONTINUATION_PREFIX)
             assert all(p.startswith(tk.CONTINUATION_PREFIX) for p in pieces[1:])
             assert "".join(p.removeprefix(tk.CONTINUATION_PREFIX) for p in pieces) == w
+
+    def test_word_vocab_tie_goes_to_the_first_occurrence(self):
+        vocab = tk.build_word_vocab(["beta alpha", "gamma alpha beta", "delta"])
+        assert vocab.tokens[4:] == ["beta", "alpha", "gamma", "delta"]
 
     def test_word_level_mode(self):
         vocab = tk.build_word_vocab(["chest pain noted", "no chest pain"])

@@ -40,7 +40,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = tr.TransformerConfig()
         assert (cfg.d_e, cfg.num_heads, cfg.num_blocks, cfg.d_ff, cfg.max_len) == (64, 4, 2, 128, 64)
-        assert cfg.d_k == 16
 
 
 class TestEmbed:
