@@ -3,23 +3,33 @@
 Tables are tab-separated ``surface<TAB>expansion`` files (UTF-8, one entry
 per line, ``#`` comment lines and blank lines ignored).  Expansion makes a
 single left-to-right pass over the text: at each position the longest
-matching surface wins, matches must sit on token boundaries (no
-character that is alphanumeric in any script on either side, so "MI" never
-fires inside "MIMIC" or "caféMI"), matching is case-insensitive, and
-replaced spans are never rescanned, which rules out recursive expansion.
+matching surface wins, matches must sit on token boundaries (no character
+that is alphanumeric in any script, and no combining mark, on either side,
+so "MI" never fires inside "MIMIC" or "caféMI", é composed or not),
+matching is case-insensitive, and replaced spans are never rescanned.
 """
 
 from __future__ import annotations
 
 import re
+import unicodedata
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
+from functools import cache
 from importlib import resources
 
 from .data import NLIExample, read_text
 from .errors import DataError, ParseError
 
 __all__ = ["AbbrevTable", "ExpansionReport", "demo_table", "expand", "expand_dataset", "load_table"]
+
+
+@cache
+def _word_char() -> str:
+    """A pattern for one token character: alphanumeric in any script, or a combining
+    mark (Unicode category M), whose set re tests only from U+0300 up, where marks lie."""
+    marks = "".join(c for c in map(chr, range(0x110000)) if unicodedata.category(c)[0] == "M")
+    return rf"[^\W_]|(?=[^\x00-\u02ff])[{marks}]"
 
 
 @dataclass
@@ -39,7 +49,7 @@ class AbbrevTable:
         # one capture group per entry, longest first, so a match names its entry by group number
         self._ordered = sorted(range(len(self.entries)), key=lambda i: -len(self.entries[i][0]))
         alternation = "|".join(f"({re.escape(self.entries[i][0])})" for i in self._ordered)
-        self._pattern = re.compile(rf"(?<![^\W_])(?:{alternation})(?![^\W_])", re.IGNORECASE)
+        self._pattern = re.compile(rf"(?<!{_word_char()})(?:{alternation})(?!{_word_char()})", re.IGNORECASE)
         numbers = lines or range(1, len(self.entries) + 1)
         at, unit = (f"{path}:", "line") if lines else ("entry ", "entry")
         for i, (surface, expansion) in enumerate(self.entries):

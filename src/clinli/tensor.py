@@ -307,8 +307,8 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
     def fwd() -> np.ndarray:
         top = x.data.max(axis=axis, keepdims=True)
-        if np.isnan(top).any():  # max propagates NaN: a slice holds NaN exactly when its max is NaN
-            raise NumericError("softmax input contains NaN")
+        if not np.isfinite(top).all():  # max propagates NaN, so this also catches a NaN anywhere
+            raise NumericError("softmax input contains NaN or a slice whose max is infinite")
         e = np.exp(x.data - top)
         saved[0] = e / e.sum(axis=axis, keepdims=True)
         return saved[0]

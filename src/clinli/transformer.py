@@ -8,11 +8,11 @@ softmax head.
 
 A batch runs as one graph, padded to the batch's longest pair (``max_len``
 is the truncation budget and position-table size): B pairs of at most n
-tokens embed to one (B, n, d_e) tensor, each head's queries, keys and
-values are (B, n, d_k) column slices, its attention weights are (B, n, n),
-and the head returns a (B, 3) probability matrix, one column per label.
-The block and attention functions also accept a single unbatched (L, d_e)
-sequence with an (L,) mask.
+tokens embed to one (B, n, d_e) tensor, and each head's keys and values are
+(B, n, d_k) column slices.  Its queries and attention weights are (B, n, d_k)
+and (B, n, n), but (B, 1, d_k) and (B, 1, n) in the last block, which
+computes only the [CLS] row that the (B, 3) probability head reads.  The block
+and attention functions also accept a single unbatched (L, d_e) sequence.
 
 Padded key positions receive -1e9 attention logits before the softmax, so
 padding never changes the classification of a pair.  Position embeddings
@@ -115,13 +115,15 @@ def multi_head_attention(
     p: AttentionParams,
     num_heads: int,
     return_weights: bool = False,
+    queries: T.Tensor | None = None,
 ):
     """Scaled dot-product attention over ``num_heads`` column slices of the
     projected queries/keys/values, concatenated and projected back.
 
     ``x`` is (L, d_e) or a (B, L, d_e) batch; ``mask`` has the shape of
     ``x`` without its last axis and marks valid key positions with 1.
-    Masked keys get -1e9 logits.
+    Masked keys get -1e9 logits.  Keys and values come from ``x``, queries
+    from ``queries`` (default ``x``), and each query row gives one output row.
     """
     d_e = x.shape[-1]
     if d_e % num_heads != 0:
@@ -130,7 +132,7 @@ def multi_head_attention(
     if mask.shape != x.shape[:-1]:
         raise DimensionError(f"mask shape {mask.shape} does not match sequence shape {x.shape[:-1]}")
     d_k = d_e // num_heads
-    q = T.add(T.matmul(x, p.wq), p.bq)
+    q = T.add(T.matmul(x if queries is None else queries, p.wq), p.bq)
     k = T.add(T.matmul(x, p.wk), p.bk)
     v = T.add(T.matmul(x, p.wv), p.bv)
     # one row of key biases per sequence, shared by all its query positions
@@ -159,12 +161,15 @@ def transformer_block(
     dropout: float = 0.0,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    rows: int | None = None,
 ) -> T.Tensor:
     """Post-norm block: attention and feed-forward sublayers, each wrapped
-    in residual + layer norm, with dropout on the sublayer outputs."""
-    a = multi_head_attention(x, mask, bp.attn, num_heads)
+    in residual + layer norm, with dropout on the sublayer outputs.  Only
+    the first ``rows`` positions (all when None) attend and come out."""
+    q = x if rows is None else T.slice_rows(x, 0, rows)
+    a = multi_head_attention(x, mask, bp.attn, num_heads, queries=q)
     a = T.dropout(a, dropout, training, rng)
-    x = T.layer_norm(T.add(x, a), bp.ln1_gain, bp.ln1_bias)
+    x = T.layer_norm(T.add(q, a), bp.ln1_gain, bp.ln1_bias)
     f = T.add(T.matmul(T.relu(T.add(T.matmul(x, bp.ffn_w1), bp.ffn_b1)), bp.ffn_w2), bp.ffn_b2)
     f = T.dropout(f, dropout, training, rng)
     return T.layer_norm(T.add(x, f), bp.ln2_gain, bp.ln2_bias)
@@ -219,12 +224,12 @@ class TransformerClassifier(PairClassifier):
         x = embed(batch, self.token_table, self.pos_table, self.seg_table)
         lengths = np.array([len(e.token_ids) for e in batch])
         mask = np.arange(x.shape[1]) < lengths[:, None]
-        for bp in self.blocks:
+        for bp in self.blocks:  # the head reads only [CLS], so the last block computes only that row
             x = transformer_block(
                 x, mask, bp, self.config.num_heads,
-                dropout=self.dropout, training=training, rng=rng,
+                dropout=self.dropout, training=training, rng=rng, rows=1 if bp is self.blocks[-1] else None,
             )
-        pooled = T.reshape(T.slice_rows(x, 0, 1), (len(batch), self.config.d_e))
+        pooled = T.reshape(x, (len(batch), self.config.d_e))
         logits = T.add(T.matmul(pooled, self.cls_w), self.cls_b)
         return T.softmax(logits, axis=-1)
 

@@ -74,6 +74,17 @@ class TestExpand:
         table = table_from([("pt", "patient")])
         assert abbrev.expand("ptérygion pt_x рpt pt", table) == "ptérygion patient_x рpt patient"
 
+    def test_combining_marks_are_inside_a_token(self):
+        table = table_from([("MI", "myocardial infarction")])
+        # decomposed e + U+0301 and I + U+0301, a spacing mark (Mc) and an astral mark (Mn)
+        for text in ("cafe\u0301MI", "MI\u0301", "MI\u093e", "\U00011127MI", "MI\u20dd"):
+            assert abbrev.expand(text, table) == text
+        # composed text expands as before, and a mark beyond a space is no neighbour
+        assert abbrev.expand("caf\u00e9 MI \u0301, M\u00cd", table) == "caf\u00e9 myocardial infarction \u0301, M\u00cd"
+        # a surface ending in a mark is still the longer match
+        table = table_from([("MI", "myocardial infarction"), ("MI\u0301", "X")])
+        assert abbrev.expand("MI\u0301 MI", table) == "X myocardial infarction"
+
     def test_case_insensitive_by_default(self):
         table = table_from([("CHF", "congestive heart failure")])
         assert abbrev.expand("chf, EF 55%", table) == "congestive heart failure, EF 55%"

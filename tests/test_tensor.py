@@ -90,6 +90,12 @@ class TestSoftmax:
     def test_nan_input_rejected(self):
         with pytest.raises(NumericError):
             T.softmax(T.Tensor([1.0, np.nan]), axis=0)
+        # an infinite slice max would give all-NaN probabilities, not an error
+        for row in ([np.inf, 0.0], [-np.inf, -np.inf]):
+            with pytest.raises(NumericError, match="infinite"):
+                T.softmax(T.Tensor([[0.5, 1.0], row]), axis=-1)
+        # a -inf entry below a finite max is an exact zero
+        np.testing.assert_array_equal(T.softmax(T.Tensor([-np.inf, 0.0]), axis=0).data, [0.0, 1.0])
 
     def test_bad_axis(self):
         with pytest.raises(DimensionError):

@@ -141,6 +141,27 @@ class TestMultiHeadAttention:
         )
         assert np.max(np.abs(out.data - oracle)) <= 1e-10
 
+    def test_query_subset_matches_first_rows_of_loop_oracle(self):
+        rng = np.random.default_rng(31)
+        d_e, length = 4, 5
+        p = random_attention_params(rng, d_e)
+        x0 = rng.uniform(-1, 1, (2, length, d_e))
+        masks = [[1, 1, 1, 0, 0], [1, 0, 1, 1, 1]]
+        for m in (1, 3):
+            queries = T.Tensor(x0[:, :m])
+            out = tr.multi_head_attention(T.Tensor(x0), masks, p, num_heads=2, queries=queries).data
+            single = tr.multi_head_attention(T.Tensor(x0[1]), masks[1], p, num_heads=2, queries=T.Tensor(x0[1, :m]))
+            assert out.shape == (2, m, d_e) and single.shape == (m, d_e)
+            for i in range(2):
+                oracle = loop_multi_head_attention(
+                    x0[i], masks[i],
+                    p.wq.data, p.bq.data, p.wk.data, p.bk.data,
+                    p.wv.data, p.bv.data, p.wo.data, p.bo.data,
+                    num_heads=2,
+                )
+                assert np.max(np.abs(out[i] - oracle[:m])) <= 1e-10
+            assert np.max(np.abs(single.data - oracle[:m])) <= 1e-10
+
     def test_attention_rows_stochastic_over_unmasked_keys(self):
         rng = np.random.default_rng(23)
         d_e, length = 8, 6
@@ -225,6 +246,17 @@ class TestTransformerBlock:
 
         assert rel_err(bp.ffn_w1.grad, finite_diff_grad(f_w, bp.ffn_w1.data.copy())) < 1e-4
 
+    def test_leading_rows_match_the_full_block(self):
+        rng = np.random.default_rng(47)
+        bp = random_block_params(rng, 4, 8)
+        x0 = rng.uniform(-1, 1, (3, 5, 4))
+        mask = np.arange(5) < np.array([5, 2, 4])[:, None]
+        full = tr.transformer_block(T.Tensor(x0), mask, bp, num_heads=2).data
+        for rows in (1, 2, 5):
+            out = tr.transformer_block(T.Tensor(x0), mask, bp, num_heads=2, rows=rows).data
+            assert out.shape == (3, rows, 4)
+            np.testing.assert_allclose(out, full[:, :rows], rtol=0, atol=1e-12)
+
     def test_masked_garbage_rows_leave_valid_rows_unchanged(self):
         rng = np.random.default_rng(43)
         d_e, length = 4, 5
@@ -293,9 +325,12 @@ class TestBatching:
 
     def test_padding_invariance_in_mixed_batch(self):
         model = tiny_model(seed=7, max_len=16)
-        short = [tk.encode_pair(p, h, model.vocab, max_len=8) for p, h in self.PAIRS]
-        long = [tk.encode_pair(p, h, model.vocab, max_len=16) for p, h in self.PAIRS]
-        np.testing.assert_allclose(model.forward(long).data, model.forward(short).data, atol=1e-9)
+        encoded = [model.encode(p, h) for p, h in self.PAIRS]
+        # a 16-token pair pads the batch's other rows, of 5 to 8 tokens, to 16 positions
+        longest = model.encode("a b c d e f g h", "a b c d e")
+        assert len(longest.token_ids) == 16
+        padded = model.forward(encoded + [longest]).data[:-1]
+        np.testing.assert_allclose(padded, model.forward(encoded).data, rtol=0, atol=1e-12)
 
     def test_single_pair_matches_its_row_beside_a_pair_at_max_len(self):
         model = tiny_model(seed=19)
@@ -344,6 +379,39 @@ class TestBatching:
         gold = [label_id(ex.gold_label) for ex in corpus]
         np.testing.assert_allclose(float(loss.data), -np.log(probs[np.arange(6), gold]).sum(), rtol=1e-12)
         assert correct == int((probs.argmax(axis=1) == gold).sum())
+
+
+def full_block_forward(model, batch):
+    """``forward`` as it would be if the last block computed every row and the
+    head then sliced out [CLS], built from the public block functions."""
+    x = tr.embed(batch, model.token_table, model.pos_table, model.seg_table)
+    mask = np.arange(x.shape[1]) < np.array([len(e.token_ids) for e in batch])[:, None]
+    for bp in model.blocks:
+        x = tr.transformer_block(x, mask, bp, model.config.num_heads)
+    pooled = T.reshape(T.slice_rows(x, 0, 1), (len(batch), model.config.d_e))
+    return T.softmax(T.add(T.matmul(pooled, model.cls_w), model.cls_b), axis=-1)
+
+
+class TestClsOnlyLastBlock:
+    @pytest.mark.parametrize("num_blocks", [1, 2])
+    def test_probabilities_and_gradients_match_the_full_block(self, num_blocks):
+        model = tiny_model(seed=23, num_blocks=num_blocks)
+        encoded = [model.encode(p, h) for p, h in TestBatching.PAIRS]
+        gold = [0, 2, 1, 2]
+        results = []
+        for forward in (model.forward, lambda batch: full_block_forward(model, batch)):
+            T.zero_grads(model.parameters().values())
+            probs = forward(encoded)
+            loss = T.nll_from_probs(probs, gold)
+            loss.backward()
+            grads = {name: t.grad.copy() for name, t in model.parameters().items()}
+            results.append((probs.data, grads, len(T.record(loss))))
+        (fast, fast_grads, fast_nodes), (full, full_grads, full_nodes) = results
+        np.testing.assert_allclose(fast, full, rtol=0, atol=1e-12)
+        for name in full_grads:
+            np.testing.assert_allclose(fast_grads[name], full_grads[name], rtol=0, atol=1e-12, err_msg=name)
+        # the block's one slice replaces the head's, so the tape keeps its size
+        assert fast_nodes == full_nodes
 
 
 class TestParameterPlumbing:
