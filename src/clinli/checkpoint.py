@@ -42,8 +42,8 @@ FORMAT_VERSION = 2
 _SIDECAR_HEADER = "step\ttrain_loss\tdev_loss\tdev_accuracy"
 
 # The one place a model kind is decided: checkpoint headers, run configs and
-# the command line name a kind, and its class gives the config class and
-# checks the tokenizer mode (``PairClassifier.checked_tokenizer_mode``).
+# the command line name a kind, and its class gives the config class and the
+# one tokenizer mode of the kind (``PairClassifier.tokenizer_mode``).
 MODEL_KINDS = {cls.kind: cls for cls in (TransformerClassifier, CompAggrModel)}
 
 
@@ -142,7 +142,10 @@ def _read_header(path, fh) -> Header:
         if header.format_version != FORMAT_VERSION:
             raise ParseError(f"{path}: unsupported format_version {header.format_version}")
         make_model_config(header.kind, header.config, path)
-        MODEL_KINDS[header.kind].checked_tokenizer_mode(header.tokenizer_mode, f"{path}: tokenizer_mode")
+        mode = MODEL_KINDS[header.kind].tokenizer_mode
+        if header.tokenizer_mode != mode:
+            raise ParseError(f"{path}: a {header.kind} model reads tokenizer_mode {mode!r}, "
+                             f"not {header.tokenizer_mode!r}")
     except (ValueError, RecursionError) as exc:  # ValueError: not ASCII, not JSON, an int of over 4,300 digits
         raise ParseError(f"{path}: garbled header ({exc})") from None
     except ConfigError as exc:  # its message names the file
@@ -227,7 +230,7 @@ def model_from_checkpoint(ckpt: Checkpoint, where="checkpoint"):
     config = make_model_config(ckpt.kind, ckpt.model_config, where)
     try:
         vocab = Vocabulary(list(ckpt.vocab_tokens))
-        model = MODEL_KINDS[ckpt.kind](config, vocab, tokenizer_mode=ckpt.tokenizer_mode, stored=ckpt.params)
+        model = MODEL_KINDS[ckpt.kind](config, vocab, stored=ckpt.params)
         extra = list(ckpt.params)[len(model.parameters()):]
         if extra:
             raise DataError(f"parameter name mismatch: extra block {extra[0]!r}")

@@ -17,12 +17,16 @@ fields of ``RunConfig``::
     }
 
 Every run is a chain of stages, each a ``StageConfig``; a plain run is a
-one-stage chain.  A stage without a ``name`` is named after its train
-file's stem.  The whole config, every stage included, is parsed before any
-dataset is read, and a malformed config ends in exit code 2 with a message
-naming the file and the key.  ``train --seed`` is the run's seed; a stage's
-``train_config`` may override its training seed.  ``expand`` is the only
-abbreviation expansion: run it with one table on every file a model reads.
+one-stage chain.  A stage without a ``name`` is named after its train file's
+stem.  The model kind fixes the tokenizer: one vocabulary is built from
+every dataset of the chain, of word pieces (``vocab_size`` of them) for the
+transformer and of words for compaggr.  The whole config, every stage
+included, is parsed before any dataset is read, and a malformed config ends
+in exit code 2 with a message naming the file and the key; so does a pair
+with a side that holds no word, before anything trains.  ``train --seed`` is
+the run's seed; a stage's ``train_config`` may override its training seed.
+``expand`` is the only abbreviation expansion: run it with one table on
+every file a model reads.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .data import load_jsonl, read_text, save_jsonl, write_atomic
 from .errors import ClinliError, ConfigError, DataError, ParseError
 from .evaluate import (
     Prediction,
+    _pair_id,
     accuracy,
     agreement_partition,
     group_into_triples,
@@ -53,7 +58,7 @@ from .evaluate import (
 )
 from .model import parse_config
 from .synth import SynthSpec, generate_corpus, generate_transfer_pair
-from .tokenizer import build_word_vocab, train_wordpiece
+from .tokenizer import build_word_vocab, pretokenize, tokenize_sides, train_wordpiece
 from .training import Stage, TrainConfig, TransferChain, run_chain
 
 USAGE_ERRORS = (ConfigError, ParseError, DataError, FileNotFoundError)
@@ -79,8 +84,7 @@ class StageConfig:
 class RunConfig:
     model: str
     chain: list  # of StageConfig objects, in training order
-    tokenizer: str | None = None  # default: the model kind's first mode
-    vocab_size: int = 200  # word-piece target size
+    vocab_size: int = 200  # word-piece target size; only the transformer reads word pieces
     model_config: dict | None = None
     train_config: dict | None = None
     head_reset: str = "keep"
@@ -113,8 +117,8 @@ def _require_file(path_str: str, what: str) -> Path:
     return path
 
 
-def _vocabulary(tokenizer: str, vocab_size: int, sentences: list[str], where):
-    if tokenizer != "wordpiece":
+def _vocabulary(kind: str, vocab_size: int, sentences: list[str], where):
+    if MODEL_KINDS[kind].tokenizer_mode == "word":
         return build_word_vocab(sentences)
     try:
         return train_wordpiece(sentences, target_size=vocab_size)
@@ -132,11 +136,18 @@ def _sentences(datasets) -> list[str]:
 
 
 def _stage_dataset(stage: StageConfig, part: str) -> list:
+    """The examples of a stage's dataset; an empty dataset, or a pair with a
+    side that no tokenizer can encode, ends in a DataError naming the file."""
     what = f"stage {stage.name} {part} dataset"
     path = _require_file(getattr(stage, part), what)
     examples = load_jsonl(path)
     if not examples:
         raise DataError(f"{path}: {what} is empty")
+    for i, ex in enumerate(examples):
+        try:
+            tokenize_sides(ex.premise, ex.hypothesis, pretokenize)
+        except DataError as exc:
+            raise DataError(f"{path}: {what}, pair {_pair_id(ex, i)}: {exc}") from None
     return examples
 
 
@@ -199,7 +210,6 @@ def cmd_train(args) -> int:
     run = load_run_config(config_path)
     kind = run.model
     model_config = make_model_config(kind, run.model_config or {}, config_path)
-    tokenizer = MODEL_KINDS[kind].checked_tokenizer_mode(run.tokenizer, f"{config_path}: tokenizer")
     train_configs = [
         parse_config(TrainConfig, {"seed": args.seed, **(run.train_config or {}), **(s.train_config or {})},
                      f"{config_path}: stage {s.name}")
@@ -210,9 +220,9 @@ def cmd_train(args) -> int:
     chain = TransferChain(stages=stages, head_reset=run.head_reset)
     # one vocabulary from the union of all chain corpora, built up front
     union_sentences = _sentences([s.train_set for s in stages] + [s.dev_set for s in stages])
-    vocab = _vocabulary(tokenizer, run.vocab_size, union_sentences, config_path)
+    vocab = _vocabulary(kind, run.vocab_size, union_sentences, config_path)
     out_dir = _out_dir(args)
-    ckpt = run_chain(lambda: MODEL_KINDS[kind](model_config, vocab, seed=args.seed, tokenizer_mode=tokenizer), chain)
+    ckpt = run_chain(lambda: MODEL_KINDS[kind](model_config, vocab, seed=args.seed), chain)
 
     ckpt_path = out_dir / "model.ckpt"
     save_checkpoint(ckpt, ckpt_path)

@@ -194,11 +194,11 @@ class CompAggrModel(PairClassifier):
 
     kind = "compaggr"
     config_class = CompAggrConfig
-    tokenizer_modes = ("word",)
+    tokenizer_mode = "word"
 
-    def __init__(self, config: CompAggrConfig, vocab: Vocabulary, seed: int = 0, tokenizer_mode: str | None = None,
+    def __init__(self, config: CompAggrConfig, vocab: Vocabulary, seed: int = 0,
                  stored: dict[str, np.ndarray] | None = None):
-        super().__init__(config, vocab, tokenizer_mode)
+        super().__init__(config, vocab)
         mat, zeros, _ = initializers(seed, self._params, stored)
         hidden = config.repr_dim // 2
         self.emb_table = mat("emb.word", len(vocab), config.word_dim)
@@ -216,7 +216,7 @@ class CompAggrModel(PairClassifier):
         self.cls_b = zeros("cls.b", len(LABELS))
 
     def encode(self, premise: str, hypothesis: str) -> tuple[list[int], list[int]]:
-        return tokenize_sides(premise, hypothesis, word_tokenize, self.vocab)
+        return tokenize_sides(premise, hypothesis, lambda text: word_tokenize(text, self.vocab))
 
     def forward(self, batch, training: bool = False, rng: np.random.Generator | None = None) -> T.Tensor:
         """(B, 3) class probabilities for B encoded pairs, from one graph."""

@@ -1,14 +1,14 @@
 """The protocol both sentence-pair classifiers share.
 
-A model is built from a config dataclass, a vocabulary, a seed and a
-tokenizer mode.  A config holds only the values a run may vary, each a JSON
-scalar; a value no run varies is a constant of the model's module.  Each
-trainable tensor is named once, by the maker call that creates it
+A model is built from a config dataclass, a vocabulary and a seed; its kind
+fixes its tokenizer.  A config holds only the values a run may vary, each a
+JSON scalar; a value no run varies is a constant of the model's module.
+Each trainable tensor is named once, by the maker call that creates it
 (``initializers``); ``parameters()`` returns them by name in creation order,
-the order of checkpoint blocks and Adam state.  The
-classification head is ``cls_w``/``cls_b``, one column per label in
-``data.LABELS``.  The base class, the parameter initializers and the config
-parser here do not depend on the architecture.
+the order of checkpoint blocks and Adam state.  The classification head is
+``cls_w``/``cls_b``, one column per label in ``data.LABELS``.  The base
+class, the parameter initializers and the config parser here do not depend
+on the architecture.
 """
 
 from __future__ import annotations
@@ -128,8 +128,9 @@ def initializers(seed: int, params: dict[str, T.Tensor], stored: dict[str, np.nd
 
 class PairClassifier:
     """Three-way sentence-pair classifier.  Subclasses set ``kind``,
-    ``config_class`` and ``tokenizer_modes`` (the first is the default)
-    and make their tensors with ``initializers(seed, self._params, stored)``,
+    ``config_class`` and ``tokenizer_mode`` (``"wordpiece"`` or ``"word"``:
+    the kind's one tokenizer, which its vocabulary is built for) and make
+    their tensors with ``initializers(seed, self._params, stored)``,
     ``stored`` being the parameter blocks of a checkpoint when the model is
     rebuilt from one.  ``encode(premise, hypothesis)`` turns a pair into the
     model's input, or raises the DataError naming a side with nothing to
@@ -140,24 +141,13 @@ class PairClassifier:
 
     kind: str
     config_class: type
-    tokenizer_modes: tuple[str, ...]
+    tokenizer_mode: str
 
-    def __init__(self, config, vocab: Vocabulary, tokenizer_mode: str | None):
+    def __init__(self, config, vocab: Vocabulary):
         self.config = config
         self.vocab = vocab
-        self.tokenizer_mode = self.checked_tokenizer_mode(tokenizer_mode, "tokenizer_mode")
         self.dropout = config.dropout
         self._params: dict[str, T.Tensor] = {}
-
-    @classmethod
-    def checked_tokenizer_mode(cls, mode: str | None, where) -> str:
-        """``mode``, or the kind's default mode when it is None; a mode the
-        kind does not take ends in a ConfigError naming ``where``."""
-        if mode is None:
-            return cls.tokenizer_modes[0]
-        if mode not in cls.tokenizer_modes:
-            raise ConfigError(f"{where}: a {cls.kind} model takes one of {list(cls.tokenizer_modes)}, not {mode!r}")
-        return mode
 
     def parameters(self) -> dict[str, T.Tensor]:
         """Every trainable tensor by name, in creation order."""

@@ -1,18 +1,22 @@
 """Sub-word and word-level tokenization with sentence-pair encoding.
 
+Each model kind reads one tokenizer (``PairClassifier.tokenizer_mode``): the
+transformer reads word pieces and the compare-aggregate matcher reads words.
 Sub-word vocabularies are trained by greedy pair merging (most frequent
 adjacent pair first, ties broken by first occurrence in the scan), and text
 is segmented by greedy longest-match-first lookup.  Non-initial pieces carry
-the ``##`` continuation prefix.  A word-level mode maps each whitespace word
-to a single id (most frequent first, ties in order of first occurrence), with
-[UNK] for out-of-vocabulary words.
+the ``##`` continuation prefix.  The word-level tokenizer maps each word to a
+single id (most frequent first, ties in order of first occurrence), with
+[UNK] for out-of-vocabulary words.  Either gives a text no token exactly
+when ``pretokenize`` finds no word in it.
 
-Pair encoding lays out ``[CLS] premise [SEP] hypothesis [SEP]`` with segment
-ids 0 through the first [SEP] and 1 after it, token i at position i, and no
-padding: the classifier pads each batch to the batch's longest pair, and
-``max_len`` is the truncation budget and position-table size.  Overlong
-pairs are truncated by trimming the currently longer side one token at a
-time (premise first on ties), which keeps both sentence heads.
+Pair encoding, the transformer's input, lays out ``[CLS] premise [SEP]
+hypothesis [SEP]`` with segment ids 0 through the first [SEP] and 1 after
+it, token i at position i, and no padding: the classifier pads each batch to
+the batch's longest pair, and ``max_len`` is the truncation budget and
+position-table size.  Overlong pairs are truncated by trimming the currently
+longer side one token at a time (premise first on ties), which keeps both
+sentence heads.
 
 A vocabulary starts with the special tokens [PAD], [UNK], [CLS], [SEP] in
 that order, and is stored only in the checkpoint header of its model.
@@ -191,12 +195,12 @@ def word_tokenize(text: str, vocab: Vocabulary) -> list[int]:
     return [vocab.id_of(w) for w in pretokenize(text)]
 
 
-def tokenize_sides(premise: str, hypothesis: str, tok: Callable[[str, Vocabulary], list[int]],
-                   vocab: Vocabulary) -> tuple[list[int], list[int]]:
-    """The ids ``tok(text, vocab)`` gives each side of a pair.  A side with no
+def tokenize_sides(premise: str, hypothesis: str, tok: Callable[[str], list]) -> tuple[list, list]:
+    """The tokens ``tok(text)`` gives each side of a pair.  A side with no
     token raises the DataError, naming that side, which marks a pair that no
-    model can encode."""
-    p_ids, h_ids = tok(premise, vocab), tok(hypothesis, vocab)
+    model can encode; ``tok=pretokenize`` finds such a pair without a
+    vocabulary."""
+    p_ids, h_ids = tok(premise), tok(hypothesis)
     for side, ids, text in (("premise", p_ids, premise), ("hypothesis", h_ids, hypothesis)):
         if not ids:
             raise DataError(f"{side} tokenized to nothing: {text!r}")
@@ -216,21 +220,13 @@ class EncodedPair:
             raise DataError("encoded pair sequences have unequal lengths")
 
 
-def encode_pair(
-    premise: str,
-    hypothesis: str,
-    vocab: Vocabulary,
-    max_len: int,
-    mode: str = "wordpiece",
-) -> EncodedPair:
-    """Encode a sentence pair as [CLS] premise [SEP] hypothesis [SEP] with
-    segments, truncated to at most ``max_len`` tokens and not padded."""
+def encode_pair(premise: str, hypothesis: str, vocab: Vocabulary, max_len: int) -> EncodedPair:
+    """Encode a sentence pair of word pieces as [CLS] premise [SEP]
+    hypothesis [SEP] with segments, truncated to at most ``max_len`` tokens
+    and not padded."""
     if max_len < 5:
         raise ConfigError(f"max_len must be at least 5, got {max_len}")
-    tok = tokenize if mode == "wordpiece" else word_tokenize
-    if mode not in ("wordpiece", "word"):
-        raise ConfigError(f"unknown tokenizer mode {mode!r}")
-    p_ids, h_ids = tokenize_sides(premise, hypothesis, tok, vocab)
+    p_ids, h_ids = tokenize_sides(premise, hypothesis, lambda text: tokenize(text, vocab))
 
     budget = max_len - 3
     while len(p_ids) + len(h_ids) > budget:

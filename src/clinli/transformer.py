@@ -180,17 +180,11 @@ class TransformerClassifier(PairClassifier):
 
     kind = "transformer"
     config_class = TransformerConfig
-    tokenizer_modes = ("wordpiece", "word")
+    tokenizer_mode = "wordpiece"
 
-    def __init__(
-        self,
-        config: TransformerConfig,
-        vocab: Vocabulary,
-        seed: int = 0,
-        tokenizer_mode: str | None = None,
-        stored: dict[str, np.ndarray] | None = None,
-    ):
-        super().__init__(config, vocab, tokenizer_mode)
+    def __init__(self, config: TransformerConfig, vocab: Vocabulary, seed: int = 0,
+                 stored: dict[str, np.ndarray] | None = None):
+        super().__init__(config, vocab)
         mat, zeros, ones = initializers(seed, self._params, stored)
         d_e, d_ff = config.d_e, config.d_ff
         self.token_table = mat("emb.token", len(vocab), d_e)
@@ -217,7 +211,7 @@ class TransformerClassifier(PairClassifier):
         self.cls_b = zeros("cls.b", len(LABELS))
 
     def encode(self, premise: str, hypothesis: str) -> EncodedPair:
-        return encode_pair(premise, hypothesis, self.vocab, self.config.max_len, mode=self.tokenizer_mode)
+        return encode_pair(premise, hypothesis, self.vocab, self.config.max_len)
 
     def forward(self, batch: Sequence[EncodedPair], training: bool = False, rng: np.random.Generator | None = None) -> T.Tensor:
         """(B, 3) class probabilities for B encoded pairs, each masked past its length."""

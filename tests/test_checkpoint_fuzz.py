@@ -25,7 +25,7 @@ from clinli.checkpoint import (
 )
 from clinli.compaggr import CompAggrConfig, CompAggrModel
 from clinli.errors import ClinliError, ParseError
-from clinli.tokenizer import build_word_vocab
+from clinli.tokenizer import build_word_vocab, train_wordpiece
 from clinli.transformer import TransformerClassifier, TransformerConfig
 
 # Hypothesis caches the constants it finds in the source while pytest
@@ -56,24 +56,24 @@ class Original:
     payload_at: int = field(repr=False)
 
 
+SENTENCES = ["the patient has a fever", "no fever today"]
 TINY_MODELS = {
-    "transformer": lambda vocab: TransformerClassifier(
-        TransformerConfig(d_e=4, num_heads=2, num_blocks=1, d_ff=4, max_len=8, dropout=0.0), vocab, seed=0,
-        tokenizer_mode="word",
+    "transformer": lambda: TransformerClassifier(
+        TransformerConfig(d_e=4, num_heads=2, num_blocks=1, d_ff=4, max_len=8, dropout=0.0),
+        train_wordpiece(SENTENCES, target_size=40), seed=0,
     ),
-    "compaggr": lambda vocab: CompAggrModel(
-        CompAggrConfig(word_dim=4, repr_dim=4, filters_per_width=2, dropout=0.0), vocab, seed=0,
+    "compaggr": lambda: CompAggrModel(
+        CompAggrConfig(word_dim=4, repr_dim=4, filters_per_width=2, dropout=0.0), build_word_vocab(SENTENCES), seed=0,
     ),
 }
 
 
 @pytest.fixture(scope="module", params=list(TINY_MODELS))
 def original(request, tmp_path_factory):
-    vocab = build_word_vocab(["the patient has a fever", "no fever today"])
-    model = TINY_MODELS[request.param](vocab)
+    model = TINY_MODELS[request.param]()
     params = {name: p.data.copy() for name, p in model.parameters().items()}
     ckpt = Checkpoint(
-        kind=model.kind, model_config=model.config_dict(), vocab_tokens=list(vocab.tokens),
+        kind=model.kind, model_config=model.config_dict(), vocab_tokens=list(model.vocab.tokens),
         tokenizer_mode=model.tokenizer_mode, params=params,
         adam_m={n: np.zeros_like(a) for n, a in params.items()},
         adam_v={n: np.ones_like(a) for n, a in params.items()},

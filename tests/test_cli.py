@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 from clinli import cli
-from clinli.checkpoint import Checkpoint, load_checkpoint, make_model_config, save_checkpoint
+from clinli.checkpoint import MODEL_KINDS, Checkpoint, load_checkpoint, make_model_config, save_checkpoint
 from clinli.data import load_jsonl
 from clinli.evaluate import read_predictions
 from clinli.model import parse_config
-from clinli.tokenizer import build_word_vocab
+from clinli.tokenizer import train_wordpiece
 from clinli.training import TrainConfig
 from clinli.transformer import TransformerClassifier, TransformerConfig
 
@@ -72,11 +72,10 @@ def assert_checkpoint_rejected(capsys, ckpt, dataset, out, *names):
 
 
 def small_checkpoint(path) -> Path:
-    """Write an untrained word-level transformer's checkpoint to ``path``."""
-    vocab = build_word_vocab(["the patient has a fever"])
+    """Write an untrained transformer's checkpoint to ``path``."""
+    vocab = train_wordpiece(["the patient has a fever"], target_size=40)
     model = TransformerClassifier(
         TransformerConfig(d_e=4, num_heads=2, num_blocks=1, d_ff=4, max_len=8, dropout=0.0), vocab,
-        tokenizer_mode="word",
     )
     save_checkpoint(Checkpoint(model.kind, model.config_dict(), list(vocab.tokens), model.tokenizer_mode,
                                {name: p.data for name, p in model.parameters().items()}, {}, {}), path)
@@ -167,6 +166,8 @@ class TestTrain:
         (None, "datasets"), (None, "out_dir"),
         # abbreviations are expanded only by `clinli expand`, and the run's seed is only `train --seed`
         (None, "abbrev_table"), (None, "seed"),
+        # the model kind fixes the tokenizer
+        (None, "tokenizer"),
     ])
     def test_unknown_section_key_exits_2_naming_file_and_key(self, tmp_path, capsys, section, key):
         # the datasets do not exist: the error comes before any is read or the output directory is made
@@ -182,12 +183,12 @@ class TestTrain:
         (None, "vocab_size", "abc"), ("chain", "train", 5),
         # values of the right type that the config class rejects
         ("model_config", "repr_dim", 3), ("train_config", "learning_rate", -1),
-        (None, "vocab_size", -5), (None, "head_reset", "bogus"), (None, "tokenizer", "bogus"),
+        (None, "vocab_size", -5), (None, "head_reset", "bogus"), (None, "model", "bogus"),
         ("model_config", "max_len", 4),  # a transformer's: too short for [CLS] a [SEP] b [SEP]
         # fixed values, no config keys: the clip norm and the filter widths
         ("train_config", "clip_norm", 5.0), ("model_config", "filter_widths", [1, 2, 3, 4, 5]),
         # a lone surrogate escape is not text
-        ("chain", "name", "S\ud800"), (None, "tokenizer", "word\ud800"),
+        ("chain", "name", "S\ud800"), (None, "model", "word\ud800"),
         (None, "chain", []),  # a run has at least one stage
         # not finite: JSON Infinity, NaN, and "1e400" written as a bare number, which reads as inf
         ("train_config", "learning_rate", float("inf")), ("train_config", "learning_rate", float("nan")),
@@ -203,6 +204,27 @@ class TestTrain:
         config.write_text(json.dumps(cfg).replace('"1e400"', "1e400"))
         assert_config_rejected(capsys, config, tmp_path / "o", key)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("part,key,text,pair_id,named", [
+        ("train", "sentence2", " \t ", "p7", "pair p7: hypothesis tokenized to nothing: ' \\t '"),
+        ("train", "sentence1", "\n ", None, "pair idx-2: premise tokenized to nothing: '\\n '"),
+        ("dev", "sentence2", " \t ", None, "pair idx-2: hypothesis tokenized to nothing: ' \\t '"),
+    ], ids=["train_hypothesis", "train_premise_no_pair_id", "dev_hypothesis"])
+    def test_pair_with_nothing_to_encode_exits_2_before_training(self, tmp_path, capsys, part, key, text, pair_id,
+                                                                  named):
+        data = synth_dir(tmp_path, count=30, seed=1)
+        path = data / f"{part}.jsonl"
+        lines = path.read_text().splitlines()
+        row = {k: v for k, v in json.loads(lines[2]).items() if k != "pairID"}
+        lines[2] = json.dumps({**row, key: text, **({} if pair_id is None else {"pairID": pair_id})})
+        path.write_text("\n".join(lines) + "\n")
+        stage = {"train": str(data / "train.jsonl"), "dev": str(data / "dev.jsonl")}
+        for kind in sorted(MODEL_KINDS):  # neither tokenizer has a token for a side without a word
+            config = tmp_path / f"{kind}.json"
+            config.write_text(json.dumps({"model": kind, "chain": [stage]}))
+            assert run_cli("train", "--config", config, "--out-dir", tmp_path / "o") == 2
+            assert f"error: {path}: stage train {part} dataset, {named}" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_num_classes_is_not_a_model_config_key(self, tmp_path, capsys):
         # the head width is the label count; the datasets do not exist, so the error comes before any is read
@@ -579,6 +601,13 @@ class TestPredictEval:
         rewrite_header(ckpt, bad, edit)
         assert_checkpoint_rejected(capsys, bad, data / "test.jsonl", tmp_path / "p",
                                    f"missing block {renamed[0]!r}", "extra block 'renamed.block'")
+
+    def test_word_level_transformer_checkpoint_exits_2(self, tmp_path, capsys):
+        # a transformer reads word pieces only, so a header naming the word-level tokenizer is not loaded
+        data = synth_dir(tmp_path, count=10)
+        bad = tmp_path / "word_transformer.ckpt"
+        rewrite_header(small_checkpoint(tmp_path / "small.ckpt"), bad, lambda h: h.update(tokenizer_mode="word"))
+        assert_checkpoint_rejected(capsys, bad, data / "test.jsonl", tmp_path / "p", "tokenizer_mode", "'word'")
 
     def test_reordered_blocks_exit_2_naming_file_and_both_blocks(self, tmp_path, trained, capsys):
         data, ckpt = trained

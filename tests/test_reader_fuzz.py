@@ -43,7 +43,7 @@ DATASET = b"".join(
 PREDICTIONS = b"p0\t0.8\t0.1\t0.1\tentailment\np1\t0.2\t0.5\t0.3\tcontradiction\np2\t0.25\t0.25\t0.5\tneutral\n"
 TABLE = b"# surface<TAB>expansion\nMI\tmyocardial infarction\n\nCHF\tcongestive heart failure\n"
 RUN_CONFIG = {
-    "model": "compaggr", "tokenizer": "word", "vocab_size": 200, "model_config": {"word_dim": 8},
+    "model": "compaggr", "vocab_size": 200, "model_config": {"word_dim": 8},
     "train_config": {"max_epochs": 2}, "head_reset": "keep",
     "chain": [{"name": "S", "train": "t.jsonl", "dev": "d.jsonl", "train_config": {"batch_size": 4}}],
 }

@@ -13,7 +13,7 @@ from clinli.data import LABELS, NLIExample
 from clinli.errors import ConfigError, ContractError, DataError, NumericError, ParseError
 from clinli.model import initializers
 from clinli.synth import SynthSpec, generate_corpus
-from clinli.tokenizer import build_word_vocab
+from clinli.tokenizer import build_word_vocab, train_wordpiece
 from clinli.transformer import TransformerClassifier, TransformerConfig
 
 from oracles import hand_adam
@@ -303,12 +303,13 @@ def held_tensors(obj) -> set[int]:
 class TestParameterRegistry:
     @pytest.mark.parametrize("kind", ["transformer", "compaggr"])
     def test_every_tensor_the_model_holds_is_a_named_parameter(self, kind):
-        vocab = build_word_vocab(["the patient has a fever", "no fever today"])
+        sentences = ["the patient has a fever", "no fever today"]
         if kind == "transformer":
             config = TransformerConfig(d_e=8, num_heads=2, num_blocks=2, d_ff=8, max_len=10)
-            model = TransformerClassifier(config, vocab, tokenizer_mode="word")
+            model = TransformerClassifier(config, train_wordpiece(sentences, target_size=40))
         else:
-            model = CompAggrModel(CompAggrConfig(word_dim=4, repr_dim=4, filters_per_width=2), vocab)
+            model = CompAggrModel(CompAggrConfig(word_dim=4, repr_dim=4, filters_per_width=2),
+                                  build_word_vocab(sentences))
         params = model.parameters()
         assert held_tensors(model) == {id(p) for p in params.values()}
         assert params["cls.w"].shape[1] == params["cls.b"].shape[0] == len(LABELS)
@@ -402,9 +403,9 @@ class TestCheckpointIO:
         if request.param == "compaggr":
             model = small_compaggr(corpus, seed=9)
         else:
-            vocab = build_word_vocab([s for ex in corpus for s in (ex.premise, ex.hypothesis)])
+            vocab = train_wordpiece([s for ex in corpus for s in (ex.premise, ex.hypothesis)], target_size=60)
             model = TransformerClassifier(TransformerConfig(d_e=8, num_heads=2, num_blocks=1, d_ff=8, max_len=16),
-                                          vocab, seed=9, tokenizer_mode="word")
+                                          vocab, seed=9)
         params = {name: p.data.copy() for name, p in model.parameters().items()}
         return model, Checkpoint(model.kind, model.config_dict(), list(model.vocab.tokens), model.tokenizer_mode,
                                  params, {}, {})

@@ -294,16 +294,6 @@ class TestClassify:
             np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-9)
             assert np.all(probs > 0) and np.all(probs < 1)
 
-    def test_padding_invariance(self):
-        model = tiny_model(seed=7, max_len=16)
-        enc_short = tk.encode_pair("a b", "c", model.vocab, max_len=8)
-        enc_long = tk.encode_pair("a b", "c", model.vocab, max_len=16)
-        # same content, more padding
-        assert enc_long.token_ids[:8] == enc_short.token_ids
-        p_short = model.forward([enc_short]).data
-        p_long = model.forward([enc_long]).data
-        np.testing.assert_allclose(p_long, p_short, atol=1e-9)
-
     def test_deterministic_inference(self):
         model = tiny_model(seed=11)
         a = model.predict_proba("a b c", "d")
