@@ -41,16 +41,16 @@ import numpy as np
 
 from .abbrev import expand_dataset, load_table
 from .checkpoint import MODEL_KINDS, load_checkpoint, make_model_config, model_from_checkpoint, save_checkpoint
-from .data import load_jsonl, read_text, save_jsonl, write_atomic
+from .data import LABELS, load_jsonl, read_text, save_jsonl, write_atomic
 from .errors import ClinliError, ConfigError, DataError, ParseError
 from .evaluate import (
-    Prediction,
+    _gold_map,
     _pair_id,
     accuracy,
     agreement_partition,
+    best_label_assignment,
     group_into_triples,
     mean_correct_confidence,
-    predict_listwise,
     predict_pointwise,
     read_predictions,
     write_metrics,
@@ -235,32 +235,33 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """Score every pair once, in dataset order; list-wise mode relabels the scored triples."""
     path = _require_file(args.checkpoint, "checkpoint")
     model = model_from_checkpoint(load_checkpoint(path), path)
-    examples = load_jsonl(_require_file(args.dataset, "dataset"))
+    dataset = _require_file(args.dataset, "dataset")
+    examples = load_jsonl(dataset)
+    try:
+        _gold_map(examples)  # eval's rule: predictions that repeat an id cannot be scored
+    except DataError as exc:
+        raise DataError(f"{dataset}: {exc}") from None
     out_dir = _out_dir(args)
 
-    report = {"mode": args.mode, "n_examples": len(examples)}
     errors = []
-    if args.mode == "pointwise":
-        rows = predict_pointwise(model, examples, error_log=errors)
-    else:
-        triples, _ = group_into_triples(examples)
-        rows, assigned = [], set()
-        for t in triples:
-            try:
-                result = predict_listwise(model, t)
-            except DataError:
-                continue  # a pair the model cannot encode sends its triple point-wise
-            rows += [Prediction(*row) for row in zip(result.pair_ids, result.probs, result.labels)]
-            assigned.update(t.positions)
-        fallback = [i for i in range(len(examples)) if i not in assigned]
-        rows += predict_pointwise(model, [examples[i] for i in fallback], error_log=errors, positions=fallback)
+    rows = predict_pointwise(model, examples, error_log=errors)
+    report = {"mode": args.mode, "n_examples": len(examples), "n_errors": len(errors)}
+    if args.mode == "listwise":
+        by_id = {row.pair_id: row for row in rows}
+        triples = [[by_id.get(_pair_id(ex, i)) for i, ex in zip(t.positions, t.examples)]
+                   for t in group_into_triples(examples)[0]]
+        scored = [triple for triple in triples if None not in triple]  # the rest keep point-wise labels
+        for triple in scored:
+            perm, _ = best_label_assignment([row.probs for row in triple])
+            for row, label in zip(triple, perm):
+                row.predicted_label = LABELS[label]
+        fallback = len(examples) - 3 * len(scored)
         if fallback:
-            print(f"warning: {len(fallback)} examples fell back to pointwise")
-        report["n_triples"] = len(assigned) // 3
-        report["n_fallback_pointwise"] = len(fallback)
-    report["n_errors"] = len(errors)
+            print(f"warning: {fallback} examples fell back to pointwise")
+        report.update(n_triples=len(scored), n_fallback_pointwise=fallback)
 
     pred_path = out_dir / "predictions.tsv"
     write_predictions(pred_path, rows)

@@ -87,14 +87,13 @@ def _pair_id(ex: NLIExample, index: int) -> str:
     return ex.pair_id if ex.pair_id is not None else f"idx-{index}"
 
 
-def predict_pointwise(model, examples, error_log: list, positions=None) -> list[Prediction]:
-    """One prediction per example, order preserved.  Examples the model
-    cannot encode (a DataError) are skipped, each with a ``PredictionError``
-    appended to ``error_log``; any other error propagates.
-    ``positions`` are the examples' indices in their dataset (by default
-    their order here); pairs without a pair id are named by them."""
+def predict_pointwise(model, examples, error_log: list) -> list[Prediction]:
+    """One prediction per example, in dataset order, each scored once; a pair
+    without a pair id is named ``idx-<position>``.  Examples the model cannot
+    encode (a DataError) are skipped, each with a ``PredictionError``
+    appended to ``error_log``; any other error propagates."""
     out: list[Prediction] = []
-    for i, ex in zip(itertools.count() if positions is None else positions, examples):
+    for i, ex in enumerate(examples):
         pid = _pair_id(ex, i)
         try:
             probs = model.predict_proba(ex.premise, ex.hypothesis)
@@ -135,7 +134,7 @@ class ListwiseResult:
 
 
 def predict_listwise(model, triple: NLITriple) -> ListwiseResult:
-    """Assign the three labels exclusively across the triple's pairs."""
+    """Assign the three labels exclusively across the triple's pairs, which this library form scores itself."""
     pair_ids = tuple(_pair_id(ex, i) for i, ex in zip(triple.positions, triple.examples))
     probs = np.stack([model.predict_proba(ex.premise, ex.hypothesis) for ex in triple.examples])
     perm, score = best_label_assignment(probs)

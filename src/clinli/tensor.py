@@ -392,10 +392,7 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def ravel(a: Tensor) -> Tensor:
-    def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g.reshape(a.shape))
-
-    return _result(lambda: a.data.reshape(-1).copy(), (a,), "ravel", backward_fn)
+    return reshape(a, (-1,))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:

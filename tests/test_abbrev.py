@@ -1,3 +1,5 @@
+import unicodedata
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,11 @@ class TestExpand:
         # a surface ending in a mark is still the longer match
         table = table_from([("MI", "myocardial infarction"), ("MI\u0301", "X")])
         assert abbrev.expand("MI\u0301 MI", table) == "X myocardial infarction"
+
+    def test_mark_class_holds_every_combining_mark(self):
+        # the pattern scans two spans of code points only; a Unicode with marks elsewhere fails here
+        marks = {c for c in map(chr, range(0x110000)) if unicodedata.category(c)[0] == "M"}
+        assert set(abbrev._word_char().rsplit("[", 1)[1][:-1]) == marks
 
     def test_case_insensitive_by_default(self):
         table = table_from([("CHF", "congestive heart failure")])

@@ -8,6 +8,7 @@ import pytest
 
 from clinli import cli
 from clinli.checkpoint import MODEL_KINDS, Checkpoint, load_checkpoint, make_model_config, save_checkpoint
+from clinli.compaggr import CompAggrModel
 from clinli.data import load_jsonl
 from clinli.evaluate import read_predictions
 from clinli.model import parse_config
@@ -455,6 +456,59 @@ class TestPredictEval:
             assert (p.probs == point[p.pair_id]).all()
         assert run_cli("eval", "--predictions", pred_dir / "predictions.tsv",
                        "--dataset", no_ids, "--out-dir", tmp_path / "noid_eval") == 0
+
+    @pytest.mark.parametrize("with_ids", [True, False], ids=["pair_ids", "no_pair_ids"])
+    def test_each_pair_is_scored_once_and_rows_follow_dataset_order(self, tmp_path, trained, monkeypatch, with_ids):
+        data, ckpt = trained
+        examples = load_jsonl(data / "train.jsonl")[:6]  # two complete triples
+        docs = [{"sentence1": ex.premise, "sentence2": ex.hypothesis, "gold_label": ex.gold_label,
+                 **({"pairID": ex.pair_id} if with_ids else {})} for ex in examples]
+        docs[1]["sentence2"] = "   "  # the first triple holds a pair the model cannot encode
+        dataset = tmp_path / "blank.jsonl"
+        dataset.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in docs))
+        scored = []
+        predict_proba = CompAggrModel.predict_proba
+
+        def counted(model, premise, hypothesis):
+            scored.append(hypothesis)
+            return predict_proba(model, premise, hypothesis)
+
+        monkeypatch.setattr(CompAggrModel, "predict_proba", counted)
+        rows = {}
+        for mode in ("listwise", "pointwise"):
+            scored.clear()
+            assert run_cli("predict", "--checkpoint", ckpt, "--dataset", dataset,
+                           "--mode", mode, "--out-dir", tmp_path / mode) == 0
+            assert scored == [d["sentence2"] for d in docs]
+            rows[mode] = read_predictions(tmp_path / mode / "predictions.tsv")
+        names = [ex.pair_id if with_ids else f"idx-{i}" for i, ex in enumerate(examples) if i != 1]
+        assert [p.pair_id for p in rows["listwise"]] == names == [p.pair_id for p in rows["pointwise"]]
+        for lw, pw in zip(rows["listwise"], rows["pointwise"]):
+            assert lw.probs.tobytes() == pw.probs.tobytes()
+        # the triple with the skipped pair keeps its point-wise labels; the other is relabeled exclusively
+        labels = {mode: [p.predicted_label for p in preds] for mode, preds in rows.items()}
+        assert labels["listwise"][:2] == labels["pointwise"][:2]
+        assert sorted(labels["listwise"][2:]) == ["contradiction", "entailment", "neutral"]
+
+    @pytest.mark.parametrize("mode", ["pointwise", "listwise"])
+    @pytest.mark.parametrize("pair_ids,repeated", [
+        (["a", "b", "a", "c"], "a"),
+        (["idx-3", None, None, None], "idx-3"),  # an id-less pair is named by its position
+    ], ids=["repeated_pair_id", "pair_id_names_an_id_less_position"])
+    def test_predict_rejects_a_repeated_pair_id_before_making_out_dir(self, tmp_path, capsys, mode, pair_ids,
+                                                                      repeated):
+        dataset = tmp_path / "dup.jsonl"
+        dataset.write_text("".join(
+            json.dumps({"sentence1": f"premise {i}", "sentence2": "the patient has a fever",
+                        "gold_label": "neutral", **({"pairID": pid} if pid else {})}) + "\n"
+            for i, pid in enumerate(pair_ids)
+        ))
+        out = tmp_path / "out"
+        assert run_cli("predict", "--checkpoint", small_checkpoint(tmp_path / "small.ckpt"), "--dataset", dataset,
+                       "--mode", mode, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert f"{dataset}: " in err and f"repeat pair id {repeated!r}" in err, err
+        assert not out.exists()
 
     def test_eval_rejects_duplicate_pair_ids(self, tmp_path, trained, capsys):
         data, ckpt = trained
