@@ -151,6 +151,17 @@ def _stage_dataset(stage: StageConfig, part: str) -> list:
     return examples
 
 
+def _dataset(path_str: str) -> list:
+    """A dataset's examples; a repeated pair id, which eval cannot align, is a DataError naming the file."""
+    path = _require_file(path_str, "dataset")
+    examples = load_jsonl(path)
+    try:
+        _gold_map(examples)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return examples
+
+
 def _out_dir(args) -> Path:
     path = Path(args.out_dir)
     try:
@@ -238,12 +249,7 @@ def cmd_predict(args) -> int:
     """Score every pair once, in dataset order; list-wise mode relabels the scored triples."""
     path = _require_file(args.checkpoint, "checkpoint")
     model = model_from_checkpoint(load_checkpoint(path), path)
-    dataset = _require_file(args.dataset, "dataset")
-    examples = load_jsonl(dataset)
-    try:
-        _gold_map(examples)  # eval's rule: predictions that repeat an id cannot be scored
-    except DataError as exc:
-        raise DataError(f"{dataset}: {exc}") from None
+    examples = _dataset(args.dataset)
     out_dir = _out_dir(args)
 
     errors = []
@@ -271,29 +277,34 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Score one or two prediction files against the dataset's gold labels; every
+    check runs before ``--out-dir`` is made, and its DataError names the file."""
     if len(args.predictions) > 2:
         raise ConfigError("eval takes one or two prediction files")
-    golds = load_jsonl(_require_file(args.dataset, "dataset"))
-    pred_sets = [read_predictions(_require_file(p, "prediction file")) for p in args.predictions]
-    out_dir = _out_dir(args)
+    golds = _dataset(args.dataset)
+    paths = [_require_file(p, "prediction file") for p in args.predictions]
+    pred_sets = [read_predictions(p) for p in paths]
 
     metrics: dict = {}
-    for i, preds in enumerate(pred_sets):
-        prefix = "" if len(pred_sets) == 1 else f"model_{'ab'[i]}_"
-        metrics[f"{prefix}accuracy"] = accuracy(preds, golds)
+    for i, (path, preds) in enumerate(zip(paths, pred_sets)):
+        prefix = "" if len(paths) == 1 else f"model_{'ab'[i]}_"
         metrics[f"{prefix}n"] = len(preds)
         try:
-            metrics[f"{prefix}mean_correct_confidence"] = mean_correct_confidence(preds, golds)
-        except DataError:
-            metrics[f"{prefix}mean_correct_confidence"] = "undefined"
+            acc = metrics[f"{prefix}accuracy"] = accuracy(preds, golds)
+            # the mean is undefined only when no prediction is correct
+            metrics[f"{prefix}mean_correct_confidence"] = mean_correct_confidence(preds, golds) if acc else "undefined"
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
-    if len(pred_sets) == 2:
-        part = agreement_partition(pred_sets[0], pred_sets[1], golds)
-        for key, value in sorted(part.counts.items()):
-            metrics[f"agreement_{key}_count"] = value
-        for key, value in sorted(part.fractions.items()):
-            metrics[f"agreement_{key}_fraction"] = value
+    if len(paths) == 2:
+        try:
+            part = agreement_partition(*pred_sets, golds)
+        except DataError as exc:
+            raise DataError(f"{paths[0]} and {paths[1]}: {exc}") from None
+        for key, count in part.counts.items():
+            metrics.update({f"agreement_{key}_count": count, f"agreement_{key}_fraction": part.fractions[key]})
 
+    out_dir = _out_dir(args)
     metrics_path = out_dir / "metrics.txt"
     write_metrics(metrics_path, metrics)
     for key in sorted(metrics):

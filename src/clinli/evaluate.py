@@ -8,7 +8,10 @@ summed log of the point-wise probabilities and keeping the best
 
 Metrics: accuracy, the agreement partition between two prediction sets
 (which model got each example right), and the mean confidence over
-correctly classified examples.
+correctly classified examples.  Each aligns predictions to golds by pair id:
+ids are unique among the golds and among the predictions, every prediction
+has a gold example (not every gold has one: ``predict`` skips pairs), and
+the two sets of a partition cover the same ids.
 
 Prediction files are TSV: pair_id, p_entailment, p_contradiction,
 p_neutral, predicted_label.  Floats are written with ``repr`` so files
@@ -176,26 +179,27 @@ def _gold_map(golds) -> dict[str, str]:
     return out
 
 
-def _check_aligned(predictions, gold_by_id) -> None:
-    seen: set[str] = set()
+def _graded(predictions, golds) -> dict[str, tuple[Prediction, bool]]:
+    """Each prediction by pair id, with whether it matches its gold label; a repeated
+    id (gold or predicted) or a prediction without a gold example is a DataError."""
+    gold_by_id = _gold_map(golds)
+    graded = {}
     for p in predictions:
-        if p.pair_id in seen:
+        if p.pair_id in graded:
             raise DataError(f"predictions repeat pair id {p.pair_id!r}")
-        seen.add(p.pair_id)
-    missing = [p.pair_id for p in predictions if p.pair_id not in gold_by_id]
+        graded[p.pair_id] = (p, p.predicted_label == gold_by_id.get(p.pair_id))
+    missing = [pid for pid in graded if pid not in gold_by_id]
     if missing:
         raise DataError(f"predictions without matching gold examples: {missing[:5]}")
+    return graded
 
 
 def accuracy(predictions, golds) -> float:
     """Fraction of predictions matching the gold label, aligned by pair id."""
-    preds = list(predictions)
-    if not preds:
+    graded = _graded(predictions, golds)
+    if not graded:
         raise DataError("no predictions to score")
-    gold_by_id = _gold_map(golds)
-    _check_aligned(preds, gold_by_id)
-    correct = sum(1 for p in preds if p.predicted_label == gold_by_id[p.pair_id])
-    return correct / len(preds)
+    return sum(ok for _, ok in graded.values()) / len(graded)
 
 
 @dataclass
@@ -204,40 +208,24 @@ class AgreementPartition:
 
     counts: dict[str, int]
     fractions: dict[str, float]
-    total: int
 
 
 def agreement_partition(preds_a, preds_b, golds) -> AgreementPartition:
-    preds_a = list(preds_a)
-    preds_b = list(preds_b)
-    gold_by_id = _gold_map(golds)
-    _check_aligned(preds_a, gold_by_id)
-    _check_aligned(preds_b, gold_by_id)
-    b_by_id = {p.pair_id: p for p in preds_b}
-    if set(b_by_id) != {p.pair_id for p in preds_a}:
+    graded_a, graded_b = _graded(preds_a, golds), _graded(preds_b, golds)
+    if graded_a.keys() != graded_b.keys():
         raise DataError("the two prediction sets cover different pair ids")
-    counts = {"both": 0, "only_a": 0, "only_b": 0, "neither": 0}
-    for pa in preds_a:
-        gold = gold_by_id[pa.pair_id]
-        a_ok = pa.predicted_label == gold
-        b_ok = b_by_id[pa.pair_id].predicted_label == gold
-        key = {(True, True): "both", (True, False): "only_a", (False, True): "only_b", (False, False): "neither"}[
-            (a_ok, b_ok)
-        ]
-        counts[key] += 1
-    total = len(preds_a)
-    if total == 0:
+    if not graded_a:
         raise DataError("no predictions to partition")
-    fractions = {k: v / total for k, v in counts.items()}
-    return AgreementPartition(counts=counts, fractions=fractions, total=total)
+    names = {(True, True): "both", (True, False): "only_a", (False, True): "only_b", (False, False): "neither"}
+    counts = dict.fromkeys(names.values(), 0)
+    for pid, (_, a_ok) in graded_a.items():
+        counts[names[a_ok, graded_b[pid][1]]] += 1
+    return AgreementPartition(counts=counts, fractions={k: v / len(graded_a) for k, v in counts.items()})
 
 
 def mean_correct_confidence(predictions, golds) -> float:
     """Mean predicted-label probability over correctly classified examples."""
-    preds = list(predictions)
-    gold_by_id = _gold_map(golds)
-    _check_aligned(preds, gold_by_id)
-    confidences = [p.confidence for p in preds if p.predicted_label == gold_by_id[p.pair_id]]
+    confidences = [p.confidence for p, ok in _graded(predictions, golds).values() if ok]
     if not confidences:
         raise DataError("mean_correct_confidence undefined: no correct predictions")
     return float(sum(confidences) / len(confidences))

@@ -541,6 +541,16 @@ class TestPredictEval:
         assert run_cli("eval", "--predictions", preds, "--dataset", gold, "--out-dir", tmp_path / "e") == 2
         assert f"{preds}:1:" in capsys.readouterr().err
 
+    def test_eval_with_no_correct_prediction_writes_undefined_confidence(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_bytes(jsonl_line())  # gold label neutral
+        preds = tmp_path / "wrong.tsv"
+        preds.write_text("p1\t0.5\t0.3\t0.2\tentailment\n")
+        assert run_cli("eval", "--predictions", preds, "--dataset", gold, "--out-dir", tmp_path / "e") == 0
+        lines = (tmp_path / "e" / "metrics.txt").read_text().splitlines()
+        assert lines == ["accuracy=0.0", "mean_correct_confidence=undefined", "n=1"]
+        assert "mean_correct_confidence=undefined" in capsys.readouterr().out
+
     def test_agreement_report_matches_hand_count(self, tmp_path):
         # 10-example fixture with known agreement pattern
         gold_path = tmp_path / "gold.jsonl"
@@ -701,7 +711,8 @@ def jsonl_line(**changes) -> bytes:
 
 class TestMalformedInputs:
     """A malformed dataset, prediction file, abbreviation table or run config
-    exits 2 with a message naming ``file:line``."""
+    exits 2 with a message naming ``file:line``, or only the file when the
+    fault lies in no one line, and leaves no out dir."""
 
     COMMANDS = {
         "expand": ["expand", "--dataset", "data.jsonl", "--table", "table.tsv"],
@@ -729,9 +740,16 @@ class TestMalformedInputs:
         ("train", "run.json", b"[" * 100_000, None, "invalid JSON"),  # no line: the whole file nests too deep
         ("expand", "data.jsonl", jsonl_line() + jsonl_line(sentence1="caf\ud800 MI"), 2, "sentence1"),
         ("eval", "preds.tsv", b"p1\t-1.0\t1.0\t1.0\tneutral\n", 1, "negative"),
+        # rows that parse but cannot be aligned with the dataset: no line to name
+        ("eval", "preds.tsv", b"", None, "no predictions to score"),
+        ("eval", "preds.tsv", b"zz\t0.2\t0.3\t0.5\tneutral\n", None, "without matching gold examples: ['zz']"),
+        ("eval", "preds.tsv", b"p1\t0.2\t0.3\t0.5\tneutral\n" * 2, None, "predictions repeat pair id 'p1'"),
+        ("eval", "data.jsonl", jsonl_line() * 2, None, "gold examples repeat pair id 'p1'"),
     ], ids=["dataset_utf8", "sentence1_int", "pair_id_int", "pair_id_tab", "pair_id_line_feed",
             "pair_id_carriage_return", "gold_label_null", "predictions_utf8", "table_utf8", "table_identity",
-            "table_matcher_duplicate", "dataset_long_int", "run_config_utf8", "run_config_nesting", "dataset_surrogate", "predictions_negative"])
+            "table_matcher_duplicate", "dataset_long_int", "run_config_utf8", "run_config_nesting", "dataset_surrogate",
+            "predictions_negative", "predictions_empty", "predictions_unmatched_id", "predictions_repeated_id",
+            "dataset_repeated_id"])
     def test_exits_2_naming_file_and_line(self, tmp_path, capsys, command, name, content, line, named):
         (tmp_path / "data.jsonl").write_bytes(jsonl_line())
         (tmp_path / "preds.tsv").write_text("p1\t0.2\t0.3\t0.5\tneutral\n")
@@ -746,12 +764,24 @@ class TestMalformedInputs:
         assert f"{where}: " in err and named in err, err
         assert not (tmp_path / "o").exists()
 
+    def test_eval_of_two_files_over_different_ids_exits_2_naming_both(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(jsonl_line() + jsonl_line(pairID="p2"))
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        a.write_text("p1\t0.2\t0.3\t0.5\tneutral\n")
+        b.write_text("p1\t0.2\t0.3\t0.5\tneutral\np2\t0.2\t0.3\t0.5\tneutral\n")
+        assert run_cli("eval", "--predictions", a, b, "--dataset", data, "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{a} and {b}: the two prediction sets cover different pair ids" in err, err
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
 @pytest.mark.parametrize("command", ["synth", "train", "predict", "eval", "expand"])
 def test_out_dir_that_is_a_file_exits_2_naming_it(tmp_path, capsys, command, under):
     data = synth_dir(tmp_path, count=30, seed=1)
-    (tmp_path / "preds.tsv").write_text("p1\t0.2\t0.3\t0.5\tneutral\n")
+    # a row that eval can align, so that only the out dir is at fault
+    (tmp_path / "preds.tsv").write_text(f"{load_jsonl(data / 'test.jsonl')[0].pair_id}\t0.2\t0.3\t0.5\tneutral\n")
     (tmp_path / "table.tsv").write_text("MI\tmyocardial infarction\n")
     argv = {
         "synth": ["synth"],

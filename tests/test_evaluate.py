@@ -266,6 +266,14 @@ class TestAgreementPartition:
         assert sum(part.fractions.values()) == 1.0
         assert sum(part.counts.values()) == 37
 
+    def test_different_pair_ids_rejected(self):
+        golds = make_examples(["entailment", "neutral"])
+        a, b = self._preds(["entailment"]), self._preds(["entailment", "neutral"])
+        with pytest.raises(DataError, match="the two prediction sets cover different pair ids"):
+            ev.agreement_partition(a, b, golds)
+        with pytest.raises(DataError, match="predictions without matching gold examples"):
+            ev.agreement_partition(a, self._preds(["entailment"] * 3), golds)
+
 
 class TestMeanCorrectConfidence:
     def test_single_correct(self):
