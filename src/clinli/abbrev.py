@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from functools import cache
 from importlib import resources
+from itertools import groupby
 
 from .data import NLIExample, read_text
 from .errors import DataError, ParseError
@@ -28,10 +29,14 @@ __all__ = ["AbbrevTable", "ExpansionReport", "demo_table", "expand", "expand_dat
 def _word_char() -> str:
     """A pattern for one token character: alphanumeric in any script, or a combining
     mark (Unicode category M), whose set re tests only from U+0300 up, where marks lie
-    (in the two spans scanned, as of Unicode 14.0.0; a test checks every code point)."""
+    (in the two spans scanned, as of Unicode 14.0.0; a test checks every code point).
+    The set is written as ranges of consecutive marks, which compile faster."""
     spans = (range(0x300, 0x20000), range(0xE0000, 0xE1000))
-    marks = "".join(c for span in spans for c in map(chr, span) if unicodedata.category(c)[0] == "M")
-    return rf"[^\W_]|(?=[^\x00-\u02ff])[{marks}]"
+    marks = [cp for span in spans for cp in span if unicodedata.category(chr(cp))[0] == "M"]
+    # a mark's code point less its place in the list is the same for all of its run
+    runs = [[cp for _, cp in run] for _, run in groupby(enumerate(marks), key=lambda mark: mark[1] - mark[0])]
+    ranges = "".join(f"{chr(run[0])}-{chr(run[-1])}" for run in runs)
+    return rf"[^\W_]|(?=[^\x00-\u02ff])[{ranges}]"
 
 
 @dataclass

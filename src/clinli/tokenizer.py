@@ -3,8 +3,10 @@
 Each model kind reads one tokenizer (``PairClassifier.tokenizer_mode``): the
 transformer reads word pieces and the compare-aggregate matcher reads words.
 Sub-word vocabularies are trained by greedy pair merging (most frequent
-adjacent pair first, ties broken by first occurrence in the scan), and text
-is segmented by greedy longest-match-first lookup.  Non-initial pieces carry
+adjacent pair first, ties broken by first occurrence in the scan) over an
+index of pair counts and of the words holding each pair, which a merge
+updates for the words it changes only; text is segmented by greedy
+longest-match-first lookup.  Non-initial pieces carry
 the ``##`` continuation prefix.  The word-level tokenizer maps each word to a
 single id (most frequent first, ties in order of first occurrence), with
 [UNK] for out-of-vocabulary words.  Either gives a text no token exactly
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -99,20 +101,27 @@ def _word_symbols(word: str) -> list[str]:
     return [word[0]] + [CONTINUATION_PREFIX + c for c in word[1:]]
 
 
+def _word_counts(corpus: list[str]) -> Counter[str]:
+    """How often each word of the corpus occurs, in order of first occurrence."""
+    freq = Counter(w for sentence in corpus for w in pretokenize(sentence))
+    if not freq:
+        raise DataError("corpus contains no words")
+    return freq
+
+
 def train_wordpiece(corpus: list[str], target_size: int) -> Vocabulary:
     """Build a sub-word vocabulary by greedy pair merging.
 
     Every single character of the corpus enters the vocabulary in both its
     word-initial and continuation form, so any text over the corpus alphabet
     tokenizes without [UNK].  Merges then run most-frequent-pair-first until
-    ``target_size`` entries exist or no pair repeats.
-    """
-    if not corpus:
-        raise DataError("cannot train a vocabulary on an empty corpus")
-    word_freq = Counter(w for sentence in corpus for w in pretokenize(sentence))
-    if not word_freq:
-        raise DataError("corpus contains no words")
+    ``target_size`` entries exist or no pair repeats; a tie goes to the pair
+    first seen in a scan of the distinct words in first-seen order.
 
+    The pair counts are indexed once, with the words that hold each pair, and
+    a merge recounts only the words that held the merged pair.
+    """
+    word_freq = _word_counts(corpus)
     chars = {c for word in word_freq for c in word}
     alphabet = sorted(chars | {CONTINUATION_PREFIX + c for c in chars})
 
@@ -121,26 +130,45 @@ def train_wordpiece(corpus: list[str], target_size: int) -> Vocabulary:
         raise ConfigError(f"target_size {target_size} below alphabet floor {floor}")
 
     vocab = list(SPECIAL_TOKENS) + alphabet
-    sequences: list[tuple[list[str], int]] = [(_word_symbols(w), f) for w, f in word_freq.items()]
+    words = [_word_symbols(w) for w in word_freq]
+    freqs = list(word_freq.values())
+    counts: Counter[tuple[str, str]] = Counter()  # pair -> occurrences, weighted by word frequency
+    holders: defaultdict[tuple[str, str], set[int]] = defaultdict(set)  # pair -> indices of the words holding it
 
+    def index(i: int, sign: int) -> None:
+        """Count the pairs of word i into the index (sign 1) or out of it (sign -1)."""
+        symbols = words[i]
+        for pair in zip(symbols, symbols[1:]):
+            counts[pair] += sign * freqs[i]
+            if sign > 0:
+                holders[pair].add(i)
+            else:
+                holders[pair].discard(i)
+                if not counts[pair]:
+                    del counts[pair], holders[pair]
+
+    for i in range(len(words)):
+        index(i, 1)
     while len(vocab) < target_size:
-        pair_counts: Counter[tuple[str, str]] = Counter()
-        for symbols, freq in sequences:
-            for pair in zip(symbols, symbols[1:]):
-                pair_counts[pair] += freq
-        # max keeps the first of equal counts, and a Counter iterates in first-seen order
-        best = max(pair_counts, key=pair_counts.__getitem__, default=None)
-        if pair_counts[best] < 2:  # no pair repeats (a missing key counts 0)
+        top = max(counts.values(), default=0)
+        if top < 2:  # no pair repeats
             break
+        tied = {pair for pair, count in counts.items() if count == top}
+        # the first tied pair in a scan of the words in order lies in the first word holding one
+        first = words[min(min(holders[pair]) for pair in tied)]
+        best = next(pair for pair in zip(first, first[1:]) if pair in tied)
         merged = best[0] + best[1].removeprefix(CONTINUATION_PREFIX)
         vocab.append(merged)
-        for symbols, _ in sequences:
-            i = 0
-            while i < len(symbols) - 1:
-                if symbols[i] == best[0] and symbols[i + 1] == best[1]:
-                    symbols[i : i + 2] = [merged]
+        for i in list(holders[best]):  # a copy: counting the words out deletes the entry
+            index(i, -1)
+            symbols = words[i]
+            j = 0
+            while j < len(symbols) - 1:
+                if symbols[j] == best[0] and symbols[j + 1] == best[1]:
+                    symbols[j : j + 2] = [merged]
                 else:
-                    i += 1
+                    j += 1
+            index(i, 1)
 
     return Vocabulary(vocab)
 
@@ -148,9 +176,7 @@ def train_wordpiece(corpus: list[str], target_size: int) -> Vocabulary:
 def build_word_vocab(corpus: list[str]) -> Vocabulary:
     """Word-level vocabulary: one id per word, most frequent first, words of
     equal frequency in order of first occurrence."""
-    if not corpus:
-        raise DataError("cannot build a vocabulary from an empty corpus")
-    freq = Counter(w for sentence in corpus for w in pretokenize(sentence))
+    freq = _word_counts(corpus)
     return Vocabulary(list(SPECIAL_TOKENS) + [w for w, _ in freq.most_common()])  # a stable sort
 
 

@@ -7,8 +7,12 @@ paths it checks.
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
+
+from clinli.errors import ConfigError, DataError
+from clinli.tokenizer import CONTINUATION_PREFIX, SPECIAL_TOKENS, Vocabulary, pretokenize
 
 
 def finite_diff_grad(f, x, h=1e-5):
@@ -201,3 +205,45 @@ def hand_adam(grad_fn, w0, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
         w = w - lr * mh / (math.sqrt(vh) + eps)
         trace.append(w)
     return trace
+
+
+def loop_train_wordpiece(corpus, target_size):
+    """Greedy pair merging that recounts every adjacent pair of every
+    distinct word before each merge; ties go to the pair first seen in the
+    scan."""
+    if not corpus:
+        raise DataError("cannot train a vocabulary on an empty corpus")
+    word_freq = Counter(w for sentence in corpus for w in pretokenize(sentence))
+    if not word_freq:
+        raise DataError("corpus contains no words")
+
+    chars = {c for word in word_freq for c in word}
+    alphabet = sorted(chars | {CONTINUATION_PREFIX + c for c in chars})
+
+    floor = len(SPECIAL_TOKENS) + len(alphabet)
+    if target_size < floor:
+        raise ConfigError(f"target_size {target_size} below alphabet floor {floor}")
+
+    vocab = list(SPECIAL_TOKENS) + alphabet
+    sequences = [([w[0]] + [CONTINUATION_PREFIX + c for c in w[1:]], f) for w, f in word_freq.items()]
+
+    while len(vocab) < target_size:
+        pair_counts = Counter()
+        for symbols, freq in sequences:
+            for pair in zip(symbols, symbols[1:]):
+                pair_counts[pair] += freq
+        # max keeps the first of equal counts, and a Counter iterates in first-seen order
+        best = max(pair_counts, key=pair_counts.__getitem__, default=None)
+        if pair_counts[best] < 2:  # no pair repeats (a missing key counts 0)
+            break
+        merged = best[0] + best[1].removeprefix(CONTINUATION_PREFIX)
+        vocab.append(merged)
+        for symbols, _ in sequences:
+            i = 0
+            while i < len(symbols) - 1:
+                if symbols[i] == best[0] and symbols[i + 1] == best[1]:
+                    symbols[i : i + 2] = [merged]
+                else:
+                    i += 1
+
+    return Vocabulary(vocab)

@@ -1,3 +1,4 @@
+import re
 import unicodedata
 
 import numpy as np
@@ -10,6 +11,11 @@ from clinli.errors import DataError, ParseError
 
 def table_from(entries):
     return abbrev.AbbrevTable(entries=entries)
+
+
+def mark_class() -> str:
+    """The inside of the token-character pattern's class of combining marks."""
+    return abbrev._word_char().rsplit("[", 1)[1][:-1]
 
 
 class TestLoadTable:
@@ -90,7 +96,16 @@ class TestExpand:
     def test_mark_class_holds_every_combining_mark(self):
         # the pattern scans two spans of code points only; a Unicode with marks elsewhere fails here
         marks = {c for c in map(chr, range(0x110000)) if unicodedata.category(c)[0] == "M"}
-        assert set(abbrev._word_char().rsplit("[", 1)[1][:-1]) == marks
+        ranges = re.findall("(.)-(.)", mark_class(), re.DOTALL)
+        assert {chr(cp) for lo, hi in ranges for cp in range(ord(lo), ord(hi) + 1)} == marks
+
+    def test_mark_ranges_match_as_the_literal_marks(self):
+        # the class as the literal marks, one character each, matches every code point alike
+        spans = (range(0x300, 0x20000), range(0xE0000, 0xE1000))
+        literal = "".join(c for span in spans for c in map(chr, span) if unicodedata.category(c)[0] == "M")
+        ranges = re.compile(f"[{mark_class()}]", re.IGNORECASE)
+        everything = "".join(map(chr, range(0x110000)))
+        assert ranges.findall(everything) == re.compile(f"[{literal}]", re.IGNORECASE).findall(everything)
 
     def test_case_insensitive_by_default(self):
         table = table_from([("CHF", "congestive heart failure")])

@@ -1,8 +1,32 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from clinli import tokenizer as tk
-from clinli.errors import ConfigError, DataError
+from clinli.errors import ClinliError, ConfigError, DataError
+from oracles import loop_train_wordpiece
+
+# Hypothesis caches the constants it finds in the source while pytest
+# collects: keep that cache out of the checkout.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "clinli-hypothesis")
+
+# words over a small alphabet, so that pair counts tie often: runs such as
+# "aaaa" make overlapping merges, and é comes composed and decomposed
+_RUNS = st.tuples(st.sampled_from(["a", "b", "\u00e9", "e\u0301", ".", "-"]), st.integers(1, 4))
+_WORDS = st.lists(_RUNS.map(lambda run: run[0] * run[1]), min_size=1, max_size=3).map("".join)
+_SENTENCES = st.lists(_WORDS, max_size=4).map(" ".join)  # no word at all now and then
+
+
+def _tokens_or_error(train, corpus, target_size):
+    try:
+        return train(corpus, target_size).tokens
+    except ClinliError as e:
+        return type(e)
 
 
 class TestTrainWordpiece:
@@ -43,6 +67,25 @@ class TestTrainWordpiece:
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
             tk.train_wordpiece([], target_size=100)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_pair_index_merges_as_the_recount_loop(self, data):
+        corpus = data.draw(st.lists(_SENTENCES, max_size=4))
+        words = {w for sentence in corpus for w in tk.pretokenize(sentence)}
+        floor = len(tk.SPECIAL_TOKENS) + 2 * len({c for w in words for c in w})
+        # each merge shortens some word, so merging stops before floor + the letters of all words
+        past_stop = floor + sum(map(len, words)) + 2
+        target_size = past_stop - data.draw(st.integers(0, past_stop - floor + 2))  # from past_stop down
+        expected = _tokens_or_error(loop_train_wordpiece, corpus, target_size)
+        assert _tokens_or_error(tk.train_wordpiece, corpus, target_size) == expected
+
+
+@pytest.mark.parametrize("build", [tk.build_word_vocab, lambda corpus: tk.train_wordpiece(corpus, 100)],
+                         ids=["word", "wordpiece"])
+def test_corpus_with_no_words_rejected(build):
+    with pytest.raises(DataError, match="corpus contains no words"):
+        build([" ", "\t"])
 
 
 class TestTokenize:
