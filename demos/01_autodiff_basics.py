@@ -40,7 +40,7 @@ T.sum_all(T.add(x, x)).backward()
 print(f"\nd(x + x)/dx = {x.grad}  (two uses accumulate)")
 
 # the recorded graph can be replayed bit for bit, dropout mask included
-drop = T.dropout(T.tanh(T.matmul(a, b)), 0.5, training=True, rng=np.random.default_rng(7))
+drop = T.dropout(T.tanh(T.matmul(a, b)), 0.5, rng=np.random.default_rng(7))
 out = T.sum_all(drop)
 before = out.data.copy()
 T.replay(out)

@@ -25,8 +25,9 @@ included, is parsed before any dataset is read, and a malformed config ends
 in exit code 2 with a message naming the file and the key; so does a pair
 with a side that holds no word, before anything trains.  ``train --seed`` is
 the run's seed; a stage's ``train_config`` may override its training seed.
-``expand`` is the only abbreviation expansion: run it with one table on
-every file a model reads.
+Both must be non-negative integers.  ``synth --shift``, ``--source-count``
+and ``--target-count`` need ``--transfer-pair``.  ``expand`` is the only
+abbreviation expansion: run it with one table on every file a model reads.
 """
 
 from __future__ import annotations
@@ -171,6 +172,13 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds a generator only from an integer of at least 0."""
+    if not text.isdecimal():  # digits only: no sign, so no negative number
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _summarize(ckpt) -> str:
     best = ckpt.best()
     return f"best_dev_loss={best.dev_loss!r}, best_dev_acc={best.dev_accuracy!r}"
@@ -181,14 +189,14 @@ def _summarize(ckpt) -> str:
 
 
 def cmd_synth(args) -> int:
-    for flag in ("source_count", "target_count"):
+    for flag in ("shift", "source_count", "target_count"):
         if getattr(args, flag) is not None and not args.transfer_pair:
             raise ConfigError(f"--{flag.replace('_', '-')} needs --transfer-pair")
     spec = SynthSpec(
         vocab_size=args.vocab_size,
         count=args.count,
         seed=args.seed,
-        shift=args.shift,
+        shift=args.shift or 0.0,
     )
 
     def split_and_write(examples, stem):
@@ -359,10 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic dataset files")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--count", type=int, default=300)
     p.add_argument("--vocab-size", type=int, default=30)
-    p.add_argument("--shift", type=float, default=0.0)
+    p.add_argument("--shift", type=float, default=None, help="vocabulary shift of a --transfer-pair (default 0)")
     p.add_argument("--transfer-pair", action="store_true", help="emit source_* and target_* corpora")
     p.add_argument("--source-count", type=int, default=None)
     p.add_argument("--target-count", type=int, default=None)
@@ -370,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model through a run config's chain of stages")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)
 

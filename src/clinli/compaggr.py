@@ -167,13 +167,13 @@ def aggregate_classify(
     cls_b: T.Tensor,
     lengths,
     dropout: float = 0.0,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> T.Tensor:
     """Convolve, pool, and classify a (B, d, m) batch of comparison matrices,
     with each row's valid length in ``lengths``, into a (B, classes) matrix
-    of class probabilities.  Padded columns are zeroed first; a batch
-    narrower than the widest filter is padded with zero columns."""
+    of class probabilities, with dropout on the pooled features when ``rng``
+    is given.  Padded columns are zeroed first; a batch narrower than the
+    widest filter is padded with zero columns."""
     if c.data.ndim != 3:
         raise DimensionError(f"aggregate_classify expects a (B, d, m) batch, got {c.shape}")
     max_width = max(w.shape[2] for w, _ in banks)
@@ -184,7 +184,7 @@ def aggregate_classify(
     if m < max_width:
         c = T.concat([c, T.Tensor(np.zeros(c.shape[:-1] + (max_width - m,)))], axis=-1)
     pooled = T.conv1d_maxpool(c, banks, np.maximum(lengths, max_width))
-    pooled = T.dropout(pooled, dropout, training, rng)
+    pooled = T.dropout(pooled, dropout, rng)
     logits = T.add(T.matmul(pooled, cls_w), cls_b)
     return T.softmax(logits, axis=-1)
 
@@ -218,22 +218,21 @@ class CompAggrModel(PairClassifier):
     def encode(self, premise: str, hypothesis: str) -> tuple[list[int], list[int]]:
         return tokenize_sides(premise, hypothesis, lambda text: word_tokenize(text, self.vocab))
 
-    def forward(self, batch, training: bool = False, rng: np.random.Generator | None = None) -> T.Tensor:
-        """(B, 3) class probabilities for B encoded pairs, from one graph."""
+    def forward(self, batch, rng: np.random.Generator | None = None) -> T.Tensor:
+        """(B, 3) class probabilities for B encoded pairs, from one graph; dropout given an ``rng``."""
         ep, premise_lengths = contextual_encode([p for p, _ in batch], self.emb_table, self.enc_fwd, self.enc_bwd)
         eh, hypothesis_lengths = contextual_encode([h for _, h in batch], self.emb_table, self.enc_fwd, self.enc_bwd)
-        ep = T.dropout(ep, self.dropout, training, rng)
-        eh = T.dropout(eh, self.dropout, training, rng)
+        ep = T.dropout(ep, self.config.dropout, rng)
+        eh = T.dropout(eh, self.config.dropout, rng)
         aligned = cross_attention(ep, eh, self.attn_w, premise_lengths)
         c = compare(aligned, eh)
         return aggregate_classify(
-            c, self.banks, self.cls_w, self.cls_b, hypothesis_lengths,
-            dropout=self.dropout, training=training, rng=rng,
+            c, self.banks, self.cls_w, self.cls_b, hypothesis_lengths, dropout=self.config.dropout, rng=rng,
         )
 
     def predict_proba(self, premise: str, hypothesis: str) -> np.ndarray:
         return self.forward([self.encode(premise, hypothesis)]).data[0].copy()
 
     def batch_loss(self, batch, training: bool = False, rng: np.random.Generator | None = None):
-        probs = self.forward([self.encode(ex.premise, ex.hypothesis) for ex in batch], training=training, rng=rng)
+        probs = self.forward([self.encode(ex.premise, ex.hypothesis) for ex in batch], rng=rng if training else None)
         return self._scored(probs, batch)

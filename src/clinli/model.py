@@ -134,10 +134,13 @@ class PairClassifier:
     ``stored`` being the parameter blocks of a checkpoint when the model is
     rebuilt from one.  ``encode(premise, hypothesis)`` turns a pair into the
     model's input, or raises the DataError naming a side with nothing to
-    encode that makes prediction skip the pair; ``forward`` maps a list of
-    encoded pairs to (B, 3) probabilities from one graph.  ``predict_proba``
-    and ``batch_loss`` are the same two lines over these in each class, not
-    here, because ``perfbench/tracer.py`` wraps them on each class by name."""
+    encode that makes prediction skip the pair; ``forward(batch, rng=None)``
+    maps a list of encoded pairs to (B, 3) probabilities from one graph, with
+    dropout exactly when given a generator ``rng``.  ``predict_proba`` and
+    ``batch_loss`` are the same two lines over these in each class, not here,
+    because ``perfbench/tracer.py`` wraps them on each class by name; it
+    reads ``batch_loss``'s ``training`` flag, which passes ``rng`` on only
+    when true, to tell a training forward from an evaluation."""
 
     kind: str
     config_class: type
@@ -146,7 +149,6 @@ class PairClassifier:
     def __init__(self, config, vocab: Vocabulary):
         self.config = config
         self.vocab = vocab
-        self.dropout = config.dropout
         self._params: dict[str, T.Tensor] = {}
 
     def parameters(self) -> dict[str, T.Tensor]:

@@ -565,16 +565,14 @@ def conv1d_maxpool(x: Tensor, banks: Sequence[tuple[Tensor, Tensor]], lengths=No
     return _result(fwd, parents, "conv1d_maxpool", backward_fn)
 
 
-def dropout(x: Tensor, ratio: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
+def dropout(x: Tensor, ratio: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zero entries with probability ``ratio`` and scale
-    survivors by 1/(1-ratio) in training mode; identity in inference mode.
-    The mask is drawn once, so ``replay`` reuses it."""
+    survivors by 1/(1-ratio), the mask drawn once from ``rng`` (so ``replay``
+    reuses it); ``x`` itself when ``rng`` is None or ``ratio`` is 0."""
     if not 0.0 <= ratio < 1.0:
         raise ConfigError(f"dropout ratio must be in [0, 1), got {ratio}")
-    if not training or ratio == 0.0:
+    if rng is None or ratio == 0.0:
         return x
-    if rng is None:
-        raise ContractError("dropout in training mode requires an rng")
     keep = (rng.random(x.shape) >= ratio) / (1.0 - ratio)
 
     def backward_fn(g: np.ndarray) -> None:

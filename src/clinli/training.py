@@ -63,6 +63,8 @@ class TrainConfig:
             raise ConfigError("early_stop_patience must be at least 1")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 class AdamState:

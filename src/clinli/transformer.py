@@ -159,19 +159,18 @@ def transformer_block(
     bp: BlockParams,
     num_heads: int,
     dropout: float = 0.0,
-    training: bool = False,
     rng: np.random.Generator | None = None,
     rows: int | None = None,
 ) -> T.Tensor:
-    """Post-norm block: attention and feed-forward sublayers, each wrapped
-    in residual + layer norm, with dropout on the sublayer outputs.  Only
-    the first ``rows`` positions (all when None) attend and come out."""
+    """Post-norm block: attention and feed-forward sublayers, each wrapped in
+    residual + layer norm, with dropout on the sublayer outputs given an ``rng``.
+    Only the first ``rows`` positions (all when None) attend and come out."""
     q = x if rows is None else T.slice_rows(x, 0, rows)
     a = multi_head_attention(x, mask, bp.attn, num_heads, queries=q)
-    a = T.dropout(a, dropout, training, rng)
+    a = T.dropout(a, dropout, rng)
     x = T.layer_norm(T.add(q, a), bp.ln1_gain, bp.ln1_bias)
     f = T.add(T.matmul(T.relu(T.add(T.matmul(x, bp.ffn_w1), bp.ffn_b1)), bp.ffn_w2), bp.ffn_b2)
-    f = T.dropout(f, dropout, training, rng)
+    f = T.dropout(f, dropout, rng)
     return T.layer_norm(T.add(x, f), bp.ln2_gain, bp.ln2_bias)
 
 
@@ -213,15 +212,15 @@ class TransformerClassifier(PairClassifier):
     def encode(self, premise: str, hypothesis: str) -> EncodedPair:
         return encode_pair(premise, hypothesis, self.vocab, self.config.max_len)
 
-    def forward(self, batch: Sequence[EncodedPair], training: bool = False, rng: np.random.Generator | None = None) -> T.Tensor:
-        """(B, 3) class probabilities for B encoded pairs, each masked past its length."""
+    def forward(self, batch: Sequence[EncodedPair], rng: np.random.Generator | None = None) -> T.Tensor:
+        """(B, 3) class probabilities for B encoded pairs, each masked past its length; dropout given an ``rng``."""
         x = embed(batch, self.token_table, self.pos_table, self.seg_table)
         lengths = np.array([len(e.token_ids) for e in batch])
         mask = np.arange(x.shape[1]) < lengths[:, None]
         for bp in self.blocks:  # the head reads only [CLS], so the last block computes only that row
             x = transformer_block(
                 x, mask, bp, self.config.num_heads,
-                dropout=self.dropout, training=training, rng=rng, rows=1 if bp is self.blocks[-1] else None,
+                dropout=self.config.dropout, rng=rng, rows=1 if bp is self.blocks[-1] else None,
             )
         pooled = T.reshape(x, (len(batch), self.config.d_e))
         logits = T.add(T.matmul(pooled, self.cls_w), self.cls_b)
@@ -231,5 +230,5 @@ class TransformerClassifier(PairClassifier):
         return self.forward([self.encode(premise, hypothesis)]).data[0].copy()
 
     def batch_loss(self, batch, training: bool = False, rng: np.random.Generator | None = None):
-        probs = self.forward([self.encode(ex.premise, ex.hypothesis) for ex in batch], training=training, rng=rng)
+        probs = self.forward([self.encode(ex.premise, ex.hypothesis) for ex in batch], rng=rng if training else None)
         return self._scored(probs, batch)

@@ -23,6 +23,14 @@ def run_cli(*argv) -> int:
     return cli.main([str(a) for a in argv])
 
 
+def exit_code(*argv) -> int:
+    """``run_cli``'s exit code, also when argparse rejects a flag's value and exits."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def synth_dir(tmp_path, count=30, seed=0, name="data", **extra) -> Path:
     out = tmp_path / name
     args = ["synth", "--out-dir", out, "--count", count, "--seed", seed]
@@ -100,9 +108,9 @@ class TestSynth:
         assert sizes == {"train": 240, "dev": 30, "test": 30}
 
     def test_bad_shift_exits_2(self, tmp_path, capsys):
-        code = run_cli("synth", "--out-dir", tmp_path / "x", "--shift", "1.5")
+        code = run_cli("synth", "--out-dir", tmp_path / "x", "--transfer-pair", "--shift", "1.5")
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert "error: shift must be in [0, 1], got 1.5" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_roundtrip_write_load(self, tmp_path):
@@ -125,11 +133,15 @@ class TestSynth:
     @pytest.mark.parametrize("argv,named", [
         (["--source-count", "60"], "--source-count"),
         (["--target-count", "30"], "--target-count"),
+        (["--shift", "0.7"], "--shift needs --transfer-pair"),
         (["--vocab-size", "3", "--count", "300"], "vocab_size 3 is too small for count 300"),
-    ], ids=["source_count", "target_count", "too_few_premises"])
+        # numpy seeds no generator from a negative integer
+        (["--seed", "-1"], "argument --seed: must be a non-negative integer, got '-1'"),
+    ], ids=["source_count", "target_count", "shift", "too_few_premises", "negative_seed"])
     def test_unusable_flags_exit_2_before_out_dir_is_made(self, tmp_path, capsys, argv, named):
-        assert run_cli("synth", "--out-dir", tmp_path / "x", *argv) == 2
-        assert named in capsys.readouterr().err
+        assert exit_code("synth", "--out-dir", tmp_path / "x", *argv) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err, err
         assert not (tmp_path / "x").exists()
 
 
@@ -144,6 +156,19 @@ class TestTrain:
         assert (out / "model.ckpt").exists()
         assert (out / "model.ckpt.metrics.tsv").exists()
         assert (out / "summary.txt").read_text().startswith("best_dev_loss=")
+
+    @pytest.mark.parametrize("argv,train_config,named", [
+        (["--seed", "-2"], {}, "argument --seed: must be a non-negative integer, got '-2'"),
+        ([], {"seed": -3}, "{config}: stage train: seed must be non-negative, got -3"),
+    ], ids=["flag", "train_config_key"])
+    def test_negative_seed_exits_2_before_out_dir_is_made(self, tmp_path, capsys, argv, train_config, named):
+        # numpy seeds no generator from a negative integer; the datasets exist, so only the seed stops the run
+        config = compaggr_run_config(tmp_path, synth_dir(tmp_path, count=30, seed=1), **train_config)
+        out = tmp_path / "o"
+        assert exit_code("train", "--config", config, "--out-dir", out, *argv) == 2
+        err = capsys.readouterr().err
+        assert named.format(config=config) in err and "Traceback" not in err, err
+        assert not out.exists()
 
     def test_missing_dataset_exits_2_before_training(self, tmp_path, capsys):
         data = synth_dir(tmp_path, count=30, seed=1)

@@ -1,6 +1,7 @@
 """Every name a clinli module lists in ``__all__`` resolves, every name the
-package exports is one its module lists, and no module keeps state in a
-global it rebinds."""
+package exports is one its module lists, no module keeps state in a global
+it rebinds, and only ``batch_loss`` takes both a ``training`` flag and an
+``rng``."""
 
 import ast
 import importlib
@@ -28,12 +29,28 @@ def test_every_package_export_is_listed_by_its_module():
     assert exports and exports <= listed, sorted(exports - listed)
 
 
+def module_nodes():
+    """(file name, node) for every AST node of every clinli module."""
+    for path in sorted(Path(clinli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
 def test_no_module_rebinds_a_global():
     # run-scoped state lives in objects a run owns, never in module globals
+    found = [f"{name}:{node.lineno}" for name, node in module_nodes() if isinstance(node, ast.Global)]
+    assert found == []
+
+
+def test_only_batch_loss_takes_a_training_flag_and_an_rng():
+    # below batch_loss dropout runs exactly when a generator is passed; batch_loss keeps
+    # the flag because the benchmark's tracer reads it to tell training from evaluation
+    allowed = {("compaggr.py", "batch_loss"), ("transformer.py", "batch_loss")}
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(Path(clinli.__file__).parent.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Global)
+        f"{name}:{node.lineno} {node.name}"
+        for name, node in module_nodes()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and {"training", "rng"} <= {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+        and (name, node.name) not in allowed
     ]
     assert found == []

@@ -32,11 +32,11 @@ TINY_CONFIGS = {
 }
 
 
-def tiny_model(kind):
+def tiny_model(kind, **overrides):
     cls = MODEL_KINDS[kind]
     word_pieces = cls.tokenizer_mode == "wordpiece"
     vocab = train_wordpiece(SENTENCES, target_size=60) if word_pieces else build_word_vocab(SENTENCES)
-    return cls(make_model_config(kind, TINY_CONFIGS[kind], "test"), vocab, seed=3)
+    return cls(make_model_config(kind, {**TINY_CONFIGS[kind], **overrides}, "test"), vocab, seed=3)
 
 
 @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
@@ -60,6 +60,28 @@ def test_encode_forward_is_predict_proba_and_only_encode_errors_are_skipped(kind
     with pytest.raises(NumericError):
         predict_pointwise(model, examples[:1], error_log=errors)
     assert errors == []
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_dropout_runs_exactly_when_a_generator_is_passed(kind):
+    model = tiny_model(kind, dropout=0.5)
+    examples = [NLIExample("the patient has a fever", "no fever", "neutral", "p0"),
+                NLIExample("the patient is well", "no fever today", "contradiction", "p1")]
+    batch = [model.encode(ex.premise, ex.hypothesis) for ex in examples]
+
+    # an evaluation ignores its generator: the same loss bits, and nothing drawn from it
+    rng = np.random.default_rng(5)
+    loss, _ = model.batch_loss(examples, training=False, rng=rng)
+    assert loss.data.tobytes() == model.batch_loss(examples)[0].data.tobytes()
+    assert rng.random() == np.random.default_rng(5).random()
+
+    # a forward given a generator drops entries; the same seed drops the same ones
+    dropped = model.forward(batch, rng=np.random.default_rng(9)).data
+    assert not np.array_equal(dropped, model.forward(batch).data)
+    assert model.forward(batch, rng=np.random.default_rng(9)).data.tobytes() == dropped.tobytes()
+    # and a training batch_loss is that forward, scored
+    loss, _ = model.batch_loss(examples, training=True, rng=np.random.default_rng(9))
+    assert loss.data.tobytes() == model._scored(T.Tensor(dropped), examples)[0].data.tobytes()
 
 
 @cache

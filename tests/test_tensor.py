@@ -442,29 +442,28 @@ class TestDropout:
     def test_ratio_zero_is_identity(self):
         x = T.Tensor([1.0, 2.0])
         rng = np.random.default_rng(0)
-        out = T.dropout(x, 0.0, training=True, rng=rng)
+        out = T.dropout(x, 0.0, rng=rng)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_inference_mode_is_identity(self):
         x = T.Tensor(np.random.default_rng(1).normal(size=100))
-        out = T.dropout(x, 0.9, training=False)
-        assert out is x
+        assert T.dropout(x, 0.9, None) is x
 
     def test_ratio_one_rejected(self):
         with pytest.raises(ConfigError):
-            T.dropout(T.Tensor([1.0]), 1.0, training=True, rng=np.random.default_rng(0))
+            T.dropout(T.Tensor([1.0]), 1.0, rng=np.random.default_rng(0))
 
     def test_keep_fraction_and_mean_preserved(self):
         rng = np.random.default_rng(2024)
         x0 = rng.uniform(0.5, 1.5, size=10_000)
-        out = T.dropout(T.Tensor(x0), 0.7, training=True, rng=np.random.default_rng(7)).data
+        out = T.dropout(T.Tensor(x0), 0.7, rng=np.random.default_rng(7)).data
         kept = np.count_nonzero(out) / out.size
         assert abs(kept - 0.30) < 0.02
         assert abs(out.mean() - x0.mean()) / x0.mean() < 0.05
 
     def test_grad_flows_through_kept_entries_only(self):
         x = T.Tensor(np.ones(1000), requires_grad=True)
-        out = T.dropout(x, 0.5, training=True, rng=np.random.default_rng(3))
+        out = T.dropout(x, 0.5, rng=np.random.default_rng(3))
         T.sum_all(out).backward()
         np.testing.assert_array_equal((x.grad > 0), (out.data > 0))
 
@@ -611,7 +610,7 @@ class TestRecordReplay:
     def _small_graph(self):
         rng = np.random.default_rng(55)
         x = param(rng, 3, 3)
-        y = T.dropout(T.tanh(T.matmul(x, x)), 0.4, training=True, rng=np.random.default_rng(5))
+        y = T.dropout(T.tanh(T.matmul(x, x)), 0.4, rng=np.random.default_rng(5))
         return x, T.sum_all(y)
 
     def test_record_is_topologically_ordered(self):
@@ -663,7 +662,7 @@ class TestRecordReplay:
         leaves = [gain, bias] + [t for bank in banks for t in bank]
 
         def build(x):
-            h = T.dropout(T.tanh(T.layer_norm(x, gain, bias)), 0.3, training=True, rng=np.random.default_rng(4))
+            h = T.dropout(T.tanh(T.layer_norm(x, gain, bias)), 0.3, rng=np.random.default_rng(4))
             probs = T.softmax(T.conv1d_maxpool(h, banks), axis=-1)
             return T.nll_from_probs(probs, [2])
 
@@ -722,7 +721,7 @@ class TestRecordReplay:
         def train_step():
             """Weak references to every op node's value and closures after a backward."""
             h = T.layer_norm(T.take_rows(table, [[1, 2, 2, 5, 7]]), gain, bias)
-            h = T.dropout(T.tanh(h), 0.3, training=True, rng=np.random.default_rng(1))
+            h = T.dropout(T.tanh(h), 0.3, rng=np.random.default_rng(1))
             probs = T.softmax(T.conv1d_maxpool(T.transpose(h), banks), axis=-1)
             loss = T.nll_from_probs(probs, [1])
             loss.backward()

@@ -170,7 +170,6 @@ class ScriptedModel:
         self.evals = 0
         self.w = T.Tensor([0.0], requires_grad=True)
         self.vocab = tk.Vocabulary(list(tk.SPECIAL_TOKENS))
-        self.dropout = 0.0
 
     def parameters(self):
         return {"w": self.w}
