@@ -2,14 +2,15 @@
 
 Layout: an 8-byte magic, a length-prefixed canonical-JSON header (format
 version, model kind, config, vocabulary, tokenizer mode, training
-provenance, optimizer step count, and ordered block descriptors), then the
-raw little-endian float64 payload of every block in descriptor order.
-Blocks hold the model parameters, in the order the model makes them
-(``model.initializers``), followed by the Adam moment estimates.
+provenance, best step, and ordered block descriptors), then the raw
+little-endian float64 payload of every block in descriptor order.  A trained
+checkpoint's blocks are the model parameters, in the order the model makes
+them (``model.initializers``); ``adam_m``/``adam_v`` add ``adam.*`` blocks.
 
 Saving also writes ``<file>.metrics.tsv`` with one evaluation per row
 (step, train_loss, dev_loss, dev_accuracy); loading reads it back when
-present.  Save -> load -> save is byte-identical.  Each file is written to
+present, and ``best_step`` (0 for none) names the row whose parameters the
+file holds.  Save -> load -> save is byte-identical.  Each file is written to
 a temporary file and moved into place (``data.write_atomic``), so a save that
 fails leaves each file either as it was or whole, never cut short.
 """
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 MAGIC = b"CLINLI01"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _SIDECAR_HEADER = "step\ttrain_loss\tdev_loss\tdev_accuracy"
 
 # The one place a model kind is decided: checkpoint headers, run configs and
@@ -67,7 +68,7 @@ class Header:
     vocab: tuple[str, ...]
     tokenizer_mode: str
     provenance: tuple[str, ...]
-    adam_t: int
+    best_step: int  # the step of the history row whose parameters the blocks hold; 0 for none
     blocks: tuple[dict, ...]  # {"name": str, "shape": [int, ...]} in payload order
 
 
@@ -86,15 +87,17 @@ class Checkpoint:
     vocab_tokens: list[str]
     tokenizer_mode: str
     params: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
-    adam_t: int = 0
+    adam_m: dict[str, np.ndarray] = field(default_factory=dict)
+    adam_v: dict[str, np.ndarray] = field(default_factory=dict)
+    best_step: int = 0
     provenance: list[str] = field(default_factory=list)
     history: list[MetricRow] = field(default_factory=list)
 
     def best(self) -> MetricRow | None:
-        """The evaluation with the lowest dev loss (the first on ties), if any."""
-        return min(self.history, key=lambda row: row.dev_loss, default=None)
+        """The evaluation whose parameters the checkpoint holds (the row of
+        step ``best_step``); None when no row has that step, as when there is
+        no history.  For a chain this is an evaluation of its final stage."""
+        return next((row for row in self.history if row.step == self.best_step), None)
 
 
 def _blocks(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
@@ -111,7 +114,7 @@ def metrics_path(path) -> Path:
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     blocks = _blocks(ckpt)
     header = Header(FORMAT_VERSION, ckpt.kind, ckpt.model_config, ckpt.vocab_tokens, ckpt.tokenizer_mode,
-                    ckpt.provenance, ckpt.adam_t, [{"name": name, "shape": list(arr.shape)} for name, arr in blocks])
+                    ckpt.provenance, ckpt.best_step, [{"name": name, "shape": list(arr.shape)} for name, arr in blocks])
     header_bytes = json.dumps(vars(header), sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("ascii")
     with write_atomic(path, binary=True) as fh:
         fh.write(MAGIC)
@@ -138,9 +141,11 @@ def _read_header(path, fh) -> Header:
     (header_len,) = struct.unpack("<I", _read_exact(path, fh, 4, "header length"))
     raw = _read_exact(path, fh, header_len, "header")
     try:
-        header = parse_config(Header, json.loads(raw.decode("ascii")), path)
-        if header.format_version != FORMAT_VERSION:
-            raise ParseError(f"{path}: unsupported format_version {header.format_version}")
+        fields = json.loads(raw.decode("ascii"))
+        # before the schema, which an older version's header does not follow
+        if isinstance(fields, dict) and fields.get("format_version", FORMAT_VERSION) != FORMAT_VERSION:
+            raise ParseError(f"{path}: unsupported format_version {fields['format_version']!r}")
+        header = parse_config(Header, fields, path)
         make_model_config(header.kind, header.config, path)
         mode = MODEL_KINDS[header.kind].tokenizer_mode
         if header.tokenizer_mode != mode:
@@ -213,11 +218,16 @@ def load_checkpoint(path) -> Checkpoint:
             params[name] = arr
 
     mpath = metrics_path(path)
-    history = _read_history(mpath) if mpath.exists() else []
+    history = []
+    if mpath.exists():
+        history = _read_history(mpath)
+        if header.best_step not in {0, *(row.step for row in history)}:
+            raise ParseError(f"{mpath}:{len(history) + 2}: no row of step {header.best_step}, "
+                             f"the best_step of {path}")
 
     return Checkpoint(kind=header.kind, model_config=header.config, vocab_tokens=list(header.vocab),
                       tokenizer_mode=header.tokenizer_mode, params=params, adam_m=adam_m, adam_v=adam_v,
-                      adam_t=header.adam_t, provenance=list(header.provenance), history=history)
+                      best_step=header.best_step, provenance=list(header.provenance), history=history)
 
 
 def model_from_checkpoint(ckpt: Checkpoint, where="checkpoint"):

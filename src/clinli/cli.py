@@ -26,8 +26,9 @@ in exit code 2 with a message naming the file and the key; so does a pair
 with a side that holds no word, before anything trains.  ``train --seed`` is
 the run's seed; a stage's ``train_config`` may override its training seed.
 Both must be non-negative integers.  ``synth --shift``, ``--source-count``
-and ``--target-count`` need ``--transfer-pair``.  ``expand`` is the only
-abbreviation expansion: run it with one table on every file a model reads.
+and ``--target-count`` need ``--transfer-pair``; a synth count below 22
+leaves a split empty, so it exits 2.  ``expand`` is the only abbreviation
+expansion: run it with one table on every file a model reads.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .tokenizer import build_word_vocab, pretokenize, tokenize_sides, train_word
 from .training import Stage, TrainConfig, TransferChain, run_chain
 
 USAGE_ERRORS = (ConfigError, ParseError, DataError, FileNotFoundError)
+SYNTH_MIN_COUNT = 22  # the smallest synth count whose split leaves no part empty
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +194,13 @@ def cmd_synth(args) -> int:
     for flag in ("shift", "source_count", "target_count"):
         if getattr(args, flag) is not None and not args.transfer_pair:
             raise ConfigError(f"--{flag.replace('_', '-')} needs --transfer-pair")
+    counts = [flag for flag in ("source_count", "target_count") if getattr(args, flag) is not None]
+    if len(counts) < 2:  # a corpus without a count of its own has --count examples
+        counts.append("count")
+    for flag in counts:
+        if getattr(args, flag) < SYNTH_MIN_COUNT:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be at least {SYNTH_MIN_COUNT}, so that train, dev "
+                              f"and test each get examples, got {getattr(args, flag)}")
     spec = SynthSpec(
         vocab_size=args.vocab_size,
         count=args.count,
@@ -345,9 +354,8 @@ def cmd_inspect(args) -> int:
     print(f"config: {json.dumps(ckpt.model_config, sort_keys=True)}")
     print(f"vocab_size: {len(ckpt.vocab_tokens)}")
     print(f"provenance: {' -> '.join(ckpt.provenance) or '(none)'}")
-    print(f"adam_t: {ckpt.adam_t}")
-    if ckpt.history:
-        best = ckpt.best()
+    best = ckpt.best()
+    if best is not None:
         print(f"evaluations: {len(ckpt.history)}, best_dev_loss={best.dev_loss!r} at step {best.step}")
     total = 0
     for name, arr in ckpt.params.items():

@@ -4,15 +4,17 @@ Training iterates shuffled mini-batches; after every ``step_fraction`` of
 the training data (default 20%) it evaluates dev loss and accuracy.  A run
 stops once dev loss has gone ``early_stop_patience`` consecutive
 evaluations without strictly improving on the best seen, and returns the
-checkpoint captured at the best evaluation.  "Decreased" means strict
-improvement; ties count as non-improving.  Every step clips the gradients
-to the global L2 norm ``CLIP_NORM`` before the Adam update.
+parameters captured at the best evaluation, whose step is ``best_step``.
+"Decreased" means strict improvement; ties count as non-improving.  Every
+step clips the gradients to the global L2 norm ``CLIP_NORM`` before the
+Adam update.
 
 Transfer chains run several (dataset, config) stages in order, each stage
 starting from the previous stage's best parameters.  The classification
 head is kept across stage boundaries by default (all stages share one
 3-class label space); a reset policy re-initializes it instead.  Optimizer
-state starts fresh at each stage.
+state starts fresh at each stage, so no checkpoint stores it.  A chain
+returns its final stage's best parameters and evaluation.
 """
 
 from __future__ import annotations
@@ -116,25 +118,16 @@ def clip_gradients(params: dict[str, Tensor], threshold: float) -> float:
     return norm
 
 
-def _validate_dataset(name: str, dataset) -> None:
-    if not dataset:
-        raise DataError(f"{name} dataset is empty")
-
-
-def _snapshot(params: dict[str, Tensor], state: AdamState):
-    return (
-        {name: p.data.copy() for name, p in params.items()},
-        {name: a.copy() for name, a in state.m.items()},
-        {name: a.copy() for name, a in state.v.items()},
-        state.t,
-    )
+def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    return {name: p.data.copy() for name, p in params.items()}
 
 
 def train(model, train_set, dev_set, config: TrainConfig, dataset_name: str = "train") -> Checkpoint:
     """Train ``model`` until early stopping or ``max_epochs``; return the
     best-dev-loss checkpoint and leave the model holding those parameters."""
-    _validate_dataset("train", train_set)
-    _validate_dataset("dev", dev_set)
+    for name, dataset in (("train", train_set), ("dev", dev_set)):
+        if not dataset:
+            raise DataError(f"{name} dataset is empty")
 
     params = model.parameters()
     state = AdamState(params)
@@ -142,13 +135,12 @@ def train(model, train_set, dev_set, config: TrainConfig, dataset_name: str = "t
     dropout_rng = np.random.default_rng(config.seed + 1)
     eval_every = max(1, math.ceil(config.step_fraction * len(train_set)))
 
-    best = _snapshot(params, state)
+    best, best_step = _snapshot(params), 0
     best_loss = math.inf
     bad_evals = 0  # consecutive evaluations without a strict improvement of best_loss
     history: list[MetricRow] = []
-    since_eval = 0
     run_loss = 0.0
-    run_count = 0
+    run_count = 0  # examples trained on since the last evaluation
     stop = False
 
     for _ in range(config.max_epochs):
@@ -163,18 +155,15 @@ def train(model, train_set, dev_set, config: TrainConfig, dataset_name: str = "t
 
             run_loss += float(loss.data)
             run_count += len(batch)
-            since_eval += len(batch)
-            if since_eval >= eval_every:
-                since_eval = 0
+            if run_count >= eval_every:
                 dev_loss_t, dev_correct = model.batch_loss(dev_set, training=False)
                 dev_loss = float(dev_loss_t.data) / len(dev_set)
                 dev_acc = dev_correct / len(dev_set)
-                train_loss = run_loss / max(run_count, 1)
+                history.append(MetricRow(len(history) + 1, run_loss / run_count, dev_loss, dev_acc))
                 run_loss, run_count = 0.0, 0
-                history.append(MetricRow(len(history) + 1, train_loss, dev_loss, dev_acc))
                 if dev_loss < best_loss:
                     best_loss, bad_evals = dev_loss, 0
-                    best = _snapshot(params, state)
+                    best, best_step = _snapshot(params), len(history)
                 else:
                     bad_evals += 1
                 stop = bad_evals >= config.early_stop_patience
@@ -183,21 +172,10 @@ def train(model, train_set, dev_set, config: TrainConfig, dataset_name: str = "t
         if stop:
             break
 
-    best_params, best_m, best_v, best_t = best
     for name, p in params.items():
-        p.data = best_params[name].copy()
-    return Checkpoint(
-        kind=model.kind,
-        model_config=model.config_dict(),
-        vocab_tokens=list(model.vocab.tokens),
-        tokenizer_mode=model.tokenizer_mode,
-        params=best_params,
-        adam_m=best_m,
-        adam_v=best_v,
-        adam_t=best_t,
-        provenance=[dataset_name],
-        history=history,
-    )
+        p.data = best[name].copy()
+    return Checkpoint(model.kind, model.config_dict(), list(model.vocab.tokens), model.tokenizer_mode, best,
+                      best_step=best_step, provenance=[dataset_name], history=history)
 
 
 @dataclass
@@ -223,8 +201,9 @@ class TransferChain:
 def run_chain(model_factory, chain: TransferChain) -> Checkpoint:
     """Run the chain's stages in order, each initialized from the previous
     stage's best checkpoint; returns the final checkpoint, whose provenance
-    lists every stage name in order and whose history numbers the
-    evaluations of all stages in one sequence."""
+    lists every stage name in order, whose history numbers the evaluations
+    of all stages in one sequence and whose ``best_step`` names the final
+    stage's best evaluation in that sequence."""
     model = model_factory()
     provenance: list[str] = []
     history: list[MetricRow] = []
@@ -235,4 +214,4 @@ def run_chain(model_factory, chain: TransferChain) -> Checkpoint:
         offset = history[-1].step if history else 0
         history += [replace(row, step=offset + row.step) for row in ckpt.history]
         provenance += ckpt.provenance
-    return replace(ckpt, provenance=provenance, history=history)
+    return replace(ckpt, provenance=provenance, history=history, best_step=offset + ckpt.best_step)

@@ -77,7 +77,7 @@ def original(request, tmp_path_factory):
         tokenizer_mode=model.tokenizer_mode, params=params,
         adam_m={n: np.zeros_like(a) for n, a in params.items()},
         adam_v={n: np.ones_like(a) for n, a in params.items()},
-        adam_t=3, provenance=["S", "T"], history=[MetricRow(i, 1.0 / i, 1.5 / i, 0.25 * i) for i in range(1, 4)],
+        best_step=3, provenance=["S", "T"], history=[MetricRow(i, 1.0 / i, 1.5 / i, 0.25 * i) for i in range(1, 4)],
     )
     path = tmp_path_factory.mktemp(request.param) / "m.ckpt"
     save_checkpoint(ckpt, path)

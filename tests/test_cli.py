@@ -1,15 +1,17 @@
 import json
 import re
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from clinli import cli
-from clinli.checkpoint import MODEL_KINDS, Checkpoint, load_checkpoint, make_model_config, save_checkpoint
+from clinli.checkpoint import (
+    MODEL_KINDS, Checkpoint, load_checkpoint, make_model_config, model_from_checkpoint, save_checkpoint,
+)
 from clinli.compaggr import CompAggrModel
-from clinli.data import load_jsonl
+from clinli.data import LABELS, load_jsonl, save_jsonl
 from clinli.evaluate import read_predictions
 from clinli.model import parse_config
 from clinli.tokenizer import train_wordpiece
@@ -87,7 +89,7 @@ def small_checkpoint(path) -> Path:
         TransformerConfig(d_e=4, num_heads=2, num_blocks=1, d_ff=4, max_len=8, dropout=0.0), vocab,
     )
     save_checkpoint(Checkpoint(model.kind, model.config_dict(), list(vocab.tokens), model.tokenizer_mode,
-                               {name: p.data for name, p in model.parameters().items()}, {}, {}), path)
+                               {name: p.data for name, p in model.parameters().items()}), path)
     return path
 
 
@@ -113,6 +115,11 @@ class TestSynth:
         assert "error: shift must be in [0, 1], got 1.5" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_smallest_count_fills_every_split(self, tmp_path):
+        out = synth_dir(tmp_path, count=22)
+        sizes = {name: len(load_jsonl(out / f"{name}.jsonl")) for name in ("train", "dev", "test")}
+        assert sizes == {"train": 18, "dev": 3, "test": 1}
+
     def test_roundtrip_write_load(self, tmp_path):
         out = synth_dir(tmp_path, count=30, seed=3)
         examples = load_jsonl(out / "train.jsonl")
@@ -137,7 +144,12 @@ class TestSynth:
         (["--vocab-size", "3", "--count", "300"], "vocab_size 3 is too small for count 300"),
         # numpy seeds no generator from a negative integer
         (["--seed", "-1"], "argument --seed: must be a non-negative integer, got '-1'"),
-    ], ids=["source_count", "target_count", "shift", "too_few_premises", "negative_seed"])
+        # 21 examples are 7 premise triples: 6 go to train and none is left for dev
+        (["--count", "21"], "--count must be at least 22"),
+        (["--transfer-pair", "--source-count", "21"], "--source-count must be at least 22"),
+        (["--transfer-pair", "--source-count", "60", "--target-count", "1"], "--target-count must be at least 22"),
+    ], ids=["source_count", "target_count", "shift", "too_few_premises", "negative_seed", "count_below_split",
+            "source_count_below_split", "target_count_below_split"])
     def test_unusable_flags_exit_2_before_out_dir_is_made(self, tmp_path, capsys, argv, named):
         assert exit_code("synth", "--out-dir", tmp_path / "x", *argv) == 2
         err = capsys.readouterr().err
@@ -335,6 +347,45 @@ class TestTransfer:
         out = tmp_path / "chain_out"
         assert run_cli("train", "--config", path, "--out-dir", out) == 0
         assert "(chain: S -> T)" in capsys.readouterr().out
+
+    def test_chain_reports_the_final_stages_best_evaluation(self, tmp_path, capsys):
+        # the target dev labels are rotated, so no target evaluation reaches the source's best dev loss
+        src = synth_dir(tmp_path, count=30, seed=4, name="src")
+        tgt = synth_dir(tmp_path, count=30, seed=5, name="tgt")
+        rotated = [replace(ex, gold_label=LABELS[(LABELS.index(ex.gold_label) + 1) % 3])
+                   for ex in load_jsonl(tgt / "dev.jsonl")]
+        save_jsonl(tmp_path / "rotated_dev.jsonl", rotated)
+        source_evals = 6  # one evaluation per epoch, and patience outlasts them all
+        cfg = {
+            "model": "compaggr",
+            "model_config": {"word_dim": 8, "repr_dim": 8, "filters_per_width": 2, "dropout": 0.0},
+            "train_config": {"learning_rate": 5e-3, "batch_size": 6, "max_epochs": 2},
+            "chain": [
+                {"name": "S", "train": str(src / "train.jsonl"), "dev": str(src / "dev.jsonl"),
+                 "train_config": {"max_epochs": source_evals, "step_fraction": 1.0,
+                                  "early_stop_patience": source_evals}},
+                {"name": "T", "train": str(tgt / "train.jsonl"), "dev": str(tmp_path / "rotated_dev.jsonl")},
+            ],
+        }
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "chain_out"
+        assert run_cli("train", "--config", path, "--out-dir", out) == 0
+        ckpt = load_checkpoint(out / "model.ckpt")
+        source, target = ckpt.history[:source_evals], ckpt.history[source_evals:]
+        assert [row.step for row in ckpt.history] == list(range(1, len(ckpt.history) + 1)) and target
+        assert min(r.dev_loss for r in source) < min(r.dev_loss for r in target)
+
+        best = ckpt.best()
+        assert best == min(target, key=lambda row: row.dev_loss) and best.step == ckpt.best_step
+        summary = f"best_dev_loss={best.dev_loss!r}, best_dev_acc={best.dev_accuracy!r}\n"
+        assert (out / "summary.txt").read_text() == summary
+        capsys.readouterr()
+        assert run_cli("inspect-checkpoint", "--checkpoint", out / "model.ckpt") == 0
+        assert f"best_dev_loss={best.dev_loss!r} at step {best.step}\n" in capsys.readouterr().out
+        # the stored parameters are the ones that evaluation scored
+        loss, _ = model_from_checkpoint(ckpt).batch_loss(rotated)
+        assert float(loss.data) / len(rotated) == pytest.approx(best.dev_loss, rel=1e-12)
 
     def test_empty_dataset_exits_2_naming_file_and_stage_before_training(self, tmp_path, capsys):
         # the second stage's dev file is empty: nothing may train, not even the first stage
@@ -644,11 +695,12 @@ class TestPredictEval:
         (lambda c: setattr(c, "vocab_tokens", [1, 2, 3, 4]), "vocab"),
         (lambda c: setattr(c, "tokenizer_mode", 5), "tokenizer_mode"),
         (lambda c: setattr(c, "tokenizer_mode", "bogus"), "tokenizer_mode"),
-        (lambda c: setattr(c, "adam_t", "x"), "adam_t"),
+        (lambda c: setattr(c, "best_step", "x"), "best_step"),
+        (lambda c: setattr(c, "best_step", 99), "no row of step 99, the best_step of"),
         # one NaN weight would make every softmax fail: the file is rejected, not each pair
         (lambda c: c.params["cls.w"].put(0, float("nan")), "block 'cls.w': holds NaN or inf"),
-    ], ids=["repr_dim", "kind", "provenance", "vocab", "vocab_ints", "tokenizer_int", "tokenizer_mode", "adam_t",
-            "nan_block"])
+    ], ids=["repr_dim", "kind", "provenance", "vocab", "vocab_ints", "tokenizer_int", "tokenizer_mode", "best_step",
+            "best_step_no_row", "nan_block"])
     def test_checkpoint_header_value_rejected_exits_2(self, tmp_path, trained, capsys, edit, named):
         data, ckpt = trained
         loaded = load_checkpoint(ckpt)
@@ -659,19 +711,22 @@ class TestPredictEval:
 
     @pytest.mark.parametrize("edit,named", [
         (lambda h: h.update(mystery=1), "mystery"),
-        (lambda h: h.pop("adam_t"), "adam_t"),
+        (lambda h: h.pop("best_step"), "best_step"),
         (lambda h: h["blocks"][0].update(shape=[-1]), "shape"),
         (lambda h: h["blocks"][0].update(name=5), "name"),
         (lambda h: h["blocks"][1].update(name=h["blocks"][0]["name"]), "repeats a name"),
         (lambda h: h["config"].update(num_classes=3), "num_classes"),
         (lambda h: h.update(format_version=1), "unsupported format_version 1"),
+        # a version-2 header: Adam's step count where best_step is now
+        (lambda h: h.update(format_version=2, adam_t=h.pop("best_step")), "unsupported format_version 2"),
         (lambda h: h["config"].update(filter_widths=[1, 2, 3, 4, 5]), "filter_widths"),
         # a lone surrogate escape is not text
         (lambda h: h.update(provenance=["tr\ud800"]), "provenance"),
         (lambda h: h["blocks"][0].update(name="cls.w\ud800"), "block name"),
         (lambda h: h.update(vocab=[]), "vocabulary must start with"),
     ], ids=["unknown_key", "missing_key", "block_shape", "block_name", "repeated_block", "num_classes",
-            "format_version_1", "filter_widths", "provenance_surrogate", "block_name_surrogate", "empty_vocab"])
+            "format_version_1", "format_version_2", "filter_widths", "provenance_surrogate", "block_name_surrogate",
+            "empty_vocab"])
     def test_malformed_checkpoint_header_exits_2(self, tmp_path, trained, capsys, edit, named):
         data, ckpt = trained
         bad = tmp_path / "bad_header.ckpt"
@@ -693,7 +748,7 @@ class TestPredictEval:
 
     def test_word_level_transformer_checkpoint_exits_2(self, tmp_path, capsys):
         # a transformer reads word pieces only, so a header naming the word-level tokenizer is not loaded
-        data = synth_dir(tmp_path, count=10)
+        data = synth_dir(tmp_path, count=30)
         bad = tmp_path / "word_transformer.ckpt"
         rewrite_header(small_checkpoint(tmp_path / "small.ckpt"), bad, lambda h: h.update(tokenizer_mode="word"))
         assert_checkpoint_rejected(capsys, bad, data / "test.jsonl", tmp_path / "p", "tokenizer_mode", "'word'")
@@ -715,7 +770,7 @@ class TestHugeHeaderDimension:
         ("num_blocks", 2**31, "missing block 'block1.attn.wq'"),
     ], ids=["d_ff", "num_blocks"])
     def test_predict_and_inspect_exit_2_before_allocating_the_claimed_model(self, tmp_path, capsys, key, value, named):
-        data = synth_dir(tmp_path, count=10)
+        data = synth_dir(tmp_path, count=30)
         small = small_checkpoint(tmp_path / "small.ckpt")
         huge = tmp_path / "huge.ckpt"
         rewrite_header(small, huge, lambda h: h["config"].update({key: value}))

@@ -83,11 +83,11 @@ class TestWritersFailingMidway:
 
     def test_checkpoint_and_sidecar(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        good = Checkpoint("compaggr", {}, ["a"], "word", {"w": np.ones(3)}, {}, {})
+        good = Checkpoint("compaggr", {}, ["a"], "word", {"w": np.ones(3)})
         save_checkpoint(good, path)
         before, sidecar = path.read_bytes(), metrics_path(path).read_bytes()
         # the second block cannot be converted to float64 after the first is written
-        bad = Checkpoint("compaggr", {}, ["a"], "word", {"w": np.zeros(3), "x": np.array(["x"])}, {}, {})
+        bad = Checkpoint("compaggr", {}, ["a"], "word", {"w": np.zeros(3), "x": np.array(["x"])})
         with pytest.raises(ValueError):
             save_checkpoint(bad, path)
         assert_unchanged(path, before, metrics_path(path).name)

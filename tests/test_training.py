@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -91,20 +92,19 @@ class TestAdamStep:
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, t)
         assert state.t == 5
 
-    def test_snapshot_keeps_its_moments_after_later_steps(self):
+    def test_snapshot_keeps_its_parameters_after_later_steps(self):
         w = T.Tensor(np.zeros(3), requires_grad=True)
         params = {"w": w}
         state = tr.AdamState(params)
         w.grad = np.array([1.0, -2.0, 3.0])
         tr.adam_step(params, state, lr=0.1)
-        snap = tr._snapshot(params, state)
-        kept = [{k: a.copy() for k, a in part.items()} for part in snap[:3]]
+        snap = tr._snapshot(params)
+        kept = snap["w"].copy()
+        assert list(snap) == ["w"] and not np.shares_memory(snap["w"], w.data)
         for _ in range(3):
             tr.adam_step(params, state, lr=0.1)
-        assert not np.array_equal(state.m["w"], snap[1]["w"])
-        for part, copy in zip(snap[:3], kept):
-            np.testing.assert_array_equal(part["w"], copy["w"])
-        assert snap[3] == 1
+        assert not np.array_equal(w.data, snap["w"])
+        np.testing.assert_array_equal(snap["w"], kept)
 
     def test_nan_gradient_aborts_naming_parameter(self):
         w = T.Tensor([0.0], requires_grad=True)
@@ -269,6 +269,21 @@ class TestTrainRealModel:
         dev_loss_t, _ = model.batch_loss(corpus[18:], training=False)
         reeval = float(dev_loss_t.data) / len(corpus[18:])
         assert reeval == pytest.approx(ckpt.best().dev_loss, rel=1e-12)
+        assert ckpt.best() is ckpt.history[ckpt.best_step - 1]
+
+    def test_trained_checkpoint_holds_parameter_blocks_only(self, tmp_path):
+        corpus = generate_corpus(SynthSpec(count=18, seed=5))
+        model = small_compaggr(corpus, seed=11)
+        ckpt = tr.train(model, corpus[:12], corpus[12:], tr.TrainConfig(batch_size=4, max_epochs=2, seed=7))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12 : 12 + header_len])
+        params = model.parameters()
+        assert [block["name"] for block in header["blocks"]] == list(params)
+        assert len(blob) == 12 + header_len + 8 * sum(p.data.size for p in params.values())
+        assert ckpt.adam_m == ckpt.adam_v == {} and "adam_t" not in header
 
     def test_determinism_bit_identical_checkpoints(self, tmp_path):
         corpus = generate_corpus(SynthSpec(count=18, seed=5))
@@ -407,7 +422,7 @@ class TestCheckpointIO:
                                           vocab, seed=9)
         params = {name: p.data.copy() for name, p in model.parameters().items()}
         return model, Checkpoint(model.kind, model.config_dict(), list(model.vocab.tokens), model.tokenizer_mode,
-                                 params, {}, {})
+                                 params)
 
     def test_rebuild_draws_no_initial_values(self, stored, monkeypatch):
         model, ckpt = stored
@@ -458,7 +473,7 @@ class TestCheckpointParseErrors:
             load_checkpoint(saved)
 
     def test_header_integer_too_long_to_parse(self, saved):
-        header = b'{"adam_t": ' + b"1" * 5000 + b"}"
+        header = b'{"best_step": ' + b"1" * 5000 + b"}"
         saved.write_bytes(b"CLINLI01" + len(header).to_bytes(4, "little") + header)
         with pytest.raises(ParseError, match="m.ckpt: garbled header"):
             load_checkpoint(saved)
