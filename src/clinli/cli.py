@@ -155,9 +155,12 @@ def _stage_dataset(stage: StageConfig, part: str) -> list:
 
 
 def _dataset(path_str: str) -> list:
-    """A dataset's examples; a repeated pair id, which eval cannot align, is a DataError naming the file."""
+    """A dataset's examples; an empty dataset, or a repeated pair id, which eval
+    cannot align, is a DataError naming the file."""
     path = _require_file(path_str, "dataset")
     examples = load_jsonl(path)
+    if not examples:
+        raise DataError(f"{path}: dataset is empty")
     try:
         _gold_map(examples)
     except DataError as exc:
@@ -427,7 +430,3 @@ def main(argv=None) -> int:
     except ClinliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

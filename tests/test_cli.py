@@ -797,6 +797,7 @@ class TestMalformedInputs:
     COMMANDS = {
         "expand": ["expand", "--dataset", "data.jsonl", "--table", "table.tsv"],
         "eval": ["eval", "--predictions", "preds.tsv", "--dataset", "data.jsonl"],
+        "predict": ["predict", "--checkpoint", "model.ckpt", "--dataset", "data.jsonl"],
         "train": ["train", "--config", "run.json"],
     }
 
@@ -825,19 +826,22 @@ class TestMalformedInputs:
         ("eval", "preds.tsv", b"zz\t0.2\t0.3\t0.5\tneutral\n", None, "without matching gold examples: ['zz']"),
         ("eval", "preds.tsv", b"p1\t0.2\t0.3\t0.5\tneutral\n" * 2, None, "predictions repeat pair id 'p1'"),
         ("eval", "data.jsonl", jsonl_line() * 2, None, "gold examples repeat pair id 'p1'"),
+        ("eval", "data.jsonl", b"", None, "dataset is empty"),
+        ("predict", "data.jsonl", b"", None, "dataset is empty"),
     ], ids=["dataset_utf8", "sentence1_int", "pair_id_int", "pair_id_tab", "pair_id_line_feed",
             "pair_id_carriage_return", "gold_label_null", "predictions_utf8", "table_utf8", "table_identity",
             "table_matcher_duplicate", "dataset_long_int", "run_config_utf8", "run_config_nesting", "dataset_surrogate",
             "predictions_negative", "predictions_empty", "predictions_unmatched_id", "predictions_repeated_id",
-            "dataset_repeated_id"])
+            "dataset_repeated_id", "eval_dataset_empty", "predict_dataset_empty"])
     def test_exits_2_naming_file_and_line(self, tmp_path, capsys, command, name, content, line, named):
         (tmp_path / "data.jsonl").write_bytes(jsonl_line())
         (tmp_path / "preds.tsv").write_text("p1\t0.2\t0.3\t0.5\tneutral\n")
         (tmp_path / "table.tsv").write_text("MI\tmyocardial infarction\n")
+        small_checkpoint(tmp_path / "model.ckpt")
         (tmp_path / "run.json").write_text(json.dumps({"model": "compaggr", "chain": [{
             "train": str(tmp_path / "data.jsonl"), "dev": str(tmp_path / "data.jsonl")}]}))
         (tmp_path / name).write_bytes(content)
-        argv = [tmp_path / a if a.endswith((".jsonl", ".tsv", ".json")) else a for a in self.COMMANDS[command]]
+        argv = [tmp_path / a if a.endswith((".jsonl", ".tsv", ".json", ".ckpt")) else a for a in self.COMMANDS[command]]
         assert run_cli(*argv, "--out-dir", tmp_path / "o") == 2
         err = capsys.readouterr().err
         where = tmp_path / name if line is None else f"{tmp_path / name}:{line}"
@@ -918,6 +922,18 @@ def test_removed_flags_are_usage_errors(tmp_path, capsys, monkeypatch, argv, nam
     assert exc.value.code == 2
     assert named in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_python_m_clinli_runs_the_command_line(run_python, tmp_path):
+    # the module entry beside the clinli console script; both call cli.main
+    proc = run_python("-m", "clinli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert all(command in proc.stdout for command in
+               ("synth", "train", "predict", "eval", "expand", "inspect-checkpoint")), proc.stdout
+    missing = tmp_path / "missing.ckpt"
+    proc = run_python("-m", "clinli", "inspect-checkpoint", "--checkpoint", missing)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: checkpoint does not exist: {missing}\n"
 
 
 def test_readme_run_configs_parse(tmp_path):

@@ -1,7 +1,7 @@
-"""Every name a clinli module lists in ``__all__`` resolves, every name the
-package exports is one its module lists, no module keeps state in a global
-it rebinds, and only ``batch_loss`` takes both a ``training`` flag and an
-``rng``."""
+"""Every name a clinli module lists in ``__all__`` resolves, the package root
+exports no name and loads no module that is not asked for, no module keeps
+state in a global it rebinds, and only ``batch_loss`` takes both a
+``training`` flag and an ``rng``."""
 
 import ast
 import importlib
@@ -23,10 +23,16 @@ def test_every_name_in_all_resolves(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
-def test_every_package_export_is_listed_by_its_module():
-    listed = {n for m in MODULES for n in getattr(importlib.import_module(f"clinli.{m}"), "__all__", ())}
-    exports = {n for n, v in vars(clinli).items() if not n.startswith("_") and not isinstance(v, ModuleType)}
-    assert exports and exports <= listed, sorted(exports - listed)
+def test_the_package_root_exports_no_name():
+    # each name has one import path, its module's: clinli.<module>
+    assert [n for n, v in vars(clinli).items() if not n.startswith("_") and not isinstance(v, ModuleType)] == []
+
+
+def test_importing_a_module_loads_only_what_it_imports(run_python):
+    # in a fresh interpreter, so that no other test's imports are counted
+    code = "import sys, clinli.tensor; print(sorted(m for m in sys.modules if m.split('.')[0] == 'clinli'))"
+    proc = run_python("-c", code)
+    assert proc.stdout.strip() == "['clinli', 'clinli.errors', 'clinli.tensor']", proc.stderr
 
 
 def module_nodes():

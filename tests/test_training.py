@@ -296,8 +296,8 @@ class TestTrainRealModel:
             save_checkpoint(ckpt, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
-        m0 = (str(paths[0]) + ".metrics.tsv", str(paths[1]) + ".metrics.tsv")
-        assert open(m0[0], "rb").read() == open(m0[1], "rb").read()
+        sidecars = [path.with_name(path.name + ".metrics.tsv") for path in paths]
+        assert sidecars[0].read_bytes() == sidecars[1].read_bytes()
 
 
 def held_tensors(obj) -> set[int]:
