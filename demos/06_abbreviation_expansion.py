@@ -24,6 +24,6 @@ examples = [
     NLIExample("Her CXR was clear and showed no infection.", "Chest x-ray showed infiltrates", "contradiction", "d1"),
     NLIExample("CHF, EF 55% 6.", "complains of SOB", "neutral", "d2"),
 ]
-expanded, report = expand_dataset(examples, table)
-print("\nper-surface replacement counts:", report.counts)
+expanded, counts = expand_dataset(examples, table)
+print("\nper-surface replacement counts:", dict(counts))
 print("labels untouched:", [ex.gold_label for ex in expanded])

@@ -22,7 +22,7 @@ from itertools import groupby
 from .data import NLIExample, read_text
 from .errors import DataError, ParseError
 
-__all__ = ["AbbrevTable", "ExpansionReport", "demo_table", "expand", "expand_dataset", "load_table"]
+__all__ = ["AbbrevTable", "demo_table", "expand", "expand_dataset", "load_table"]
 
 
 @cache
@@ -112,18 +112,10 @@ def expand(text: str, table: AbbrevTable) -> str:
     return _expand_counting(text, table, Counter())
 
 
-@dataclass
-class ExpansionReport:
-    counts: dict[str, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def expand_dataset(examples, table: AbbrevTable) -> tuple[list[NLIExample], ExpansionReport]:
+def expand_dataset(examples, table: AbbrevTable) -> tuple[list[NLIExample], Counter]:
     """Expand premise and hypothesis of every example; labels and ids are
-    untouched.  Returns the new examples and per-surface replacement counts."""
+    untouched.  Returns the new examples and a Counter of replacements per
+    surface, casefolded; ``counts.total()`` is the number of replacements."""
     counts: Counter = Counter()
     out = [
         NLIExample(
@@ -134,4 +126,4 @@ def expand_dataset(examples, table: AbbrevTable) -> tuple[list[NLIExample], Expa
         )
         for ex in examples
     ]
-    return out, ExpansionReport(counts=dict(counts))
+    return out, counts

@@ -241,9 +241,6 @@ def model_from_checkpoint(ckpt: Checkpoint, where="checkpoint"):
     try:
         vocab = Vocabulary(list(ckpt.vocab_tokens))
         model = MODEL_KINDS[ckpt.kind](config, vocab, stored=ckpt.params)
-        extra = list(ckpt.params)[len(model.parameters()):]
-        if extra:
-            raise DataError(f"parameter name mismatch: extra block {extra[0]!r}")
     except DataError as exc:
         raise ParseError(f"{where}: {exc}") from None
     return model

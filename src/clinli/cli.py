@@ -184,11 +184,6 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _summarize(ckpt) -> str:
-    best = ckpt.best()
-    return f"best_dev_loss={best.dev_loss!r}, best_dev_acc={best.dev_accuracy!r}"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -213,9 +208,8 @@ def cmd_synth(args) -> int:
 
     def split_and_write(examples, stem):
         groups = [examples[i : i + 3] for i in range(0, len(examples), 3)]
-        n = len(groups)
-        n_train = max(1, round(0.8 * n))
-        n_dev = max(1, round(0.1 * n)) if n - n_train >= 2 else max(0, n - n_train - 1)
+        # SYNTH_MIN_COUNT examples or more make at least 8 groups, so every part gets one
+        n_train, n_dev = round(0.8 * len(groups)), round(0.1 * len(groups))
         parts = {
             "train": [ex for g in groups[:n_train] for ex in g],
             "dev": [ex for g in groups[n_train : n_train + n_dev] for ex in g],
@@ -257,7 +251,8 @@ def cmd_train(args) -> int:
 
     ckpt_path = out_dir / "model.ckpt"
     save_checkpoint(ckpt, ckpt_path)
-    summary = _summarize(ckpt)
+    best = ckpt.best()
+    summary = f"best_dev_loss={best.dev_loss!r}, best_dev_acc={best.dev_accuracy!r}"
     with write_atomic(out_dir / "summary.txt") as fh:
         fh.write(summary + "\n")
     print(f"wrote {ckpt_path} (chain: {' -> '.join(ckpt.provenance)})")
@@ -337,14 +332,14 @@ def cmd_expand(args) -> int:
     table = load_table(_require_file(args.table, "abbreviation table"))
     examples = load_jsonl(_require_file(args.dataset, "dataset"))
     out_dir = _out_dir(args)
-    expanded, report = expand_dataset(examples, table)
+    expanded, counts = expand_dataset(examples, table)
     out_path = out_dir / "expanded.jsonl"
     save_jsonl(out_path, expanded)
     with write_atomic(out_dir / "expand_report.txt") as fh:
-        fh.write(f"total={report.total}\n")
-        for surface in sorted(report.counts):
-            fh.write(f"{surface}\t{report.counts[surface]}\n")
-    print(f"wrote {out_path} ({report.total} replacements)")
+        fh.write(f"total={counts.total()}\n")
+        for surface in sorted(counts):
+            fh.write(f"{surface}\t{counts[surface]}\n")
+    print(f"wrote {out_path} ({counts.total()} replacements)")
     return 0
 
 
@@ -424,9 +419,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
+    except (*USAGE_ERRORS, ClinliError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ClinliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, USAGE_ERRORS) else 1

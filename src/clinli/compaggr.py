@@ -37,7 +37,7 @@ import numpy as np
 from . import tensor as T
 from .data import LABELS
 from .errors import ConfigError, DataError, DimensionError
-from .model import MASK_LOGIT, PairClassifier, initializers
+from .model import MASK_LOGIT, PairClassifier
 from .tokenizer import Vocabulary, tokenize_sides, word_tokenize
 
 __all__ = [
@@ -196,12 +196,10 @@ class CompAggrModel(PairClassifier):
     config_class = CompAggrConfig
     tokenizer_mode = "word"
 
-    def __init__(self, config: CompAggrConfig, vocab: Vocabulary, seed: int = 0,
-                 stored: dict[str, np.ndarray] | None = None):
-        super().__init__(config, vocab)
-        mat, zeros, _ = initializers(seed, self._params, stored)
+    def _make_parameters(self, mat, zeros, ones):
+        config = self.config
         hidden = config.repr_dim // 2
-        self.emb_table = mat("emb.word", len(vocab), config.word_dim)
+        self.emb_table = mat("emb.word", len(self.vocab), config.word_dim)
         self.enc_fwd, self.enc_bwd = (
             EncoderDirection(wx=mat(f"enc.{d}.wx", hidden, config.word_dim), wh=mat(f"enc.{d}.wh", hidden, hidden),
                              b=zeros(f"enc.{d}.b", hidden))

@@ -129,10 +129,12 @@ def initializers(seed: int, params: dict[str, T.Tensor], stored: dict[str, np.nd
 class PairClassifier:
     """Three-way sentence-pair classifier.  Subclasses set ``kind``,
     ``config_class`` and ``tokenizer_mode`` (``"wordpiece"`` or ``"word"``:
-    the kind's one tokenizer, which its vocabulary is built for) and make
-    their tensors with ``initializers(seed, self._params, stored)``,
-    ``stored`` being the parameter blocks of a checkpoint when the model is
-    rebuilt from one.  ``encode(premise, hypothesis)`` turns a pair into the
+    the kind's one tokenizer, which its vocabulary is built for) and declare
+    their tensors in ``_make_parameters(mat, zeros, ones)``, which calls the
+    makers of ``initializers``.  The base is the one constructor: it builds
+    the tensors from ``seed``, or restores them from ``stored``, the
+    parameter blocks of a checkpoint, and rejects a block left over; it also
+    resets the head.  ``encode(premise, hypothesis)`` turns a pair into the
     model's input, or raises the DataError naming a side with nothing to
     encode that makes prediction skip the pair; ``forward(batch, rng=None)``
     maps a list of encoded pairs to (B, 3) probabilities from one graph, with
@@ -146,19 +148,22 @@ class PairClassifier:
     config_class: type
     tokenizer_mode: str
 
-    def __init__(self, config, vocab: Vocabulary):
+    def __init__(self, config, vocab: Vocabulary, seed: int = 0, stored: dict[str, np.ndarray] | None = None):
         self.config = config
         self.vocab = vocab
         self._params: dict[str, T.Tensor] = {}
+        self._make_parameters(*initializers(seed, self._params, stored))
+        extra = list(stored or ())[len(self._params):]
+        if extra:
+            raise DataError(f"parameter name mismatch: extra block {extra[0]!r}")
 
     def parameters(self) -> dict[str, T.Tensor]:
         """Every trainable tensor by name, in creation order."""
         return dict(self._params)
 
     def reset_head(self, seed: int = 0) -> None:
-        rng = np.random.default_rng(seed)
-        self.cls_w.data = T.xavier_uniform(rng, self.cls_w.shape)
-        self.cls_b.data = np.zeros(self.cls_b.shape)
+        self.cls_w.data[...] = T.xavier_uniform(np.random.default_rng(seed), self.cls_w.shape)
+        self.cls_b.data[...] = 0.0
 
     def config_dict(self) -> dict:
         """The config as a JSON object."""

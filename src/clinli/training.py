@@ -99,7 +99,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
         v += (1 - beta2) * (g * g)
         m_hat = m / (1 - beta1**t)
         v_hat = v / (1 - beta2**t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def clip_gradients(params: dict[str, Tensor], threshold: float) -> float:
@@ -141,39 +141,36 @@ def train(model, train_set, dev_set, config: TrainConfig, dataset_name: str = "t
     history: list[MetricRow] = []
     run_loss = 0.0
     run_count = 0  # examples trained on since the last evaluation
-    stop = False
 
-    for _ in range(config.max_epochs):
-        order = shuffle_rng.permutation(len(train_set))
-        for start in range(0, len(order), config.batch_size):
-            batch = [train_set[i] for i in order[start : start + config.batch_size]]
-            zero_grads(params.values())
-            loss, _ = model.batch_loss(batch, training=True, rng=dropout_rng)
-            loss.backward()
-            clip_gradients(params, CLIP_NORM)
-            adam_step(params, state, config.learning_rate)
+    # one stream of mini-batches; each epoch draws its permutation as it starts
+    orders = (shuffle_rng.permutation(len(train_set)) for _ in range(config.max_epochs))
+    batches = ([train_set[i] for i in order[start : start + config.batch_size]]
+               for order in orders for start in range(0, len(order), config.batch_size))
+    for batch in batches:
+        zero_grads(params.values())
+        loss, _ = model.batch_loss(batch, training=True, rng=dropout_rng)
+        loss.backward()
+        clip_gradients(params, CLIP_NORM)
+        adam_step(params, state, config.learning_rate)
 
-            run_loss += float(loss.data)
-            run_count += len(batch)
-            if run_count >= eval_every:
-                dev_loss_t, dev_correct = model.batch_loss(dev_set, training=False)
-                dev_loss = float(dev_loss_t.data) / len(dev_set)
-                dev_acc = dev_correct / len(dev_set)
-                history.append(MetricRow(len(history) + 1, run_loss / run_count, dev_loss, dev_acc))
-                run_loss, run_count = 0.0, 0
-                if dev_loss < best_loss:
-                    best_loss, bad_evals = dev_loss, 0
-                    best, best_step = _snapshot(params), len(history)
-                else:
-                    bad_evals += 1
-                stop = bad_evals >= config.early_stop_patience
-                if stop:
-                    break
-        if stop:
-            break
+        run_loss += float(loss.data)
+        run_count += len(batch)
+        if run_count >= eval_every:
+            dev_loss_t, dev_correct = model.batch_loss(dev_set, training=False)
+            dev_loss = float(dev_loss_t.data) / len(dev_set)
+            dev_acc = dev_correct / len(dev_set)
+            history.append(MetricRow(len(history) + 1, run_loss / run_count, dev_loss, dev_acc))
+            run_loss, run_count = 0.0, 0
+            if dev_loss < best_loss:
+                best_loss, bad_evals = dev_loss, 0
+                best, best_step = _snapshot(params), len(history)
+            else:
+                bad_evals += 1
+            if bad_evals >= config.early_stop_patience:
+                break
 
     for name, p in params.items():
-        p.data = best[name].copy()
+        p.data[...] = best[name]
     return Checkpoint(model.kind, model.config_dict(), list(model.vocab.tokens), model.tokenizer_mode, best,
                       best_step=best_step, provenance=[dataset_name], history=history)
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import tensor as T
 from .data import LABELS
 from .errors import ConfigError, ContractError, DataError, DimensionError
-from .model import MASK_LOGIT, PairClassifier, initializers
+from .model import MASK_LOGIT, PairClassifier
 from .tokenizer import EncodedPair, Vocabulary, encode_pair
 
 __all__ = [
@@ -181,16 +181,13 @@ class TransformerClassifier(PairClassifier):
     config_class = TransformerConfig
     tokenizer_mode = "wordpiece"
 
-    def __init__(self, config: TransformerConfig, vocab: Vocabulary, seed: int = 0,
-                 stored: dict[str, np.ndarray] | None = None):
-        super().__init__(config, vocab)
-        mat, zeros, ones = initializers(seed, self._params, stored)
-        d_e, d_ff = config.d_e, config.d_ff
-        self.token_table = mat("emb.token", len(vocab), d_e)
-        self.pos_table = mat("emb.pos", config.max_len, d_e)
+    def _make_parameters(self, mat, zeros, ones):
+        d_e, d_ff = self.config.d_e, self.config.d_ff
+        self.token_table = mat("emb.token", len(self.vocab), d_e)
+        self.pos_table = mat("emb.pos", self.config.max_len, d_e)
         self.seg_table = mat("emb.seg", 2, d_e)
         self.blocks: list[BlockParams] = []
-        for i in range(config.num_blocks):
+        for i in range(self.config.num_blocks):
             b = f"block{i}."
             self.blocks.append(
                 BlockParams(

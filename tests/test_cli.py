@@ -12,7 +12,8 @@ from clinli.checkpoint import (
 )
 from clinli.compaggr import CompAggrModel
 from clinli.data import LABELS, load_jsonl, save_jsonl
-from clinli.evaluate import read_predictions
+from clinli.errors import NumericError
+from clinli.evaluate import group_into_triples, read_predictions
 from clinli.model import parse_config
 from clinli.tokenizer import train_wordpiece
 from clinli.training import TrainConfig
@@ -120,6 +121,19 @@ class TestSynth:
         sizes = {name: len(load_jsonl(out / f"{name}.jsonl")) for name in ("train", "dev", "test")}
         assert sizes == {"train": 18, "dev": 3, "test": 1}
 
+    @pytest.mark.parametrize("count,sizes", [
+        (22, (18, 3, 1)), (23, (18, 3, 2)), (24, (18, 3, 3)), (25, (21, 3, 1)),
+        (43, (36, 6, 1)), (44, (36, 6, 2)), (45, (36, 6, 3)), (46, (39, 6, 1)),
+        (298, (240, 30, 28)), (299, (240, 30, 29)), (300, (240, 30, 30)), (301, (243, 30, 28)),
+    ])
+    def test_split_gives_train_and_dev_80_and_10_percent_of_premise_groups(self, tmp_path, count, sizes):
+        # groups of three pairs that share a premise; the last group of a count not divisible by 3 is short
+        out = synth_dir(tmp_path, count=count)
+        parts = [load_jsonl(out / f"{name}.jsonl") for name in ("train", "dev", "test")]
+        assert tuple(map(len, parts)) == sizes
+        premises = [{ex.premise for ex in part} for part in parts]
+        assert not (premises[0] & premises[1] or premises[1] & premises[2] or premises[0] & premises[2])
+
     def test_roundtrip_write_load(self, tmp_path):
         out = synth_dir(tmp_path, count=30, seed=3)
         examples = load_jsonl(out / "train.jsonl")
@@ -181,6 +195,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert named.format(config=config) in err and "Traceback" not in err, err
         assert not out.exists()
+
+    def test_runtime_error_mid_training_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        config = compaggr_run_config(tmp_path, synth_dir(tmp_path, count=30, seed=1))
+
+        def diverged(model_factory, chain):
+            raise NumericError("non-finite gradient in parameter 'cls.w'")
+
+        monkeypatch.setattr(cli, "run_chain", diverged)
+        out = tmp_path / "o"
+        assert run_cli("train", "--config", config, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err == "error: non-finite gradient in parameter 'cls.w'\n", err
+        assert not (out / "model.ckpt").exists()
 
     def test_missing_dataset_exits_2_before_training(self, tmp_path, capsys):
         data = synth_dir(tmp_path, count=30, seed=1)
@@ -490,6 +517,32 @@ class TestPredictEval:
         )
         assert report["n_fallback_pointwise"] == "1"
         assert report["n_triples"] == "1"
+
+    def test_listwise_group_of_three_without_one_pair_per_label_keeps_pointwise_labels(self, tmp_path, trained,
+                                                                                        capsys):
+        data, ckpt = trained
+        examples = load_jsonl(data / "train.jsonl")[:6]  # two complete triples
+        docs = [{"sentence1": ex.premise, "sentence2": ex.hypothesis,
+                 "gold_label": ex.gold_label, "pairID": ex.pair_id} for ex in examples]
+        docs[4]["gold_label"] = docs[3]["gold_label"]  # the second premise's three pairs: two share a label
+        dataset = tmp_path / "two_alike.jsonl"
+        dataset.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in docs))
+        triples, skipped = group_into_triples(load_jsonl(dataset))
+        assert [t.positions for t in triples] == [(0, 1, 2)] and skipped == 1
+        rows = {}
+        for mode in ("listwise", "pointwise"):
+            assert run_cli("predict", "--checkpoint", ckpt, "--dataset", dataset,
+                           "--mode", mode, "--out-dir", tmp_path / mode) == 0
+            rows[mode] = read_predictions(tmp_path / mode / "predictions.tsv")
+        assert "warning: 3 examples fell back to pointwise" in capsys.readouterr().out
+        report = dict(
+            line.split("=", 1) for line in (tmp_path / "listwise" / "predict_report.txt").read_text().splitlines()
+        )
+        assert (report["n_triples"], report["n_fallback_pointwise"], report["n_errors"]) == ("1", "3", "0")
+        labels = {mode: [p.predicted_label for p in preds] for mode, preds in rows.items()}
+        assert [p.pair_id for p in rows["listwise"]] == [d["pairID"] for d in docs]
+        assert labels["listwise"][3:] == labels["pointwise"][3:]
+        assert sorted(labels["listwise"][:3]) == ["contradiction", "entailment", "neutral"]
 
     def test_listwise_unencodable_pair_falls_back_to_pointwise(self, tmp_path, trained):
         data, ckpt = trained

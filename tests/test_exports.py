@@ -1,7 +1,8 @@
 """Every name a clinli module lists in ``__all__`` resolves, the package root
 exports no name and loads no module that is not asked for, no module keeps
-state in a global it rebinds, and only ``batch_loss`` takes both a
-``training`` flag and an ``rng``."""
+state in a global it rebinds, only ``batch_loss`` takes both a
+``training`` flag and an ``rng``, and no model kind has a constructor of its
+own."""
 
 import ast
 import importlib
@@ -60,3 +61,18 @@ def test_only_batch_loss_takes_a_training_flag_and_an_rng():
         and (name, node.name) not in allowed
     ]
     assert found == []
+
+
+def test_no_model_kind_defines_its_own_constructor():
+    # PairClassifier.__init__ builds, restores and checks every kind's parameters;
+    # a kind declares them in _make_parameters
+    from clinli.model import PairClassifier
+
+    for name in MODULES:
+        importlib.import_module(f"clinli.{name}")
+    kinds, todo = [], [PairClassifier]
+    while todo:  # subclasses of subclasses too
+        todo = [sub for cls in todo for sub in cls.__subclasses__() if sub.__module__.startswith("clinli.")]
+        kinds += todo
+    assert kinds
+    assert [f"{k.__module__}.{k.__name__}" for k in kinds if "__init__" in vars(k)] == []

@@ -384,6 +384,40 @@ class TestTransferChain:
             tr.TransferChain(stages=[tr.Stage("A", train_a, dev_a, config)], head_reset="maybe")
 
 
+class TestParametersStayInPlace:
+    """Training, a head reset between stages and a rebuild from a checkpoint
+    write into each parameter's array; none binds ``data`` to a new one."""
+
+    @staticmethod
+    def arrays(model) -> dict[str, np.ndarray]:
+        return {name: p.data for name, p in model.parameters().items()}
+
+    def assert_same_arrays(self, model, before):
+        # the objects themselves, held here, so that no id is reused
+        assert [name for name, arr in self.arrays(model).items() if arr is not before[name]] == []
+
+    def test_train_and_a_head_reset_chain_keep_every_array(self):
+        corpus = generate_corpus(SynthSpec(count=24, seed=8))
+        model = small_compaggr(corpus, seed=6)
+        before = self.arrays(model)
+        config = tr.TrainConfig(learning_rate=5e-3, batch_size=6, max_epochs=2, seed=3)
+        tr.train(model, corpus[:18], corpus[18:], config)
+        self.assert_same_arrays(model, before)
+        stages = [tr.Stage("A", corpus[:18], corpus[18:], config), tr.Stage("B", corpus[6:], corpus[:6], config)]
+        tr.run_chain(lambda: model, tr.TransferChain(stages=stages, head_reset="reset"))
+        self.assert_same_arrays(model, before)
+
+    def test_a_rebuilt_model_keeps_its_own_arrays_through_training(self):
+        corpus = generate_corpus(SynthSpec(count=24, seed=9))
+        config = tr.TrainConfig(learning_rate=5e-3, batch_size=6, max_epochs=2, seed=4)
+        ckpt = tr.train(small_compaggr(corpus, seed=2), corpus[:18], corpus[18:], config)
+        model = model_from_checkpoint(ckpt)
+        before = self.arrays(model)
+        assert not any(np.shares_memory(p.data, ckpt.params[name]) for name, p in model.parameters().items())
+        tr.train(model, corpus[:18], corpus[18:], config)
+        self.assert_same_arrays(model, before)
+
+
 class TestCheckpointIO:
     def test_save_load_save_byte_identical(self, tmp_path):
         corpus = generate_corpus(SynthSpec(count=12, seed=10))

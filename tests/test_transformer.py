@@ -421,6 +421,14 @@ class TestParameterPlumbing:
         with pytest.raises(DataError, match="missing block 'cls.w'"):
             tr.TransformerClassifier(model.config, model.vocab, stored=arrays)
 
+    def test_a_block_left_over_is_rejected_naming_it(self):
+        # a model built outside model_from_checkpoint rejects it too: the check is the constructor's
+        model = tiny_model()
+        arrays = {k: v.data.copy() for k, v in model.parameters().items()}
+        arrays["cls.extra"] = np.zeros(3)
+        with pytest.raises(DataError, match="extra block 'cls.extra'"):
+            tr.TransformerClassifier(model.config, model.vocab, stored=arrays)
+
     def test_reset_head_only_touches_head(self):
         model = tiny_model(seed=1)
         before = {k: v.data.copy() for k, v in model.parameters().items()}
