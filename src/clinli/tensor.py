@@ -6,14 +6,11 @@ and a backward closure on the output; calling ``backward()`` on a scalar
 walks the recorded graph in reverse topological order and accumulates
 gradients additively into every tensor that has ``requires_grad`` set.
 
-Each op writes its forward once, as a closure that the node keeps: the
-closure computes the node's value when the op is called, and ``replay()``
-calls it again over the recorded graph.  Only dropout masks are drawn once
-and reused, so a replay on unchanged inputs reproduces the original outputs
-bit for bit.  Each forward call refills a closure-local cell with what its
-backward reads: the output of ``softmax`` and ``tanh``, ``layer_norm``'s
-row mean and 1/std, ``conv1d_maxpool``'s pooling indices.  A backward
-closure never refers to its own output node, so a finished graph holds no
+Each op computes its value when it is called, and its backward closes over
+the arrays it reads: the inputs, and what the forward computed for it (the
+output of ``softmax`` and ``tanh``, ``layer_norm``'s row mean and 1/std,
+``conv1d_maxpool``'s pooling indices and pre-activations).  No backward
+closure refers to its own output node, so a finished graph holds no
 reference cycle and is freed as soon as the last reference to it goes.
 
 Only the operations the two sentence-pair classifiers need are implemented,
@@ -59,7 +56,6 @@ __all__ = [
     "ravel",
     "record",
     "relu",
-    "replay",
     "reshape",
     "scale",
     "slice_cols",
@@ -78,7 +74,7 @@ __all__ = [
 class Tensor:
     """Dense float64 array with optional reverse-mode gradient state."""
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "_parents", "_backward", "_forward")
+    __slots__ = ("data", "requires_grad", "grad", "op", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -87,7 +83,6 @@ class Tensor:
         self.op = "leaf"
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._forward: Callable[[], np.ndarray] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -112,22 +107,16 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _result(
-    forward_fn: Callable[[], np.ndarray],
-    parents: Sequence[Tensor],
-    op: str,
-    backward_fn: Callable[[np.ndarray], None],
-) -> Tensor:
-    """The output node of an op: its value is ``forward_fn()``, and the node
-    keeps ``forward_fn`` for ``replay`` when any parent requires grad."""
-    out = Tensor(forward_fn())
+def _result(value: np.ndarray, parents: Sequence[Tensor], op: str, backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+    """The output node of an op, holding ``value``; it records its parents
+    and ``backward_fn`` when any parent requires grad."""
+    out = Tensor(value)
     for p in parents:
         if p.requires_grad:
             out.requires_grad = True
             out.op = op
             out._parents = tuple(parents)
             out._backward = backward_fn
-            out._forward = forward_fn
             break
     return out
 
@@ -172,21 +161,6 @@ def record(root: Tensor) -> list[Tensor]:
     return order
 
 
-def replay(root: Tensor) -> np.ndarray:
-    """Re-run the recorded forward pass for ``root`` on the current leaf
-    values.
-
-    Dropout masks are reused; every other intermediate, and every value a
-    forward saved for its backward, is recomputed, so a later ``backward``
-    sees the replayed values.  On unchanged inputs the result is
-    bit-identical to the original run.
-    """
-    for n in record(root):
-        if n._forward is not None:
-            n.data = n._forward()
-    return root.data
-
-
 def zero_grads(tensors) -> None:
     for t in tensors:
         t.grad = None
@@ -205,11 +179,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=axes).reshape(shape)
 
 
-def _broadcast_result(forward_fn, a: Tensor, b: Tensor, op: str, backward_fn) -> Tensor:
+def _broadcast_result(fn, a: Tensor, b: Tensor, op: str, backward_fn) -> Tensor:
+    """The node of the numpy function ``fn`` applied to ``a`` and ``b``."""
     try:
-        return _result(forward_fn, (a, b), op, backward_fn)
+        value = fn(a.data, b.data)
     except ValueError:  # numpy rejected the operands' shapes
         raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
+    return _result(value, (a, b), op, backward_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -217,7 +193,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g)
         _accumulate(b, g)
 
-    return _broadcast_result(lambda: a.data + b.data, a, b, "add", backward_fn)
+    return _broadcast_result(np.add, a, b, "add", backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -225,7 +201,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g * b.data)
         _accumulate(b, g * a.data)
 
-    return _broadcast_result(lambda: a.data * b.data, a, b, "mul", backward_fn)
+    return _broadcast_result(np.multiply, a, b, "mul", backward_fn)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
@@ -234,7 +210,7 @@ def scale(a: Tensor, factor: float) -> Tensor:
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(a, g * f)
 
-    return _result(lambda: a.data * f, (a,), "scale", backward_fn)
+    return _result(a.data * f, (a,), "scale", backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +218,19 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    saved = [None]  # the output, read by the backward
-
-    def fwd() -> np.ndarray:
-        saved[0] = np.tanh(a.data)
-        return saved[0]
+    y = np.tanh(a.data)
 
     def backward_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * (1.0 - saved[0] ** 2))
+        _accumulate(a, g * (1.0 - y ** 2))
 
-    return _result(fwd, (a,), "tanh", backward_fn)
+    return _result(y, (a,), "tanh", backward_fn)
 
 
 def relu(a: Tensor) -> Tensor:
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(a, g * (a.data > 0))
 
-    return _result(lambda: np.maximum(a.data, 0.0), (a,), "relu", backward_fn)
+    return _result(np.maximum(a.data, 0.0), (a,), "relu", backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +254,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     if min(a.data.ndim, nb) < 2:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return _broadcast_result(lambda: a.data @ b.data, a, b, "matmul", backward_fn)
+    return _broadcast_result(np.matmul, a, b, "matmul", backward_fn)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -293,7 +265,7 @@ def transpose(a: Tensor) -> Tensor:
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(a, np.swapaxes(g, -1, -2))
 
-    return _result(lambda: np.swapaxes(a.data, -1, -2).copy(), (a,), "transpose", backward_fn)
+    return _result(np.swapaxes(a.data, -1, -2).copy(), (a,), "transpose", backward_fn)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -303,28 +275,23 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     """
     if not -x.data.ndim <= axis < x.data.ndim:
         raise DimensionError(f"softmax axis {axis} out of range for shape {x.shape}")
-    saved = [None]  # the output, read by the backward
-
-    def fwd() -> np.ndarray:
-        top = x.data.max(axis=axis, keepdims=True)
-        if not np.isfinite(top).all():  # max propagates NaN, so this also catches a NaN anywhere
-            raise NumericError("softmax input contains NaN or a slice whose max is infinite")
-        e = np.exp(x.data - top)
-        saved[0] = e / e.sum(axis=axis, keepdims=True)
-        return saved[0]
+    top = x.data.max(axis=axis, keepdims=True)
+    if not np.isfinite(top).all():  # max propagates NaN, so this also catches a NaN anywhere
+        raise NumericError("softmax input contains NaN or a slice whose max is infinite")
+    e = np.exp(x.data - top)
+    p = e / e.sum(axis=axis, keepdims=True)
 
     def backward_fn(g: np.ndarray) -> None:
-        p = saved[0]
         _accumulate(x, p * (g - (g * p).sum(axis=axis, keepdims=True)))
 
-    return _result(fwd, (x,), "softmax", backward_fn)
+    return _result(p, (x,), "softmax", backward_fn)
 
 
 def sum_all(a: Tensor) -> Tensor:
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(a, np.full_like(a.data, float(g)))
 
-    return _result(lambda: np.asarray(a.data.sum()), (a,), "sum", backward_fn)
+    return _result(np.asarray(a.data.sum()), (a,), "sum", backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +314,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             sl[axis] = slice(start, stop)
             _accumulate(p, g[tuple(sl)])
 
-    return _result(lambda: np.concatenate([p.data for p in parts], axis=axis), parts, "concat", backward_fn)
+    return _result(np.concatenate([p.data for p in parts], axis=axis), parts, "concat", backward_fn)
 
 
 def stack_cols(cols: Sequence[Tensor]) -> Tensor:
@@ -363,7 +330,7 @@ def stack_cols(cols: Sequence[Tensor]) -> Tensor:
         for j, c in enumerate(cols):
             _accumulate(c, g[..., j])
 
-    return _result(lambda: np.stack([c.data for c in cols], axis=-1), cols, "stack_cols", backward_fn)
+    return _result(np.stack([c.data for c in cols], axis=-1), cols, "stack_cols", backward_fn)
 
 
 def _slice_axis(a: Tensor, start: int, stop: int, axis: int, op: str) -> Tensor:
@@ -378,7 +345,7 @@ def _slice_axis(a: Tensor, start: int, stop: int, axis: int, op: str) -> Tensor:
         buf[sl] = g
         _accumulate(a, buf)
 
-    return _result(lambda: a.data[sl].copy(), (a,), op, backward_fn)
+    return _result(a.data[sl].copy(), (a,), op, backward_fn)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -404,9 +371,10 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         _accumulate(a, g.reshape(a.shape))
 
     try:
-        return _result(lambda: a.data.reshape(shape).copy(), (a,), "reshape", backward_fn)
+        value = a.data.reshape(shape).copy()
     except ValueError:
         raise DimensionError(f"reshape: cannot view shape {a.shape} as {shape}") from None
+    return _result(value, (a,), "reshape", backward_fn)
 
 
 def take_rows(table: Tensor, ids) -> Tensor:
@@ -428,7 +396,7 @@ def take_rows(table: Tensor, ids) -> Tensor:
         flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
         _accumulate(table, np.bincount(flat, g.ravel(), rows * width).reshape(rows, width))
 
-    return _result(lambda: table.data[idx], (table,), "take_rows", backward_fn)
+    return _result(table.data[idx], (table,), "take_rows", backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +417,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match width {width}"
         )
 
-    saved = [None, None]  # row mean and 1/std, (..., 1) each, read by the backward
-
     # sum / width in the op order of np.mean and np.var, so the bits are theirs
-    def fwd() -> np.ndarray:
-        mu = x.data.sum(axis=-1, keepdims=True) / width
-        c = x.data - mu
-        saved[:] = mu, 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / width + _LN_EPS)
-        return c * saved[1] * gain.data + bias.data
+    mu = x.data.sum(axis=-1, keepdims=True) / width
+    c = x.data - mu
+    inv = 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / width + _LN_EPS)  # 1/std, (..., 1)
 
     def backward_fn(g: np.ndarray) -> None:
-        mu, inv = saved
         xhat = (x.data - mu) * inv
         _accumulate(gain, g * xhat)
         _accumulate(bias, g)
@@ -468,7 +431,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / width
         _accumulate(x, inv * (dxhat - m1 - xhat * m2))
 
-    return _result(fwd, (x, gain, bias), "layer_norm", backward_fn)
+    return _result(c * inv * gain.data + bias.data, (x, gain, bias), "layer_norm", backward_fn)
 
 
 def _window_matrix(x: np.ndarray, width: int) -> np.ndarray:
@@ -523,27 +486,23 @@ def conv1d_maxpool(x: Tensor, banks: Sequence[tuple[Tensor, Tensor]], lengths=No
             raise DimensionError(f"lengths {lengths.tolist()} invalid for shape {x.shape} and widest filter {widest}")
         if lengths.min() == m:  # no item is short: nothing to mask
             lengths = None
-    saved: list[tuple[np.ndarray, np.ndarray]] = []  # (pooling indices, pre-activations) per bank
-
-    def fwd() -> np.ndarray:
-        saved.clear()
-        pooled = []
-        for w, b in banks:
-            nf, _, width = w.shape
-            span = m - width + 1
-            cols = _window_matrix(x.data, width)
-            pre = (w.data.reshape(nf, d * width) @ cols).reshape(nf, bsz, span) + b.data[:, None, None]
-            act = np.maximum(pre, 0.0)
-            if lengths is not None:
-                act[:, np.arange(span) > (lengths - width)[:, None]] = -np.inf
-            saved.append((act.argmax(axis=-1), pre))
-            pooled.append(act.max(axis=-1))
-        return np.concatenate(pooled).T  # (B, filters)
+    for_backward = []  # (pooling indices, pre-activations) per bank
+    pooled = []
+    for w, b in banks:
+        nf, _, width = w.shape
+        span = m - width + 1
+        cols = _window_matrix(x.data, width)
+        pre = (w.data.reshape(nf, d * width) @ cols).reshape(nf, bsz, span) + b.data[:, None, None]
+        act = np.maximum(pre, 0.0)
+        if lengths is not None:
+            act[:, np.arange(span) > (lengths - width)[:, None]] = -np.inf
+        for_backward.append((act.argmax(axis=-1), pre))
+        pooled.append(act.max(axis=-1))
 
     def backward_fn(g: np.ndarray) -> None:
         dx = np.zeros((d, bsz, m))
         offset = 0
-        for (w, b), (args, pre) in zip(banks, saved):
+        for (w, b), (args, pre) in zip(banks, for_backward):
             nf, _, width = w.shape
             span = pre.shape[-1]
             f_idx, b_idx = np.ogrid[:nf, :bsz]
@@ -562,13 +521,13 @@ def conv1d_maxpool(x: Tensor, banks: Sequence[tuple[Tensor, Tensor]], lengths=No
     parents = [x]
     for w, b in banks:
         parents.extend((w, b))
-    return _result(fwd, parents, "conv1d_maxpool", backward_fn)
+    return _result(np.concatenate(pooled).T, parents, "conv1d_maxpool", backward_fn)  # (B, filters)
 
 
 def dropout(x: Tensor, ratio: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zero entries with probability ``ratio`` and scale
-    survivors by 1/(1-ratio), the mask drawn once from ``rng`` (so ``replay``
-    reuses it); ``x`` itself when ``rng`` is None or ``ratio`` is 0."""
+    survivors by 1/(1-ratio), the mask drawn from ``rng``; ``x`` itself
+    when ``rng`` is None or ``ratio`` is 0."""
     if not 0.0 <= ratio < 1.0:
         raise ConfigError(f"dropout ratio must be in [0, 1), got {ratio}")
     if rng is None or ratio == 0.0:
@@ -578,7 +537,7 @@ def dropout(x: Tensor, ratio: float, rng: np.random.Generator | None) -> Tensor:
     def backward_fn(g: np.ndarray) -> None:
         _accumulate(x, g * keep)
 
-    return _result(lambda: x.data * keep, (x,), "dropout", backward_fn)
+    return _result(x.data * keep, (x,), "dropout", backward_fn)
 
 
 _NLL_EPS = 1e-12
@@ -599,22 +558,20 @@ def nll_from_probs(probs: Tensor, gold: Sequence[int]) -> Tensor:
     if gold.min() < 0 or gold.max() >= probs.shape[1]:
         raise DataError(f"gold class out of range for {probs.shape[1]} classes (labels {gold.tolist()})")
     rows = np.arange(gold.size)
+    picked = probs.data[rows, gold]
 
-    def fwd() -> np.ndarray:
-        # sequential sum in batch order; a pairwise np.sum would change the loss bits
-        total = 0.0
-        for p in probs.data[rows, gold].tolist():
-            total -= math.log(max(p, _NLL_EPS))
-        return np.asarray(total)
+    # sequential sum in batch order; a pairwise np.sum would change the loss bits
+    total = 0.0
+    for p in picked.tolist():
+        total -= math.log(max(p, _NLL_EPS))
 
     def backward_fn(gout: np.ndarray) -> None:
-        picked = probs.data[rows, gold]
         kept = picked >= _NLL_EPS
         buf = np.zeros_like(probs.data)
         buf[rows[kept], gold[kept]] = -float(gout) / picked[kept]
         _accumulate(probs, buf)
 
-    return _result(fwd, (probs,), "nll", backward_fn)
+    return _result(np.asarray(total), (probs,), "nll", backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,13 @@ def pytest_collection_modifyitems(items):
 
 @pytest.fixture
 def run_python():
-    """``run_python(*args)`` runs ``python *args`` from the repository root, with
-    this checkout's ``src`` first on the import path, and returns the finished process."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    """``run_python(*args, env=None)`` runs ``python *args`` from the repository root
+    in ``env`` (default: this process's environment), with this checkout's ``src``
+    first on the import path, and returns the finished process."""
 
-    def run(*args) -> subprocess.CompletedProcess:
+    def run(*args, env=None) -> subprocess.CompletedProcess:
+        env = dict(os.environ if env is None else env)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, *map(str, args)], cwd=ROOT, env=env, capture_output=True, text=True,
                               timeout=120)
 

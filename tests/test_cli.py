@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import tracemalloc
 from dataclasses import fields, replace
@@ -978,7 +979,7 @@ def test_removed_flags_are_usage_errors(tmp_path, capsys, monkeypatch, argv, nam
 
 
 def test_python_m_clinli_runs_the_command_line(run_python, tmp_path):
-    # the module entry beside the clinli console script; both call cli.main
+    # the module entry beside the clinli console script; both call clinli.__main__.main
     proc = run_python("-m", "clinli", "--help")
     assert proc.returncode == 0, proc.stderr
     assert all(command in proc.stdout for command in
@@ -987,6 +988,47 @@ def test_python_m_clinli_runs_the_command_line(run_python, tmp_path):
     proc = run_python("-m", "clinli", "inspect-checkpoint", "--checkpoint", missing)
     assert proc.returncode == 2
     assert proc.stderr == f"error: checkpoint does not exist: {missing}\n"
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def without_blas_thread_variables() -> dict:
+    return {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+
+
+def test_command_line_output_bytes_do_not_depend_on_the_blas_thread_setting(run_python, tmp_path):
+    """Full-scale compaggr ``train`` and ``predict`` write the same bytes with no
+    BLAS thread variable set as with ``OPENBLAS_NUM_THREADS=1``.  OpenBLAS would
+    otherwise run one thread per core and split these products, which changes
+    the bits of their sums.  On a 1-core host both runs use one thread anyway,
+    so there this test cannot fail."""
+    data = synth_dir(tmp_path, count=60, seed=3)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "model": "compaggr", "model_config": {"word_dim": 100, "repr_dim": 100, "filters_per_width": 100},
+        "train_config": {"batch_size": 16, "max_epochs": 1},
+        "chain": [{"train": str(data / "train.jsonl"), "dev": str(data / "dev.jsonl")}],
+    }), encoding="utf-8")
+    unset = without_blas_thread_variables()
+    outputs = []
+    for name, env in (("unset", unset), ("one", {**unset, "OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / name
+        for argv in (["train", "--config", config, "--seed", 5, "--out-dir", out],
+                     ["predict", "--checkpoint", out / "model.ckpt", "--dataset", data / "test.jsonl",
+                      "--out-dir", out / "pred"]):
+            proc = run_python("-m", "clinli", *argv, env=env)
+            assert proc.returncode == 0, proc.stderr
+        outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert Path("model.ckpt") in outputs[0] and Path("pred/predictions.tsv") in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def test_importing_the_command_line_sets_no_blas_thread_variable(run_python):
+    # library callers keep their own thread count: only running an entry pins it
+    code = f"import os, clinli.cli, clinli.__main__; print([k for k in {BLAS_THREAD_VARIABLES} if k in os.environ])"
+    proc = run_python("-c", code, env=without_blas_thread_variables())
+    assert proc.stdout.strip() == "[]", proc.stderr
 
 
 def test_readme_run_configs_parse(tmp_path):

@@ -14,8 +14,7 @@ import pytest
 
 import clinli
 
-# importing clinli.__main__ would run the command line
-MODULES = sorted(m.name for m in pkgutil.iter_modules(clinli.__path__) if m.name != "__main__")
+MODULES = sorted(m.name for m in pkgutil.iter_modules(clinli.__path__))
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -124,8 +124,16 @@ class TestElementwise:
         np.testing.assert_array_equal(out.data, [4.0, 10.0, 18.0])
 
     def test_incompatible_shapes(self):
-        with pytest.raises(DimensionError):
-            T.add(T.Tensor(np.zeros(3)), T.Tensor(np.zeros(4)))
+        # numpy's shape error becomes a DimensionError naming both shapes, batch axes included
+        def z(*shape):
+            return T.Tensor(np.zeros(shape))
+
+        for call, shapes in [(lambda: T.add(z(3), z(4)), ((3,), (4,))),
+                             (lambda: T.mul(z(2, 3), z(3, 2)), ((2, 3), (3, 2))),
+                             (lambda: T.matmul(z(2, 3, 4), z(3, 4, 5)), ((2, 3, 4), (3, 4, 5))),
+                             (lambda: T.reshape(z(2, 3), (4, 2)), ((2, 3), (4, 2)))]:
+            with pytest.raises(DimensionError, match=re.escape(str(shapes[0])) + ".*" + re.escape(str(shapes[1]))):
+                call()
 
     def test_tanh_grad_is_one_minus_square(self):
         rng = np.random.default_rng(11)
@@ -386,23 +394,6 @@ class TestConvMaxpool:
         with pytest.raises(DimensionError):
             T.conv1d_maxpool(T.Tensor(np.zeros(shape)), [bank], lengths)
 
-    def test_backward_after_replay_on_changed_input_equals_fresh_run(self):
-        rng = np.random.default_rng(3)
-        x0, x1 = rng.uniform(-1, 1, size=(2, 5, 9))
-        banks_np = [(rng.uniform(-1, 1, size=(4, 5, w)), rng.uniform(-0.2, 0.2, size=4)) for w in (1, 2, 3)]
-        c = rng.uniform(-1, 1, size=12)
-        x = T.Tensor(x0[None], requires_grad=True)
-        banks = [(T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)) for w, b in banks_np]
-        loss = T.sum_all(T.mul(T.conv1d_maxpool(x, banks), T.Tensor(c)))
-        x.data = x1[None].copy()
-        T.replay(loss)
-        loss.backward()
-        fresh_dx, fresh_dws, fresh_dbs = self.grads(x1, banks_np, c)
-        np.testing.assert_array_equal(x.grad[0], fresh_dx)
-        for (w, b), dw, db in zip(banks, fresh_dws, fresh_dbs):
-            np.testing.assert_array_equal(w.grad, dw)
-            np.testing.assert_array_equal(b.grad, db)
-
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -621,13 +612,6 @@ class TestRecordReplay:
             for p in n._parents:
                 assert position[id(p)] < position[id(n)]
 
-    def test_replay_reproduces_outputs_bitwise(self):
-        _, loss = self._small_graph()
-        originals = [n.data.copy() for n in T.record(loss)]
-        T.replay(loss)
-        for n, orig in zip(T.record(loss), originals):
-            assert np.array_equal(n.data, orig)
-
     def test_forward_is_deterministic(self):
         def run():
             rng = np.random.default_rng(9)
@@ -636,7 +620,7 @@ class TestRecordReplay:
 
         assert np.array_equal(run(), run())
 
-    def test_long_recurrent_graph_records_backpropagates_and_replays(self):
+    def test_long_recurrent_graph_records_and_backpropagates(self):
         # a 300-word premise makes the recurrent encoder's graph deeper than
         # the interpreter's recursion limit
         words = [f"w{i % 37}" for i in range(300)]
@@ -649,68 +633,6 @@ class TestRecordReplay:
         assert len(nodes) > 2 * 300 * 5
         loss.backward()
         assert all(p.grad is not None for p in model.parameters().values())
-        before = [n.data.copy() for n in nodes]
-        T.replay(loss)
-        for n, orig in zip(nodes, before):
-            assert np.array_equal(n.data, orig)
-
-    def test_backward_after_replay_on_changed_leaf_equals_fresh_run(self):
-        rng = np.random.default_rng(21)
-        x0, x1 = rng.uniform(-1, 1, size=(2, 3, 8))
-        gain, bias = param(rng, 8), param(rng, 8)
-        banks = [(param(rng, 4, 3, w), param(rng, 4)) for w in (1, 3)]
-        leaves = [gain, bias] + [t for bank in banks for t in bank]
-
-        def build(x):
-            h = T.dropout(T.tanh(T.layer_norm(x, gain, bias)), 0.3, rng=np.random.default_rng(4))
-            probs = T.softmax(T.conv1d_maxpool(h, banks), axis=-1)
-            return T.nll_from_probs(probs, [2])
-
-        def grads(x, loss):
-            T.zero_grads([x] + leaves)
-            loss.backward()
-            return [t.grad.copy() for t in [x] + leaves]
-
-        x = T.Tensor(x0[None], requires_grad=True)
-        loss = build(x)
-        x.data = x1[None].copy()
-        T.replay(loss)
-        replayed = grads(x, loss)
-
-        fresh_x = T.Tensor(x1[None], requires_grad=True)
-        fresh_loss = build(fresh_x)
-        assert np.array_equal(loss.data, fresh_loss.data)
-        for g_replayed, g_fresh in zip(replayed, grads(fresh_x, fresh_loss)):
-            np.testing.assert_array_equal(g_replayed, g_fresh)
-
-    @pytest.mark.parametrize("op", ["softmax", "layer_norm", "tanh"])
-    def test_one_op_backward_after_replay_on_changed_input_equals_fresh_run(self, op):
-        # the op alone: a stale saved cell cannot hide behind another op's refresh
-        rng = np.random.default_rng(8)
-        x0, x1 = rng.uniform(-2, 2, size=(2, 3, 4, 6))
-        gain, bias = param(rng, 6), param(rng, 6)
-        c = T.Tensor(rng.uniform(-1, 1, size=(3, 4, 6)))  # softmax rows sum to 1: weight them
-        apply = {"softmax": lambda x: T.softmax(x, axis=-1), "tanh": T.tanh,
-                 "layer_norm": lambda x: T.layer_norm(x, gain, bias)}[op]
-
-        def grads(x, loss):
-            T.zero_grads([x, gain, bias])
-            loss.backward()
-            return [x.grad.copy()] + [t.grad.copy() for t in (gain, bias) if t.grad is not None]
-
-        x = T.Tensor(x0, requires_grad=True)
-        loss = T.sum_all(T.mul(apply(x), c))
-        x.data = x1.copy()
-        T.replay(loss)
-        replayed = grads(x, loss)
-
-        fresh_x = T.Tensor(x1, requires_grad=True)
-        fresh_loss = T.sum_all(T.mul(apply(fresh_x), c))
-        assert loss.data.tobytes() == fresh_loss.data.tobytes()
-        fresh = grads(fresh_x, fresh_loss)
-        assert len(replayed) == len(fresh) == (3 if op == "layer_norm" else 1)
-        for g_replayed, g_fresh in zip(replayed, fresh):
-            assert g_replayed.tobytes() == g_fresh.tobytes()
 
     def test_finished_graph_is_freed_by_reference_counting_alone(self):
         rng = np.random.default_rng(30)
@@ -719,7 +641,7 @@ class TestRecordReplay:
         banks = [(param(rng, 3, 6, w), param(rng, 3)) for w in (1, 2)]
 
         def train_step():
-            """Weak references to every op node's value and closures after a backward."""
+            """Weak references to every op node's value and backward closure after a backward."""
             h = T.layer_norm(T.take_rows(table, [[1, 2, 2, 5, 7]]), gain, bias)
             h = T.dropout(T.tanh(h), 0.3, rng=np.random.default_rng(1))
             probs = T.softmax(T.conv1d_maxpool(T.transpose(h), banks), axis=-1)
@@ -727,7 +649,7 @@ class TestRecordReplay:
             loss.backward()
             nodes = [n for n in T.record(loss) if n._backward is not None]
             assert {n.op for n in nodes} >= {"layer_norm", "tanh", "softmax", "conv1d_maxpool", "take_rows"}
-            return [weakref.ref(obj) for n in nodes for obj in (n.data, n._forward, n._backward)]
+            return [weakref.ref(obj) for n in nodes for obj in (n.data, n._backward)]
 
         gc.collect()
         gc.disable()
