@@ -1,9 +1,10 @@
 """Sub-word vocabulary training and sentence-pair encoding.
 
 Trains a greedy pair-merge vocabulary on a toy clinical corpus, segments
-unseen words by longest-match, and encodes a premise/hypothesis pair with
-special tokens and segments, unpadded (a classifier pads each batch to its
-longest pair; ``max_len`` is the truncation budget).
+unseen words by longest-match, and encodes a premise/hypothesis pair as the
+ids of its word pieces between special tokens, unpadded (a classifier pads
+each batch to its longest pair and reads segment 1 after the first [SEP];
+``max_len`` is the truncation budget).
 """
 
 from clinli import tokenizer as tk
@@ -30,8 +31,8 @@ enc = tk.encode_pair(
     vocab,
     max_len=20,
 )
-tokens = [vocab.token_of(i) for i in enc.token_ids]
 print("\nencoded pair layout:")
-print("tokens:  ", tokens)
-print("segments:", enc.segment_ids)
-print("valid length:", len(enc.token_ids), "of max_len 20")
+print("ids:   ", enc)
+print("tokens:", [vocab.tokens[i] for i in enc])
+print("segment 1 starts after the first [SEP], at position", enc.index(vocab.sep_id) + 1)
+print("valid length:", len(enc), "of max_len 20")

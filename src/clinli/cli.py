@@ -330,7 +330,10 @@ def cmd_eval(args) -> int:
 
 def cmd_expand(args) -> int:
     table = load_table(_require_file(args.table, "abbreviation table"))
-    examples = load_jsonl(_require_file(args.dataset, "dataset"))
+    path = _require_file(args.dataset, "dataset")
+    examples = load_jsonl(path)
+    if not examples:
+        raise DataError(f"{path}: dataset is empty")
     out_dir = _out_dir(args)
     expanded, counts = expand_dataset(examples, table)
     out_path = out_dir / "expanded.jsonl"

@@ -14,10 +14,11 @@ hypothesis's word ids, and ``forward`` runs a mini-batch of encoded pairs as
 one graph.  Its premises, and apart from them its hypotheses, are padded at
 the end with ``Vocabulary.pad_id`` to the longest, L words, and encode to
 one (B, d, L) tensor; each direction projects every step at once, then
-records five nodes per step for the whole batch.  Neither
-direction needs a blend of old and new states: the forward one reads padding
-only after a row's last word, and the backward one reads it first, from a
-zero state that a multiply by the step's row mask keeps exactly zero.
+records five nodes per step for the whole batch (three on its first step,
+six on a backward step where some row is padding: the row-mask ``mul``).
+Neither direction needs a blend of old and new states: the forward one reads
+padding only after a row's last word, and the backward one reads it first,
+from a zero state that a multiply by the step's row mask keeps exactly zero.
 Padded premise columns get -1e9 alignment logits, so exactly zero weight.
 Padded hypothesis columns of the comparison are zeroed, and the convolution
 masks each window past a row's length, or past the widest filter for a

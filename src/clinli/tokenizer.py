@@ -12,13 +12,14 @@ single id (most frequent first, ties in order of first occurrence), with
 [UNK] for out-of-vocabulary words.  Either gives a text no token exactly
 when ``pretokenize`` finds no word in it.
 
-Pair encoding, the transformer's input, lays out ``[CLS] premise [SEP]
-hypothesis [SEP]`` with segment ids 0 through the first [SEP] and 1 after
-it, token i at position i, and no padding: the classifier pads each batch to
-the batch's longest pair, and ``max_len`` is the truncation budget and
-position-table size.  Overlong pairs are truncated by trimming the currently
-longer side one token at a time (premise first on ties), which keeps both
-sentence heads.
+Pair encoding, the transformer's input, gives the ids of ``[CLS] premise
+[SEP] hypothesis [SEP]``, token i at position i, and no padding: the
+classifier pads each batch to the batch's longest pair and reads segment 1
+after the first [SEP], and ``max_len`` is the truncation budget and
+position-table size.  No text encodes to [PAD], [CLS] or [SEP]:
+``pretokenize`` splits ``[SEP]`` into ``[``, ``sep`` and ``]``.  Overlong
+pairs are truncated by trimming the currently longer side one token at a
+time (premise first on ties), which keeps both sentence heads.
 
 A vocabulary starts with the special tokens [PAD], [UNK], [CLS], [SEP] in
 that order, and is stored only in the checkpoint header of its model.
@@ -29,13 +30,11 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigError, DataError
 
 __all__ = [
-    "EncodedPair",
     "Vocabulary",
     "CONTINUATION_PREFIX",
     "SPECIAL_TOKENS",
@@ -92,9 +91,6 @@ class Vocabulary:
 
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, self.unk_id)
-
-    def token_of(self, idx: int) -> str:
-        return self.tokens[idx]
 
 
 def _word_symbols(word: str) -> list[str]:
@@ -233,23 +229,9 @@ def tokenize_sides(premise: str, hypothesis: str, tok: Callable[[str], list]) ->
     return p_ids, h_ids
 
 
-@dataclass
-class EncodedPair:
-    """An unpadded sentence pair of at most ``max_len`` tokens, token i at
-    position i; the classifier pads each batch to the batch's longest pair."""
-
-    token_ids: list[int]
-    segment_ids: list[int]
-
-    def __post_init__(self):
-        if len(self.segment_ids) != len(self.token_ids):
-            raise DataError("encoded pair sequences have unequal lengths")
-
-
-def encode_pair(premise: str, hypothesis: str, vocab: Vocabulary, max_len: int) -> EncodedPair:
-    """Encode a sentence pair of word pieces as [CLS] premise [SEP]
-    hypothesis [SEP] with segments, truncated to at most ``max_len`` tokens
-    and not padded."""
+def encode_pair(premise: str, hypothesis: str, vocab: Vocabulary, max_len: int) -> list[int]:
+    """The word-piece ids of [CLS] premise [SEP] hypothesis [SEP],
+    truncated to at most ``max_len`` tokens and not padded."""
     if max_len < 5:
         raise ConfigError(f"max_len must be at least 5, got {max_len}")
     p_ids, h_ids = tokenize_sides(premise, hypothesis, lambda text: tokenize(text, vocab))
@@ -261,6 +243,4 @@ def encode_pair(premise: str, hypothesis: str, vocab: Vocabulary, max_len: int) 
         else:
             h_ids.pop()
 
-    ids = [vocab.cls_id] + p_ids + [vocab.sep_id] + h_ids + [vocab.sep_id]
-    segments = [0] * (len(p_ids) + 2) + [1] * (len(h_ids) + 1)
-    return EncodedPair(token_ids=ids, segment_ids=segments)
+    return [vocab.cls_id] + p_ids + [vocab.sep_id] + h_ids + [vocab.sep_id]

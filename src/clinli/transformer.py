@@ -1,18 +1,21 @@
 """Sequence-pair classifier built on stacked self-attention blocks.
 
-The input pair is encoded as summed token, position, and segment embeddings,
-run through post-norm attention blocks (multi-head attention, residual,
-layer norm, position-wise feed-forward, residual, layer norm), and the
-hidden state at the leading [CLS] position feeds an affine three-way
-softmax head.
+A pair is its token ids, ``[CLS] premise [SEP] hypothesis [SEP]``, embedded
+as summed token, position, and segment embeddings and run through post-norm
+attention blocks (multi-head attention, residual, layer norm, position-wise
+feed-forward, residual, layer norm); the hidden state at the leading [CLS]
+position feeds an affine three-way softmax head.
 
-A batch runs as one graph, padded to the batch's longest pair (``max_len``
-is the truncation budget and position-table size): B pairs of at most n
-tokens embed to one (B, n, d_e) tensor, and each head's keys and values are
-(B, n, d_k) column slices.  Its queries and attention weights are (B, n, d_k)
-and (B, n, n), but (B, 1, d_k) and (B, 1, n) in the last block, which
-computes only the [CLS] row that the (B, 3) probability head reads.  The block
-and attention functions also accept a single unbatched (L, d_e) sequence.
+A batch runs as one graph.  ``forward`` pads its pairs at the end with [PAD]
+into one (B, n) id matrix, n the longest pair's length (``max_len`` is the
+truncation budget and position-table size), which gives both the segments
+(1 after a row's first [SEP] and before its padding) and the key mask (every
+id but [PAD]).  The pairs embed to one (B, n, d_e) tensor, and each head's
+keys and values are (B, n, d_k) column slices.  Its queries and attention
+weights are (B, n, d_k) and (B, n, n), but (B, 1, d_k) and (B, 1, n) in the
+last block, which computes only the [CLS] row that the (B, 3) probability
+head reads.  The block and attention functions also accept a single
+unbatched (L, d_e) sequence.
 
 Padded key positions receive -1e9 attention logits before the softmax, so
 padding never changes the classification of a pair.  Position embeddings
@@ -31,7 +34,7 @@ from . import tensor as T
 from .data import LABELS
 from .errors import ConfigError, ContractError, DataError, DimensionError
 from .model import MASK_LOGIT, PairClassifier
-from .tokenizer import EncodedPair, Vocabulary, encode_pair
+from .tokenizer import Vocabulary, encode_pair
 
 __all__ = [
     "AttentionParams",
@@ -89,22 +92,20 @@ class BlockParams:
     ln2_bias: T.Tensor
 
 
-def embed(batch: Sequence[EncodedPair], token_table: T.Tensor, pos_table: T.Tensor, seg_table: T.Tensor) -> T.Tensor:
+def embed(ids: np.ndarray, token_table: T.Tensor, pos_table: T.Tensor, seg_table: T.Tensor) -> T.Tensor:
     """(B, n, d_e) per-position sums of token, position, and segment
-    embedding rows for B encoded pairs padded to the longest, n tokens, with
-    [PAD] in segment 0; token i at position i."""
-    if not batch:
+    embedding rows for the (B, n) ids of B encoded pairs padded at the end
+    with [PAD]; token i at position i, in segment 1 after its row's first
+    [SEP] and before its padding, and in segment 0 elsewhere."""
+    if not len(ids):
         raise ContractError("embed of an empty batch")
-    length = max(len(e.token_ids) for e in batch)
+    batch, length = ids.shape
     if length > pos_table.shape[0]:
         raise DataError(f"sequence length {length} exceeds position table {pos_table.shape[0]}")
-    ids = np.full((len(batch), length), Vocabulary.pad_id)
-    segments = np.zeros((len(batch), length), dtype=np.int64)
-    for row, e in enumerate(batch):
-        ids[row, : len(e.token_ids)] = e.token_ids
-        segments[row, : len(e.segment_ids)] = e.segment_ids
+    sep = ids == Vocabulary.sep_id
+    segments = ((np.cumsum(sep, axis=1) - sep > 0) & (ids != Vocabulary.pad_id)).astype(np.int64)
     tok = T.take_rows(token_table, ids)
-    pos = T.take_rows(pos_table, np.tile(np.arange(length), (len(batch), 1)))
+    pos = T.take_rows(pos_table, np.tile(np.arange(length), (batch, 1)))
     seg = T.take_rows(seg_table, segments)
     return T.add(T.add(tok, pos), seg)
 
@@ -206,14 +207,16 @@ class TransformerClassifier(PairClassifier):
         self.cls_w = mat("cls.w", d_e, len(LABELS))
         self.cls_b = zeros("cls.b", len(LABELS))
 
-    def encode(self, premise: str, hypothesis: str) -> EncodedPair:
+    def encode(self, premise: str, hypothesis: str) -> list[int]:
         return encode_pair(premise, hypothesis, self.vocab, self.config.max_len)
 
-    def forward(self, batch: Sequence[EncodedPair], rng: np.random.Generator | None = None) -> T.Tensor:
+    def forward(self, batch: Sequence[list[int]], rng: np.random.Generator | None = None) -> T.Tensor:
         """(B, 3) class probabilities for B encoded pairs, each masked past its length; dropout given an ``rng``."""
-        x = embed(batch, self.token_table, self.pos_table, self.seg_table)
-        lengths = np.array([len(e.token_ids) for e in batch])
-        mask = np.arange(x.shape[1]) < lengths[:, None]
+        ids = np.full((len(batch), max(map(len, batch), default=0)), Vocabulary.pad_id)
+        for row, token_ids in enumerate(batch):
+            ids[row, : len(token_ids)] = token_ids
+        x = embed(ids, self.token_table, self.pos_table, self.seg_table)
+        mask = ids != Vocabulary.pad_id
         for bp in self.blocks:  # the head reads only [CLS], so the last block computes only that row
             x = transformer_block(
                 x, mask, bp, self.config.num_heads,

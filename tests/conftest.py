@@ -1,6 +1,7 @@
-"""Shared by the tests under ``tests/``: a test fails when it leaves a file
-handle open, or when an object raises as it is collected, and ``run_python``
-runs clinli in a fresh interpreter."""
+"""Shared by the tests under ``tests/``: a test fails when it emits any
+warning, such as a numpy ``RuntimeWarning``, a file handle left open or an
+object that raises as it is collected, and ``run_python`` runs clinli in a
+fresh interpreter."""
 
 import os
 import subprocess
@@ -18,8 +19,7 @@ def pytest_collection_modifyitems(items):
     # pytest reports that as an unraisable-exception warning, an error here too
     for item in items:
         if item.path.is_relative_to(TESTS):
-            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
-            item.add_marker(pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"))
+            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 @pytest.fixture

@@ -882,11 +882,12 @@ class TestMalformedInputs:
         ("eval", "data.jsonl", jsonl_line() * 2, None, "gold examples repeat pair id 'p1'"),
         ("eval", "data.jsonl", b"", None, "dataset is empty"),
         ("predict", "data.jsonl", b"", None, "dataset is empty"),
+        ("expand", "data.jsonl", b"\n \n", None, "dataset is empty"),  # blank lines only
     ], ids=["dataset_utf8", "sentence1_int", "pair_id_int", "pair_id_tab", "pair_id_line_feed",
             "pair_id_carriage_return", "gold_label_null", "predictions_utf8", "table_utf8", "table_identity",
             "table_matcher_duplicate", "dataset_long_int", "run_config_utf8", "run_config_nesting", "dataset_surrogate",
             "predictions_negative", "predictions_empty", "predictions_unmatched_id", "predictions_repeated_id",
-            "dataset_repeated_id", "eval_dataset_empty", "predict_dataset_empty"])
+            "dataset_repeated_id", "eval_dataset_empty", "predict_dataset_empty", "expand_dataset_empty"])
     def test_exits_2_naming_file_and_line(self, tmp_path, capsys, command, name, content, line, named):
         (tmp_path / "data.jsonl").write_bytes(jsonl_line())
         (tmp_path / "preds.tsv").write_text("p1\t0.2\t0.3\t0.5\tneutral\n")

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from clinli import tensor as T
 from clinli import tokenizer as tk
+from clinli import transformer as tr
 from clinli.errors import ClinliError, ConfigError, DataError
 from oracles import loop_train_wordpiece
 
@@ -20,6 +22,16 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "clinli-hypothesis")
 _RUNS = st.tuples(st.sampled_from(["a", "b", "\u00e9", "e\u0301", ".", "-"]), st.integers(1, 4))
 _WORDS = st.lists(_RUNS.map(lambda run: run[0] * run[1]), min_size=1, max_size=3).map("".join)
 _SENTENCES = st.lists(_WORDS, max_size=4).map(" ".join)  # no word at all now and then
+
+
+def embedded_segments(pairs):
+    """The segment ``transformer.embed`` gives each position of ``pairs``
+    padded into one id matrix: beside a zero token and position table, the
+    one-wide segment table [[0], [1]] embeds a position to its segment."""
+    width = max(map(len, pairs))
+    ids = np.array([pair + [tk.Vocabulary.pad_id] * (width - len(pair)) for pair in pairs])
+    zero = T.Tensor(np.zeros((max(ids.max() + 1, width), 1)))
+    return tr.embed(ids, zero, zero, T.Tensor(np.array([[0.0], [1.0]]))).data[..., 0]
 
 
 def _tokens_or_error(train, corpus, target_size):
@@ -139,19 +151,19 @@ class TestEncodePair:
         enc = tk.encode_pair("a", "b", ab_vocab, max_len=8)
         a, b = ab_vocab.token_to_id["a"], ab_vocab.token_to_id["b"]
         # unpadded: the classifier pads each batch to its longest pair
-        assert enc.token_ids == [2, a, 3, b, 3]
-        assert enc.segment_ids == [0, 0, 0, 1, 1]
+        assert enc == [2, a, 3, b, 3]
+        np.testing.assert_array_equal(embedded_segments([enc]), [[0, 0, 0, 1, 1]])
 
     def test_equal_overflow_trims_one_from_each_side(self, ab_vocab):
         # 4 + 4 tokens with budget 6: one token trimmed from each side.
         enc = tk.encode_pair("a a a a", "b b b b", ab_vocab, max_len=9)
         a, b = ab_vocab.token_to_id["a"], ab_vocab.token_to_id["b"]
-        assert enc.token_ids == [2, a, a, a, 3, b, b, b, 3]
+        assert enc == [2, a, a, a, 3, b, b, b, 3]
 
     def test_longer_side_trimmed_first(self, ab_vocab):
         enc = tk.encode_pair("a a a a a", "b", ab_vocab, max_len=7)
         a, b = ab_vocab.token_to_id["a"], ab_vocab.token_to_id["b"]
-        assert enc.token_ids == [2, a, a, a, 3, b, 3]
+        assert enc == [2, a, a, a, 3, b, 3]
 
     def test_max_len_below_5_rejected(self, ab_vocab):
         with pytest.raises(ConfigError):
@@ -160,6 +172,15 @@ class TestEncodePair:
     def test_empty_side_rejected(self, ab_vocab):
         with pytest.raises(DataError):
             tk.encode_pair("", "b", ab_vocab, max_len=8)
+
+    def test_special_token_text_encodes_as_plain_word_pieces(self):
+        # the segments and the key mask are read from the ids, so no text may give [PAD], [CLS] or [SEP]
+        text = "[SEP] [PAD] [CLS] [UNK]"
+        vocab = tk.train_wordpiece([text], target_size=40)
+        enc = tk.encode_pair(text, text, vocab, max_len=64)
+        assert enc[0] == vocab.cls_id and enc.count(vocab.cls_id) == 1
+        assert enc.count(vocab.sep_id) == 2
+        assert vocab.pad_id not in enc and vocab.unk_id not in enc
 
     def test_invariants_on_random_pairs(self):
         rng = np.random.default_rng(77)
@@ -170,20 +191,24 @@ class TestEncodePair:
         ]
         vocab = tk.train_wordpiece(sentences, target_size=120)
         max_len = 16
+        encoded = []
         for _ in range(100):
             p, h = rng.choice(sentences), rng.choice(sentences)
             enc = tk.encode_pair(p, h, vocab, max_len=max_len)
             untruncated = 3 + len(tk.tokenize(p, vocab)) + len(tk.tokenize(h, vocab))
-            assert len(enc.token_ids) == min(untruncated, max_len)
-            assert len(enc.segment_ids) == len(enc.token_ids)
-            assert enc.token_ids[0] == vocab.cls_id
-            assert vocab.pad_id not in enc.token_ids
-            seps = [i for i, t in enumerate(enc.token_ids) if t == vocab.sep_id]
+            assert len(enc) == min(untruncated, max_len)
+            assert enc[0] == vocab.cls_id
+            assert vocab.pad_id not in enc
+            encoded.append(enc)
+        # one batch, so shorter pairs are padded, and their padding is in segment 0
+        for enc, segments in zip(encoded, embedded_segments(encoded)):
+            seps = [i for i, t in enumerate(enc) if t == vocab.sep_id]
             assert len(seps) == 2
             first, second = seps
-            assert second == len(enc.token_ids) - 1
-            assert all(s == 0 for s in enc.segment_ids[: first + 1])
-            assert all(s == 1 for s in enc.segment_ids[first + 1 :])
+            assert second == len(enc) - 1
+            assert all(s == 0 for s in segments[: first + 1])
+            assert all(s == 1 for s in segments[first + 1 : len(enc)])
+            assert all(s == 0 for s in segments[len(enc) :])
 
 
 class TestVocabulary:

@@ -7,7 +7,7 @@ from clinli import tensor as T
 from clinli import tokenizer as tk
 from clinli import transformer as tr
 from clinli.data import label_id
-from clinli.errors import ConfigError, DataError, DimensionError
+from clinli.errors import ConfigError, ContractError, DataError, DimensionError
 from clinli.model import parse_config
 from clinli.synth import SynthSpec, generate_corpus
 
@@ -49,21 +49,25 @@ class TestEmbed:
         zt = T.Tensor(np.zeros((len(model.vocab), 8)))
         zp = T.Tensor(np.zeros((8, 8)))
         zs = T.Tensor(np.zeros((2, 8)))
-        out = tr.embed([enc], zt, zp, zs)
-        np.testing.assert_array_equal(out.data, np.zeros((1, len(enc.token_ids), 8)))
+        out = tr.embed(np.array([enc]), zt, zp, zs)
+        np.testing.assert_array_equal(out.data, np.zeros((1, len(enc), 8)))
 
     def test_rows_are_triple_sums(self):
         rng = np.random.default_rng(2)
         model = tiny_model()
-        enc = model.encode("a b c", "d e")
+        longer, shorter = model.encode("a b c", "d e"), model.encode("a", "b")
+        ids = np.array([longer, shorter + [tk.Vocabulary.pad_id] * 3])
+        # segment 1 after the first [SEP]; the shorter pair's padding in segment 0
+        segments = [[0, 0, 0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 0, 0, 0]]
         tok = rng.normal(size=(len(model.vocab), 8))
         pos = rng.normal(size=(8, 8))
         seg = rng.normal(size=(2, 8))
-        out = tr.embed([enc], T.Tensor(tok), T.Tensor(pos), T.Tensor(seg)).data[0]
-        assert out.shape == (len(enc.token_ids), 8)
-        for i in range(len(enc.token_ids)):  # token i at position i
-            expected = tok[enc.token_ids[i]] + pos[i] + seg[enc.segment_ids[i]]
-            np.testing.assert_allclose(out[i], expected, atol=0)
+        out = tr.embed(ids, T.Tensor(tok), T.Tensor(pos), T.Tensor(seg)).data
+        assert out.shape == (2, len(longer), 8)
+        for row in range(2):
+            for i in range(len(longer)):  # token i at position i
+                expected = tok[ids[row, i]] + pos[i] + seg[segments[row][i]]
+                np.testing.assert_allclose(out[row, i], expected, atol=0)
 
     def test_forward_embeds_batch_at_its_longest_pair(self, monkeypatch):
         model = tiny_model()
@@ -71,8 +75,8 @@ class TestEmbed:
         shapes = []
         real_embed = tr.embed
 
-        def spy(batch, *tables):
-            out = real_embed(batch, *tables)
+        def spy(ids, *tables):
+            out = real_embed(ids, *tables)
             shapes.append(out.shape)
             return out
 
@@ -84,9 +88,16 @@ class TestEmbed:
     def test_out_of_bounds_id_rejected(self):
         model = tiny_model()
         enc = model.encode("a", "b")
-        enc.token_ids[1] = 999
+        enc[1] = 999
         with pytest.raises(DataError):
-            tr.embed([enc], model.token_table, model.pos_table, model.seg_table)
+            tr.embed(np.array([enc]), model.token_table, model.pos_table, model.seg_table)
+
+    def test_empty_batch_and_rows_past_the_position_table_rejected(self):
+        model = tiny_model()
+        with pytest.raises(ContractError, match="empty batch"):
+            model.forward([])
+        with pytest.raises(DataError, match="sequence length 9 exceeds position table 8"):
+            tr.embed(np.full((1, 9), 4), model.token_table, model.pos_table, model.seg_table)
 
 
 def random_attention_params(rng, d_e):
@@ -307,7 +318,7 @@ class TestBatching:
     def test_batch_rows_match_single_forwards(self):
         model = tiny_model(seed=13)
         encoded = [model.encode(p, h) for p, h in self.PAIRS]
-        assert len({len(e.token_ids) for e in encoded}) == len(encoded)
+        assert len({len(e) for e in encoded}) == len(encoded)
         batched = model.forward(encoded).data
         assert batched.shape == (len(encoded), 3)
         for row, enc in zip(batched, encoded):
@@ -318,7 +329,7 @@ class TestBatching:
         encoded = [model.encode(p, h) for p, h in self.PAIRS]
         # a 16-token pair pads the batch's other rows, of 5 to 8 tokens, to 16 positions
         longest = model.encode("a b c d e f g h", "a b c d e")
-        assert len(longest.token_ids) == 16
+        assert len(longest) == 16
         padded = model.forward(encoded + [longest]).data[:-1]
         np.testing.assert_allclose(padded, model.forward(encoded).data, rtol=0, atol=1e-12)
 
@@ -326,7 +337,7 @@ class TestBatching:
         model = tiny_model(seed=19)
         encoded = [model.encode(p, h) for p, h in self.PAIRS[:2]]
         encoded.append(model.encode("a b c d e f", "g h"))  # 11 tokens truncated to 8
-        assert len(encoded[-1].token_ids) == model.config.max_len == model.pos_table.shape[0]
+        assert len(encoded[-1]) == model.config.max_len == model.pos_table.shape[0]
         batched = model.forward(encoded).data
         for row, enc in zip(batched, encoded):
             np.testing.assert_allclose(row, model.forward([enc]).data[0], rtol=0, atol=1e-12)
@@ -374,8 +385,10 @@ class TestBatching:
 def full_block_forward(model, batch):
     """``forward`` as it would be if the last block computed every row and the
     head then sliced out [CLS], built from the public block functions."""
-    x = tr.embed(batch, model.token_table, model.pos_table, model.seg_table)
-    mask = np.arange(x.shape[1]) < np.array([len(e.token_ids) for e in batch])[:, None]
+    width = max(map(len, batch))
+    ids = np.array([e + [tk.Vocabulary.pad_id] * (width - len(e)) for e in batch])
+    x = tr.embed(ids, model.token_table, model.pos_table, model.seg_table)
+    mask = np.arange(width) < np.array([len(e) for e in batch])[:, None]
     for bp in model.blocks:
         x = tr.transformer_block(x, mask, bp, model.config.num_heads)
     pooled = T.reshape(T.slice_rows(x, 0, 1), (len(batch), model.config.d_e))
