@@ -10,11 +10,11 @@ width) with relu and max-over-time pooling aggregates the comparison into a
 fixed vector for a three-way softmax head.
 
 ``CompAggrModel.encode`` turns a pair into its premise's and its
-hypothesis's word ids, and ``forward`` runs a mini-batch of encoded pairs as
-one graph.  Its premises, and apart from them its hypotheses, are padded at
-the end with ``Vocabulary.pad_id`` to the longest, L words, and encode to
-one (B, d, L) tensor; each direction projects every step at once, then
-records five nodes per step for the whole batch (three on its first step,
+hypothesis's word ids, and ``forward`` runs B encoded pairs as one graph:
+its B premises, then its B hypotheses, padded at the end with [PAD] to the
+longest of both, L = max(p, h) words, encode in one pass to a (2B, d, L)
+tensor cut into a (B, d, L) half per side.  Each direction projects every
+step at once, then records five nodes per step (three on its first step,
 six on a backward step where some row is padding: the row-mask ``mul``).
 Neither direction needs a blend of old and new states: the forward one reads
 padding only after a row's last word, and the backward one reads it first,
@@ -39,7 +39,7 @@ from . import tensor as T
 from .data import LABELS
 from .errors import ConfigError, DataError, DimensionError
 from .model import MASK_LOGIT, PairClassifier
-from .tokenizer import Vocabulary, tokenize_sides, word_tokenize
+from .tokenizer import pad_ids, tokenize_sides, word_tokenize
 
 __all__ = [
     "FILTER_WIDTHS",
@@ -105,10 +105,8 @@ def contextual_encode(
     lengths = np.array([len(ids) for ids in batch_ids], dtype=np.int64)
     if not lengths.size or lengths.min() == 0:
         raise DataError("cannot encode an empty word sequence")
-    batch, width = lengths.size, int(lengths.max())
-    ids = np.full((batch, width), Vocabulary.pad_id, dtype=np.int64)
-    for i, row in enumerate(batch_ids):
-        ids[i, : len(row)] = row
+    ids = pad_ids(batch_ids)
+    batch, width = ids.shape
     rows = T.take_rows(emb_table, ids)
     valid = np.arange(width) < lengths[:, None]
 
@@ -219,14 +217,14 @@ class CompAggrModel(PairClassifier):
 
     def forward(self, batch, rng: np.random.Generator | None = None) -> T.Tensor:
         """(B, 3) class probabilities for B encoded pairs, from one graph; dropout given an ``rng``."""
-        ep, premise_lengths = contextual_encode([p for p, _ in batch], self.emb_table, self.enc_fwd, self.enc_bwd)
-        eh, hypothesis_lengths = contextual_encode([h for _, h in batch], self.emb_table, self.enc_fwd, self.enc_bwd)
-        ep = T.dropout(ep, self.config.dropout, rng)
-        eh = T.dropout(eh, self.config.dropout, rng)
-        aligned = cross_attention(ep, eh, self.attn_w, premise_lengths)
+        sides = [p for p, _ in batch] + [h for _, h in batch]
+        e, lengths = contextual_encode(sides, self.emb_table, self.enc_fwd, self.enc_bwd)
+        halves = T.reshape(T.dropout(e, self.config.dropout, rng), (2, -1))  # premises, then hypotheses
+        ep, eh = (T.reshape(T.slice_rows(halves, i, i + 1), (-1,) + e.shape[1:]) for i in (0, 1))
+        aligned = cross_attention(ep, eh, self.attn_w, lengths[: len(batch)])
         c = compare(aligned, eh)
         return aggregate_classify(
-            c, self.banks, self.cls_w, self.cls_b, hypothesis_lengths, dropout=self.config.dropout, rng=rng,
+            c, self.banks, self.cls_w, self.cls_b, lengths[len(batch) :], dropout=self.config.dropout, rng=rng,
         )
 
     def predict_proba(self, premise: str, hypothesis: str) -> np.ndarray:

@@ -14,9 +14,9 @@ when ``pretokenize`` finds no word in it.
 
 Pair encoding, the transformer's input, gives the ids of ``[CLS] premise
 [SEP] hypothesis [SEP]``, token i at position i, and no padding: the
-classifier pads each batch to the batch's longest pair and reads segment 1
-after the first [SEP], and ``max_len`` is the truncation budget and
-position-table size.  No text encodes to [PAD], [CLS] or [SEP]:
+classifier pads each batch to its longest pair with ``pad_ids`` and reads
+segment 1 after the first [SEP], and ``max_len`` is the truncation budget
+and position-table size.  No text encodes to [PAD], [CLS] or [SEP]:
 ``pretokenize`` splits ``[SEP]`` into ``[``, ``sep`` and ``]``.  Overlong
 pairs are truncated by trimming the currently longer side one token at a
 time (premise first on ties), which keeps both sentence heads.
@@ -32,6 +32,8 @@ import unicodedata
 from collections import Counter, defaultdict
 from typing import Callable
 
+import numpy as np
+
 from .errors import ConfigError, DataError
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "SPECIAL_TOKENS",
     "build_word_vocab",
     "encode_pair",
+    "pad_ids",
     "pretokenize",
     "tokenize",
     "tokenize_sides",
@@ -91,6 +94,14 @@ class Vocabulary:
 
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, self.unk_id)
+
+
+def pad_ids(rows) -> np.ndarray:
+    """B id lists padded at the end with [PAD] to the longest, as a (B, L) int64 matrix."""
+    ids = np.full((len(rows), max(map(len, rows), default=0)), Vocabulary.pad_id, dtype=np.int64)
+    for i, row in enumerate(rows):
+        ids[i, : len(row)] = row
+    return ids
 
 
 def _word_symbols(word: str) -> list[str]:

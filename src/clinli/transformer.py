@@ -34,7 +34,7 @@ from . import tensor as T
 from .data import LABELS
 from .errors import ConfigError, ContractError, DataError, DimensionError
 from .model import MASK_LOGIT, PairClassifier
-from .tokenizer import Vocabulary, encode_pair
+from .tokenizer import Vocabulary, encode_pair, pad_ids
 
 __all__ = [
     "AttentionParams",
@@ -212,9 +212,7 @@ class TransformerClassifier(PairClassifier):
 
     def forward(self, batch: Sequence[list[int]], rng: np.random.Generator | None = None) -> T.Tensor:
         """(B, 3) class probabilities for B encoded pairs, each masked past its length; dropout given an ``rng``."""
-        ids = np.full((len(batch), max(map(len, batch), default=0)), Vocabulary.pad_id)
-        for row, token_ids in enumerate(batch):
-            ids[row, : len(token_ids)] = token_ids
+        ids = pad_ids(batch)
         x = embed(ids, self.token_table, self.pos_table, self.seg_table)
         mask = ids != Vocabulary.pad_id
         for bp in self.blocks:  # the head reads only [CLS], so the last block computes only that row

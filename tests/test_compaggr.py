@@ -114,6 +114,19 @@ class TestContextualEncode:
             # the backward direction stays exactly zero through the padding
             assert not row[4:, len(ids):].any()
 
+    def test_joint_encoding_rows_equal_the_separate_encodings(self):
+        # premises of 2..5 words and hypotheses of 1..7, encoded as one 2B-row batch and as two
+        model = tiny_model(seed=8)
+        rng = np.random.default_rng(8)
+        premises = [list(rng.integers(4, len(model.vocab), n)) for n in (3, 5, 2)]
+        hypotheses = [list(rng.integers(4, len(model.vocab), n)) for n in (7, 1, 4)]
+        joint = encode(model, premises + hypotheses)
+        assert joint.shape == (6, 8, 7)
+        separate = list(encode(model, premises)) + list(encode(model, hypotheses))
+        for row, alone, ids in zip(joint, separate, premises + hypotheses):
+            np.testing.assert_allclose(row[:, : len(ids)], alone[:, : len(ids)], rtol=0, atol=1e-12)
+            assert not row[4:, len(ids):].any()
+
     def test_empty_sequence_rejected(self):
         model = tiny_model()
         for batch in ([], [[]], [[4, 5], []]):
@@ -402,6 +415,15 @@ class TestBatchPath:
         assert correct == total_correct
         for name, p in model.parameters().items():
             np.testing.assert_allclose(batched[name], p.grad, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("rows", [slice(0, 2), slice(2, 3), slice(0, 9)])
+    def test_forward_steps_each_direction_over_the_longer_side_only(self, rows):
+        # longest premise and hypothesis: 4 and 9, 9 and 2, 9 and 9 words
+        model = tiny_model(seed=22)
+        batch = [model.encode(ex.premise, ex.hypothesis) for ex in mixed_batch(9)[rows]]
+        steps = max(len(p) for p, _ in batch), max(len(h) for _, h in batch)
+        tanh_nodes = sum(node.op == "tanh" for node in T.record(model.forward(batch)))
+        assert tanh_nodes == 2 * max(steps), steps
 
     def test_training_step_tape_does_not_grow_with_the_batch(self):
         # 3 and 9 pairs with the same longest premise and hypothesis (9 words each)

@@ -28,9 +28,8 @@ def embedded_segments(pairs):
     """The segment ``transformer.embed`` gives each position of ``pairs``
     padded into one id matrix: beside a zero token and position table, the
     one-wide segment table [[0], [1]] embeds a position to its segment."""
-    width = max(map(len, pairs))
-    ids = np.array([pair + [tk.Vocabulary.pad_id] * (width - len(pair)) for pair in pairs])
-    zero = T.Tensor(np.zeros((max(ids.max() + 1, width), 1)))
+    ids = tk.pad_ids(pairs)
+    zero = T.Tensor(np.zeros((max(ids.max() + 1, ids.shape[1]), 1)))
     return tr.embed(ids, zero, zero, T.Tensor(np.array([[0.0], [1.0]]))).data[..., 0]
 
 
@@ -220,3 +219,9 @@ class TestVocabulary:
         vocab = tk.build_word_vocab(["alpha beta gamma"])
         for i, t in enumerate(vocab.tokens):
             assert vocab.token_to_id[t] == i
+
+    def test_pad_ids_pads_each_row_at_the_end_to_the_longest(self):
+        ids = tk.pad_ids([[5, 6, 7], [8], [9, 10]])
+        assert ids.dtype == np.int64
+        np.testing.assert_array_equal(ids, [[5, 6, 7], [8, 0, 0], [9, 10, 0]])
+        assert tk.pad_ids([]).shape == (0, 0)

@@ -56,7 +56,7 @@ class TestEmbed:
         rng = np.random.default_rng(2)
         model = tiny_model()
         longer, shorter = model.encode("a b c", "d e"), model.encode("a", "b")
-        ids = np.array([longer, shorter + [tk.Vocabulary.pad_id] * 3])
+        ids = tk.pad_ids([longer, shorter])
         # segment 1 after the first [SEP]; the shorter pair's padding in segment 0
         segments = [[0, 0, 0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 0, 0, 0]]
         tok = rng.normal(size=(len(model.vocab), 8))
@@ -385,10 +385,9 @@ class TestBatching:
 def full_block_forward(model, batch):
     """``forward`` as it would be if the last block computed every row and the
     head then sliced out [CLS], built from the public block functions."""
-    width = max(map(len, batch))
-    ids = np.array([e + [tk.Vocabulary.pad_id] * (width - len(e)) for e in batch])
+    ids = tk.pad_ids(batch)
     x = tr.embed(ids, model.token_table, model.pos_table, model.seg_table)
-    mask = np.arange(width) < np.array([len(e) for e in batch])[:, None]
+    mask = np.arange(ids.shape[1]) < np.array([len(e) for e in batch])[:, None]
     for bp in model.blocks:
         x = tr.transformer_block(x, mask, bp, model.config.num_heads)
     pooled = T.reshape(T.slice_rows(x, 0, 1), (len(batch), model.config.d_e))
