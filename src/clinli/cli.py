@@ -27,7 +27,9 @@ with a side that holds no word, before anything trains.  ``train --seed`` is
 the run's seed; a stage's ``train_config`` may override its training seed.
 Both must be non-negative integers.  ``synth --shift``, ``--source-count``
 and ``--target-count`` need ``--transfer-pair``; a synth count below 22
-leaves a split empty, so it exits 2.  ``expand`` is the only abbreviation
+leaves a split empty, so it exits 2, and every synth error names its flag.
+Every command reads a dataset through ``_dataset``, which rejects an empty
+one and one that repeats a pair id.  ``expand`` is the only abbreviation
 expansion: run it with one table on every file a model reads.
 """
 
@@ -47,7 +49,6 @@ from .data import LABELS, load_jsonl, read_text, save_jsonl, write_atomic
 from .errors import ClinliError, ConfigError, DataError, ParseError
 from .evaluate import (
     _gold_map,
-    _pair_id,
     accuracy,
     agreement_partition,
     best_label_assignment,
@@ -129,42 +130,31 @@ def _vocabulary(kind: str, vocab_size: int, sentences: list[str], where):
         raise ConfigError(f"{where}: vocab_size: {exc}") from None
 
 
-def _sentences(datasets) -> list[str]:
-    out = []
-    for examples in datasets:
-        for ex in examples:
-            out.append(ex.premise)
-            out.append(ex.hypothesis)
-    return out
-
-
-def _stage_dataset(stage: StageConfig, part: str) -> list:
-    """The examples of a stage's dataset; an empty dataset, or a pair with a
-    side that no tokenizer can encode, ends in a DataError naming the file."""
-    what = f"stage {stage.name} {part} dataset"
-    path = _require_file(getattr(stage, part), what)
+def _dataset(path_str: str, what: str = "dataset") -> tuple[Path, list]:
+    """The path and examples of the dataset ``what``, the one reader of every
+    command.  A missing file is a ConfigError; an empty dataset, or a repeated
+    pair id, which eval cannot align, is a DataError naming the file."""
+    path = _require_file(path_str, what)
     examples = load_jsonl(path)
     if not examples:
         raise DataError(f"{path}: {what} is empty")
-    for i, ex in enumerate(examples):
-        try:
-            tokenize_sides(ex.premise, ex.hypothesis, pretokenize)
-        except DataError as exc:
-            raise DataError(f"{path}: {what}, pair {_pair_id(ex, i)}: {exc}") from None
-    return examples
-
-
-def _dataset(path_str: str) -> list:
-    """A dataset's examples; an empty dataset, or a repeated pair id, which eval
-    cannot align, is a DataError naming the file."""
-    path = _require_file(path_str, "dataset")
-    examples = load_jsonl(path)
-    if not examples:
-        raise DataError(f"{path}: dataset is empty")
     try:
         _gold_map(examples)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    return path, examples
+
+
+def _stage_dataset(stage: StageConfig, part: str) -> list:
+    """The examples of a stage's dataset; a pair with a side that no tokenizer
+    can encode is a DataError naming the file, the stage and the pair."""
+    what = f"stage {stage.name} {part} dataset"
+    path, examples = _dataset(getattr(stage, part), what)
+    for ex in examples:
+        try:
+            tokenize_sides(ex.premise, ex.hypothesis, pretokenize)
+        except DataError as exc:
+            raise DataError(f"{path}: {what}, pair {ex.pair_id}: {exc}") from None
     return examples
 
 
@@ -199,33 +189,26 @@ def cmd_synth(args) -> int:
         if getattr(args, flag) < SYNTH_MIN_COUNT:
             raise ConfigError(f"--{flag.replace('_', '-')} must be at least {SYNTH_MIN_COUNT}, so that train, dev "
                               f"and test each get examples, got {getattr(args, flag)}")
-    spec = SynthSpec(
-        vocab_size=args.vocab_size,
-        count=args.count,
-        seed=args.seed,
-        shift=args.shift or 0.0,
-    )
-
-    def split_and_write(examples, stem):
-        groups = [examples[i : i + 3] for i in range(0, len(examples), 3)]
-        # SYNTH_MIN_COUNT examples or more make at least 8 groups, so every part gets one
-        n_train, n_dev = round(0.8 * len(groups)), round(0.1 * len(groups))
-        parts = {
-            "train": [ex for g in groups[:n_train] for ex in g],
-            "dev": [ex for g in groups[n_train : n_train + n_dev] for ex in g],
-            "test": [ex for g in groups[n_train + n_dev :] for ex in g],
-        }
-        for name, part in parts.items():
-            save_jsonl(out_dir / f"{stem}{name}.jsonl", part)
-            print(f"wrote {out_dir / f'{stem}{name}.jsonl'} ({len(part)} examples)")
-
+    try:
+        spec = SynthSpec(vocab_size=args.vocab_size, count=args.count, seed=args.seed, shift=args.shift or 0.0)
+    except ConfigError as exc:  # the message starts with the rejected field, which its flag is named after
+        field, rest = str(exc).split(" ", 1)
+        raise ConfigError(f"--{field.replace('_', '-')} {rest}") from None
     if args.transfer_pair:
         corpora = dict(zip(("source_", "target_"), generate_transfer_pair(spec, args.source_count, args.target_count)))
     else:
         corpora = {"": generate_corpus(spec)}
     out_dir = _out_dir(args)
     for stem, examples in corpora.items():
-        split_and_write(examples, stem)
+        groups = -(-len(examples) // 3)  # premise groups of three, in order; only the last may be partial
+        # SYNTH_MIN_COUNT examples or more make at least 8 groups, so every part gets one
+        train_end = 3 * round(0.8 * groups)
+        dev_end = train_end + 3 * round(0.1 * groups)
+        for name, part in (("train", examples[:train_end]), ("dev", examples[train_end:dev_end]),
+                           ("test", examples[dev_end:])):
+            path = out_dir / f"{stem}{name}.jsonl"
+            save_jsonl(path, part)
+            print(f"wrote {path} ({len(part)} examples)")
     return 0
 
 
@@ -244,8 +227,9 @@ def cmd_train(args) -> int:
               for s, train_config in zip(run.chain, train_configs)]
     chain = TransferChain(stages=stages, head_reset=run.head_reset)
     # one vocabulary from the union of all chain corpora, built up front
-    union_sentences = _sentences([s.train_set for s in stages] + [s.dev_set for s in stages])
-    vocab = _vocabulary(kind, run.vocab_size, union_sentences, config_path)
+    datasets = [s.train_set for s in stages] + [s.dev_set for s in stages]
+    sentences = [side for examples in datasets for ex in examples for side in (ex.premise, ex.hypothesis)]
+    vocab = _vocabulary(kind, run.vocab_size, sentences, config_path)
     out_dir = _out_dir(args)
     ckpt = run_chain(lambda: MODEL_KINDS[kind](model_config, vocab, seed=args.seed), chain)
 
@@ -264,7 +248,7 @@ def cmd_predict(args) -> int:
     """Score every pair once, in dataset order; list-wise mode relabels the scored triples."""
     path = _require_file(args.checkpoint, "checkpoint")
     model = model_from_checkpoint(load_checkpoint(path), path)
-    examples = _dataset(args.dataset)
+    _, examples = _dataset(args.dataset)
     out_dir = _out_dir(args)
 
     errors = []
@@ -272,8 +256,7 @@ def cmd_predict(args) -> int:
     report = {"mode": args.mode, "n_examples": len(examples), "n_errors": len(errors)}
     if args.mode == "listwise":
         by_id = {row.pair_id: row for row in rows}
-        triples = [[by_id.get(_pair_id(ex, i)) for i, ex in zip(t.positions, t.examples)]
-                   for t in group_into_triples(examples)[0]]
+        triples = [[by_id.get(ex.pair_id) for ex in t.examples] for t in group_into_triples(examples)[0]]
         scored = [triple for triple in triples if None not in triple]  # the rest keep point-wise labels
         for triple in scored:
             perm, _ = best_label_assignment([row.probs for row in triple])
@@ -296,7 +279,7 @@ def cmd_eval(args) -> int:
     check runs before ``--out-dir`` is made, and its DataError names the file."""
     if len(args.predictions) > 2:
         raise ConfigError("eval takes one or two prediction files")
-    golds = _dataset(args.dataset)
+    _, golds = _dataset(args.dataset)
     paths = [_require_file(p, "prediction file") for p in args.predictions]
     pred_sets = [read_predictions(p) for p in paths]
 
@@ -330,10 +313,7 @@ def cmd_eval(args) -> int:
 
 def cmd_expand(args) -> int:
     table = load_table(_require_file(args.table, "abbreviation table"))
-    path = _require_file(args.dataset, "dataset")
-    examples = load_jsonl(path)
-    if not examples:
-        raise DataError(f"{path}: dataset is empty")
+    _, examples = _dataset(args.dataset)
     out_dir = _out_dir(args)
     expanded, counts = expand_dataset(examples, table)
     out_path = out_dir / "expanded.jsonl"

@@ -3,8 +3,10 @@
 Dataset files are JSONL with one object per line carrying ``sentence1``
 (premise), ``sentence2`` (hypothesis), ``gold_label``, and an optional
 ``pairID``, so files in the common clinical NLI distribution schema load
-without conversion.  Text passes through verbatim; no normalization or
-de-identification handling is applied at load time.
+without conversion.  A pair is named once, when its file is read: a line
+without ``pairID`` is ``idx-<n>``, n its position among the file's examples,
+and every later step reads that name.  Text passes through verbatim; no
+normalization or de-identification handling is applied at load time.
 """
 
 from __future__ import annotations
@@ -37,25 +39,22 @@ class NLIExample:
     premise: str
     hypothesis: str
     gold_label: str
-    pair_id: str | None = None
+    pair_id: str
 
     def __post_init__(self):
         if not self.premise or not self.hypothesis:
             raise DataError("premise and hypothesis must be non-empty")
         if self.gold_label not in LABELS:
             raise DataError(f"gold_label {self.gold_label!r} not in {LABELS}")
-        if self.pair_id is not None and any(ch in self.pair_id for ch in "\t\n\r"):
+        if any(ch in self.pair_id for ch in "\t\n\r"):
             raise DataError(f"pairID {self.pair_id!r} holds a tab or a line break")
 
 
 @dataclass
 class NLITriple:
-    """Three examples sharing one premise, one per class.  ``positions`` are
-    the examples' indices in the dataset they came from; pairs without a
-    pair id are named ``idx-<position>``."""
+    """Three examples sharing one premise, one per class, each named by its own pair id."""
 
     examples: tuple[NLIExample, NLIExample, NLIExample]
-    positions: tuple[int, int, int] = (0, 1, 2)
 
     def __post_init__(self):
         premises = {e.premise for e in self.examples}
@@ -101,10 +100,11 @@ def write_atomic(path, binary: bool = False):
 
 
 def load_jsonl(path) -> list[NLIExample]:
-    """The examples of a JSONL dataset.  A line that is not a JSON object,
-    lacks a key or holds a value that is not text (not a string, or a lone
-    surrogate) ends in a DataError naming ``path:line``; a byte that is not
-    UTF-8 in a ParseError."""
+    """The examples of a JSONL dataset, each named by its ``pairID`` or else
+    ``idx-<n>`` (blank lines are no examples).  A line that is not a JSON
+    object, lacks a key or holds a value that is not text (not a string, or a
+    lone surrogate) ends in a DataError naming ``path:line``; a byte that is
+    not UTF-8 in a ParseError."""
     examples = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
@@ -122,9 +122,10 @@ def load_jsonl(path) -> list[NLIExample]:
                 raise DataError(f"{path}:{lineno}: {key} must be a string, got {obj[key]!r}")
             if escaped and key in obj and _SURROGATE.search(obj[key]):
                 raise DataError(f"{path}:{lineno}: {key} holds a lone surrogate, which is not text: {obj[key]!r}")
+        pair_id = obj["pairID"] if "pairID" in obj else f"idx-{len(examples)}"
         try:
             examples.append(NLIExample(premise=obj["sentence1"], hypothesis=obj["sentence2"],
-                                       gold_label=obj["gold_label"], pair_id=obj.get("pairID")))
+                                       gold_label=obj["gold_label"], pair_id=pair_id))
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: missing key {exc}") from None
         except DataError as exc:
@@ -135,7 +136,6 @@ def load_jsonl(path) -> list[NLIExample]:
 def save_jsonl(path, examples) -> None:
     with write_atomic(path) as fh:
         for ex in examples:
-            obj = {"sentence1": ex.premise, "sentence2": ex.hypothesis, "gold_label": ex.gold_label}
-            if ex.pair_id is not None:
-                obj["pairID"] = ex.pair_id
+            obj = {"sentence1": ex.premise, "sentence2": ex.hypothesis, "gold_label": ex.gold_label,
+                   "pairID": ex.pair_id}
             fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")

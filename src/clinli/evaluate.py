@@ -8,10 +8,11 @@ summed log of the point-wise probabilities and keeping the best
 
 Metrics: accuracy, the agreement partition between two prediction sets
 (which model got each example right), and the mean confidence over
-correctly classified examples.  Each aligns predictions to golds by pair id:
-ids are unique among the golds and among the predictions, every prediction
-has a gold example (not every gold has one: ``predict`` skips pairs), and
-the two sets of a partition cover the same ids.
+correctly classified examples.  Each aligns predictions to golds by pair id,
+the name ``data.load_jsonl`` gave each pair: ids are unique among the golds
+and among the predictions, every prediction has a gold example (not every
+gold has one: ``predict`` skips pairs), and the two sets of a partition
+cover the same ids.
 
 Prediction files are TSV: pair_id, p_entailment, p_contradiction,
 p_neutral, predicted_label.  Floats are written with ``repr`` so files
@@ -86,24 +87,19 @@ class PredictionError:
     message: str
 
 
-def _pair_id(ex: NLIExample, index: int) -> str:
-    return ex.pair_id if ex.pair_id is not None else f"idx-{index}"
-
-
 def predict_pointwise(model, examples, error_log: list) -> list[Prediction]:
-    """One prediction per example, in dataset order, each scored once; a pair
-    without a pair id is named ``idx-<position>``.  Examples the model cannot
-    encode (a DataError) are skipped, each with a ``PredictionError``
-    appended to ``error_log``; any other error propagates."""
+    """One prediction per example, in the given order, each scored once and
+    named by its example's pair id.  Examples the model cannot encode (a
+    DataError) are skipped, each with a ``PredictionError`` appended to
+    ``error_log``; any other error propagates."""
     out: list[Prediction] = []
-    for i, ex in enumerate(examples):
-        pid = _pair_id(ex, i)
+    for ex in examples:
         try:
             probs = model.predict_proba(ex.premise, ex.hypothesis)
         except DataError as exc:
-            error_log.append(PredictionError(pair_id=pid, message=str(exc)))
+            error_log.append(PredictionError(pair_id=ex.pair_id, message=str(exc)))
             continue
-        out.append(Prediction(pair_id=pid, probs=probs))
+        out.append(Prediction(pair_id=ex.pair_id, probs=probs))
     return out
 
 
@@ -138,11 +134,10 @@ class ListwiseResult:
 
 def predict_listwise(model, triple: NLITriple) -> ListwiseResult:
     """Assign the three labels exclusively across the triple's pairs, which this library form scores itself."""
-    pair_ids = tuple(_pair_id(ex, i) for i, ex in zip(triple.positions, triple.examples))
     probs = np.stack([model.predict_proba(ex.premise, ex.hypothesis) for ex in triple.examples])
     perm, score = best_label_assignment(probs)
     return ListwiseResult(
-        pair_ids=pair_ids,
+        pair_ids=tuple(ex.pair_id for ex in triple.examples),
         labels=tuple(LABELS[perm[k]] for k in range(3)),
         log_score=score,
         probs=probs,
@@ -153,9 +148,9 @@ def group_into_triples(examples) -> tuple[list[NLITriple], int]:
     """Group examples by shared premise text into label-complete triples for
     list-wise inference.  Groups that are not one example per class are
     skipped and counted in the second return value."""
-    groups: dict[str, list[int]] = {}
-    for i, ex in enumerate(examples):
-        groups.setdefault(ex.premise, []).append(i)
+    groups: dict[str, list[NLIExample]] = {}
+    for ex in examples:
+        groups.setdefault(ex.premise, []).append(ex)
     triples: list[NLITriple] = []
     skipped = 0
     for members in groups.values():
@@ -163,7 +158,7 @@ def group_into_triples(examples) -> tuple[list[NLITriple], int]:
             skipped += 1
             continue
         try:
-            triples.append(NLITriple(examples=tuple(examples[i] for i in members), positions=tuple(members)))
+            triples.append(NLITriple(examples=tuple(members)))
         except DataError:
             skipped += 1
     return triples, skipped
@@ -171,11 +166,10 @@ def group_into_triples(examples) -> tuple[list[NLITriple], int]:
 
 def _gold_map(golds) -> dict[str, str]:
     out = {}
-    for i, ex in enumerate(golds):
-        pid = _pair_id(ex, i)
-        if pid in out:
-            raise DataError(f"gold examples repeat pair id {pid!r}")
-        out[pid] = ex.gold_label
+    for ex in golds:
+        if ex.pair_id in out:
+            raise DataError(f"gold examples repeat pair id {ex.pair_id!r}")
+        out[ex.pair_id] = ex.gold_label
     return out
 
 

@@ -67,6 +67,10 @@ def pseudo_lexicon(size: int) -> list[str]:
 
 @dataclass
 class SynthSpec:
+    """A corpus's size, content vocabulary and seed, and the vocabulary shift
+    of a transfer pair.  A rejected value's message starts with its field's
+    name, which names the ``clinli synth`` flag that sets it."""
+
     vocab_size: int = 30
     count: int = 120
     seed: int = 0
@@ -74,11 +78,19 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.vocab_size < 3:
-            raise ConfigError("vocab_size must be at least 3")
+            raise ConfigError(f"vocab_size must be at least 3, got {self.vocab_size}")
         if self.count < 1:
-            raise ConfigError("count must be positive")
+            raise ConfigError(f"count must be positive, got {self.count}")
         if not 0.0 <= self.shift <= 1.0:
             raise ConfigError(f"shift must be in [0, 1], got {self.shift}")
+        if 2 * self.vocab_size - self.shared_words > _SPACE:
+            raise ConfigError(f"vocab_size {self.vocab_size} at shift {self.shift} needs "
+                              f"{2 * self.vocab_size - self.shared_words} distinct pseudo-words; there are {_SPACE}")
+
+    @property
+    def shared_words(self) -> int:
+        """The content words a transfer pair's two pools share."""
+        return round(2.0 * (1.0 - self.shift) / (2.0 - self.shift) * self.vocab_size)
 
 
 def generate_corpus(
@@ -140,9 +152,7 @@ def generate_transfer_pair(
 
     shift 0 uses identical pools; shift 1 uses disjoint pools.
     """
-    v = spec.vocab_size
-    shared_fraction = 2.0 * (1.0 - spec.shift) / (2.0 - spec.shift)
-    shared = round(shared_fraction * v)
+    v, shared = spec.vocab_size, spec.shared_words
     lexicon = pseudo_lexicon(2 * v - shared)
     source_pool = lexicon[:v]
     target_pool = lexicon[v - shared : 2 * v - shared]

@@ -114,7 +114,7 @@ class TestSynth:
     def test_bad_shift_exits_2(self, tmp_path, capsys):
         code = run_cli("synth", "--out-dir", tmp_path / "x", "--transfer-pair", "--shift", "1.5")
         assert code == 2
-        assert "error: shift must be in [0, 1], got 1.5" in capsys.readouterr().err
+        assert "error: --shift must be in [0, 1], got 1.5" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_smallest_count_fills_every_split(self, tmp_path):
@@ -163,8 +163,13 @@ class TestSynth:
         (["--count", "21"], "--count must be at least 22"),
         (["--transfer-pair", "--source-count", "21"], "--source-count must be at least 22"),
         (["--transfer-pair", "--source-count", "60", "--target-count", "1"], "--target-count must be at least 22"),
+        (["--vocab-size", "2"], "--vocab-size must be at least 3, got 2"),
+        (["--transfer-pair", "--shift", "2"], "--shift must be in [0, 1], got 2.0"),
+        # a transfer pair at shift 1 draws two disjoint pools of 3,000 words from the 4,225 pseudo-words
+        (["--transfer-pair", "--shift", "1", "--vocab-size", "3000"], "--vocab-size 3000 at shift 1.0 needs 6000"),
     ], ids=["source_count", "target_count", "shift", "too_few_premises", "negative_seed", "count_below_split",
-            "source_count_below_split", "target_count_below_split"])
+            "source_count_below_split", "target_count_below_split", "vocab_size_below_3", "shift_above_1",
+            "vocab_size_above_lexicon"])
     def test_unusable_flags_exit_2_before_out_dir_is_made(self, tmp_path, capsys, argv, named):
         assert exit_code("synth", "--out-dir", tmp_path / "x", *argv) == 2
         err = capsys.readouterr().err
@@ -259,6 +264,8 @@ class TestTrain:
         # not finite: JSON Infinity, NaN, and "1e400" written as a bare number, which reads as inf
         ("train_config", "learning_rate", float("inf")), ("train_config", "learning_rate", float("nan")),
         ("train_config", "learning_rate", "1e400"),
+        ("train_config", "step_fraction", 0), ("train_config", "early_stop_patience", 0),
+        ("model_config", "dropout", 1.0),  # a compaggr's; TestHugeHeaderDimension has a transformer's
     ])
     def test_wrong_value_type_exits_2_naming_file_and_key(self, tmp_path, capsys, section, key, value):
         # the datasets do not exist: every value error comes before any dataset is read or the output directory is made
@@ -529,7 +536,8 @@ class TestPredictEval:
         dataset = tmp_path / "two_alike.jsonl"
         dataset.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in docs))
         triples, skipped = group_into_triples(load_jsonl(dataset))
-        assert [t.positions for t in triples] == [(0, 1, 2)] and skipped == 1
+        assert [tuple(ex.pair_id for ex in t.examples) for t in triples] == [tuple(d["pairID"] for d in docs[:3])]
+        assert skipped == 1
         rows = {}
         for mode in ("listwise", "pointwise"):
             assert run_cli("predict", "--checkpoint", ckpt, "--dataset", dataset,
@@ -620,7 +628,7 @@ class TestPredictEval:
         assert labels["listwise"][:2] == labels["pointwise"][:2]
         assert sorted(labels["listwise"][2:]) == ["contradiction", "entailment", "neutral"]
 
-    @pytest.mark.parametrize("mode", ["pointwise", "listwise"])
+    @pytest.mark.parametrize("mode", ["pointwise", "listwise", "train", "expand"])  # predict's two modes, or a command
     @pytest.mark.parametrize("pair_ids,repeated", [
         (["a", "b", "a", "c"], "a"),
         (["idx-3", None, None, None], "idx-3"),  # an id-less pair is named by its position
@@ -633,9 +641,16 @@ class TestPredictEval:
                         "gold_label": "neutral", **({"pairID": pid} if pid else {})}) + "\n"
             for i, pid in enumerate(pair_ids)
         ))
+        (tmp_path / "run.json").write_text(json.dumps({"model": "compaggr", "chain": [
+            {"train": str(dataset), "dev": str(dataset)}]}))
+        (tmp_path / "table.tsv").write_text("MI\tmyocardial infarction\n")
+        argv = {
+            "train": ["train", "--config", tmp_path / "run.json"],
+            "expand": ["expand", "--dataset", dataset, "--table", tmp_path / "table.tsv"],
+        }.get(mode, ["predict", "--checkpoint", small_checkpoint(tmp_path / "small.ckpt"), "--dataset", dataset,
+                     "--mode", mode])
         out = tmp_path / "out"
-        assert run_cli("predict", "--checkpoint", small_checkpoint(tmp_path / "small.ckpt"), "--dataset", dataset,
-                       "--mode", mode, "--out-dir", out) == 2
+        assert run_cli(*argv, "--out-dir", out) == 2
         err = capsys.readouterr().err
         assert f"{dataset}: " in err and f"repeat pair id {repeated!r}" in err, err
         assert not out.exists()
@@ -747,14 +762,15 @@ class TestPredictEval:
         (lambda c: setattr(c, "provenance", 5), "provenance"),
         (lambda c: setattr(c, "vocab_tokens", 5), "vocab"),
         (lambda c: setattr(c, "vocab_tokens", [1, 2, 3, 4]), "vocab"),
+        (lambda c: c.vocab_tokens.append(c.vocab_tokens[-1]), "duplicate tokens in vocabulary"),
         (lambda c: setattr(c, "tokenizer_mode", 5), "tokenizer_mode"),
         (lambda c: setattr(c, "tokenizer_mode", "bogus"), "tokenizer_mode"),
         (lambda c: setattr(c, "best_step", "x"), "best_step"),
         (lambda c: setattr(c, "best_step", 99), "no row of step 99, the best_step of"),
         # one NaN weight would make every softmax fail: the file is rejected, not each pair
         (lambda c: c.params["cls.w"].put(0, float("nan")), "block 'cls.w': holds NaN or inf"),
-    ], ids=["repr_dim", "kind", "provenance", "vocab", "vocab_ints", "tokenizer_int", "tokenizer_mode", "best_step",
-            "best_step_no_row", "nan_block"])
+    ], ids=["repr_dim", "kind", "provenance", "vocab", "vocab_ints", "vocab_repeat", "tokenizer_int", "tokenizer_mode",
+            "best_step", "best_step_no_row", "nan_block"])
     def test_checkpoint_header_value_rejected_exits_2(self, tmp_path, trained, capsys, edit, named):
         data, ckpt = trained
         loaded = load_checkpoint(ckpt)
@@ -778,9 +794,10 @@ class TestPredictEval:
         (lambda h: h.update(provenance=["tr\ud800"]), "provenance"),
         (lambda h: h["blocks"][0].update(name="cls.w\ud800"), "block name"),
         (lambda h: h.update(vocab=[]), "vocabulary must start with"),
+        (lambda h: h["blocks"][0].update(shape=[0] * 65), "of shape [0, 0"),  # numpy caps an array at 64 axes
     ], ids=["unknown_key", "missing_key", "block_shape", "block_name", "repeated_block", "num_classes",
             "format_version_1", "format_version_2", "filter_widths", "provenance_surrogate", "block_name_surrogate",
-            "empty_vocab"])
+            "empty_vocab", "block_of_65_axes"])
     def test_malformed_checkpoint_header_exits_2(self, tmp_path, trained, capsys, edit, named):
         data, ckpt = trained
         bad = tmp_path / "bad_header.ckpt"
@@ -822,7 +839,8 @@ class TestHugeHeaderDimension:
     @pytest.mark.parametrize("key,value,named", [
         ("d_ff", 4_000_000, "block 'block0.ffn.w1'"),  # a 4 x 4,000,000 float64 block alone is 128 MB
         ("num_blocks", 2**31, "missing block 'block1.attn.wq'"),
-    ], ids=["d_ff", "num_blocks"])
+        ("dropout", 1.0, "dropout must be in [0, 1), got 1.0"),  # a transformer's; TestTrain has a compaggr's
+    ], ids=["d_ff", "num_blocks", "dropout"])
     def test_predict_and_inspect_exit_2_before_allocating_the_claimed_model(self, tmp_path, capsys, key, value, named):
         data = synth_dir(tmp_path, count=30)
         small = small_checkpoint(tmp_path / "small.ckpt")
@@ -883,11 +901,14 @@ class TestMalformedInputs:
         ("eval", "data.jsonl", b"", None, "dataset is empty"),
         ("predict", "data.jsonl", b"", None, "dataset is empty"),
         ("expand", "data.jsonl", b"\n \n", None, "dataset is empty"),  # blank lines only
+        ("expand", "data.jsonl", jsonl_line(sentence2=""), 1, "premise and hypothesis must be non-empty"),
+        ("train", "run.json", b"[]", None, "RunConfig must be a JSON object, got []"),
     ], ids=["dataset_utf8", "sentence1_int", "pair_id_int", "pair_id_tab", "pair_id_line_feed",
             "pair_id_carriage_return", "gold_label_null", "predictions_utf8", "table_utf8", "table_identity",
             "table_matcher_duplicate", "dataset_long_int", "run_config_utf8", "run_config_nesting", "dataset_surrogate",
             "predictions_negative", "predictions_empty", "predictions_unmatched_id", "predictions_repeated_id",
-            "dataset_repeated_id", "eval_dataset_empty", "predict_dataset_empty", "expand_dataset_empty"])
+            "dataset_repeated_id", "eval_dataset_empty", "predict_dataset_empty", "expand_dataset_empty",
+            "hypothesis_empty", "run_config_not_an_object"])
     def test_exits_2_naming_file_and_line(self, tmp_path, capsys, command, name, content, line, named):
         (tmp_path / "data.jsonl").write_bytes(jsonl_line())
         (tmp_path / "preds.tsv").write_text("p1\t0.2\t0.3\t0.5\tneutral\n")
@@ -1094,6 +1115,25 @@ class TestExpand:
         assert run_cli("expand", "--dataset", dataset, "--table", table, "--out-dir", out) == 0
         assert load_jsonl(out / "expanded.jsonl")[0].premise == "given intravenous fluids"
         assert "iv\t1" in (out / "expand_report.txt").read_text()
+
+    def test_pairs_without_ids_keep_their_names_through_expand_and_predict(self, tmp_path):
+        data = synth_dir(tmp_path, count=30, seed=7)
+        no_ids = tmp_path / "no_ids.jsonl"
+        no_ids.write_text("".join(
+            json.dumps({k: v for k, v in json.loads(line).items() if k != "pairID"}) + "\n"
+            for line in (data / "train.jsonl").read_text().splitlines()
+        ))
+        table = tmp_path / "t.tsv"
+        table.write_text("MI\tmyocardial infarction\n")  # no pair has MI: the predictions can be compared byte for byte
+        assert run_cli("expand", "--dataset", no_ids, "--table", table, "--out-dir", tmp_path / "exp") == 0
+        expanded = tmp_path / "exp" / "expanded.jsonl"
+        rows = [json.loads(line) for line in expanded.read_text().splitlines()]
+        assert [row["pairID"] for row in rows] == [f"idx-{i}" for i in range(24)]
+        ckpt = small_checkpoint(tmp_path / "small.ckpt")
+        for name, dataset in (("original", no_ids), ("expanded", expanded)):
+            assert run_cli("predict", "--checkpoint", ckpt, "--dataset", dataset, "--out-dir", tmp_path / name) == 0
+        original, renamed = ((tmp_path / name / "predictions.tsv").read_bytes() for name in ("original", "expanded"))
+        assert original == renamed
 
     def test_idempotent(self, tmp_path):
         data = synth_dir(tmp_path, count=30, seed=8)

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from clinli import evaluate as ev
 from clinli import synth
-from clinli.data import LABELS, NLIExample, NLITriple
+from clinli.data import LABELS, NLIExample, NLITriple, load_jsonl
 from clinli.errors import DataError
 
 from oracles import brute_force_assignment
@@ -30,6 +32,15 @@ def make_examples(labels, prefix="p"):
         NLIExample(f"premise {i}", f"hypothesis {i}", label, f"{prefix}{i}")
         for i, label in enumerate(labels)
     ]
+
+
+def load_without_ids(path, examples):
+    """``examples`` written to ``path`` without their pair ids, then read back."""
+    path.write_text("".join(
+        json.dumps({"sentence1": ex.premise, "sentence2": ex.hypothesis, "gold_label": ex.gold_label}) + "\n"
+        for ex in examples
+    ))
+    return load_jsonl(path)
 
 
 class TestPrediction:
@@ -81,6 +92,16 @@ class TestPredictPointwise:
         preds = ev.predict_pointwise(FailingModel(), examples, error_log=errors)
         assert preds == []
         assert [e.pair_id for e in errors] == ["p0", "p1"]
+
+    def test_a_slice_of_a_file_without_ids_keeps_each_pairs_file_name(self, tmp_path):
+        # a lone pair, then three that share a premise; the slice drops the lone pair
+        examples = load_without_ids(tmp_path / "no_ids.jsonl", [NLIExample("lone", "hyp", "neutral", "x")] + [
+            NLIExample("shared", f"hyp {label}", label, "x") for label in LABELS
+        ])
+        names = ["idx-1", "idx-2", "idx-3"]
+        assert [p.pair_id for p in ev.predict_pointwise(DictModel({}), examples[1:], [])] == names
+        triples, _ = ev.group_into_triples(examples[1:])
+        assert list(ev.predict_listwise(DictModel({}), triples[0]).pair_ids) == names
 
 
 def triple_for(model_probs):
@@ -153,12 +174,9 @@ class TestGroupIntoTriples:
         triples, skipped = ev.group_into_triples(examples)
         assert len(triples) == 2 and skipped == 0
 
-    def test_pairs_without_ids_named_by_dataset_position(self):
-        examples = [
-            NLIExample(ex.premise, ex.hypothesis, ex.gold_label)
-            for ex in self._triple_examples("first") + self._triple_examples("second")
-        ]
-        triples, _ = ev.group_into_triples(examples)
+    def test_pairs_without_ids_named_by_dataset_position(self, tmp_path):
+        examples = self._triple_examples("first") + self._triple_examples("second")
+        triples, _ = ev.group_into_triples(load_without_ids(tmp_path / "no_ids.jsonl", examples))
         ids = [pid for t in triples for pid in ev.predict_listwise(DictModel({}), t).pair_ids]
         assert ids == [f"idx-{i}" for i in range(6)]
 

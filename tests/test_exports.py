@@ -1,8 +1,8 @@
 """Every name a clinli module lists in ``__all__`` resolves, the package root
 exports no name and loads no module that is not asked for, no module keeps
 state in a global it rebinds, only ``batch_loss`` takes both a
-``training`` flag and an ``rng``, and no model kind has a constructor of its
-own."""
+``training`` flag and an ``rng``, no model kind has a constructor of its
+own, and only the dataset reader names a pair that has no id."""
 
 import ast
 import importlib
@@ -75,3 +75,10 @@ def test_no_model_kind_defines_its_own_constructor():
         kinds += todo
     assert kinds
     assert [f"{k.__module__}.{k.__name__}" for k in kinds if "__init__" in vars(k)] == []
+
+
+def test_only_the_dataset_reader_names_a_pair_without_an_id():
+    # load_jsonl names such a pair idx-<n> once; a second module making that name could give one pair two names
+    found = [path.name for path in sorted(Path(clinli.__file__).parent.glob("*.py"))
+             if "idx-" in path.read_text(encoding="utf-8")]
+    assert found == ["data.py"]

@@ -94,7 +94,8 @@ def shared_model(kind):
 # side gives transformer pairs cut at max_len and compaggr hypotheses shorter than the widest filter
 WORDS = sorted({w for s in SENTENCES for w in s.split()}) + ["fevers", "xyz"]
 SIDE = st.lists(st.sampled_from(WORDS), min_size=1, max_size=8).map(" ".join)
-BATCH = st.lists(st.builds(NLIExample, SIDE, SIDE, st.sampled_from(LABELS)), min_size=1, max_size=12)
+BATCH = st.lists(st.builds(NLIExample, SIDE, SIDE, st.sampled_from(LABELS), st.integers(0, 999).map("p{}".format)),
+                 min_size=1, max_size=12)
 
 
 @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))

@@ -94,6 +94,18 @@ class TestJsonlRoundtrip:
         first = json.loads(path.read_text().splitlines()[0])
         assert set(first) == {"sentence1", "sentence2", "gold_label", "pairID"}
 
+    def test_lines_without_pair_id_are_named_by_example_position(self, tmp_path):
+        rows = [json.dumps({"sentence1": f"premise {i}", "sentence2": "hypothesis", "gold_label": "neutral",
+                            **({"pairID": "given"} if i == 1 else {})}) for i in range(4)]
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n".join(rows[:2] + ["  "] + rows[2:]) + "\n")  # a blank line is no example
+        loaded = load_jsonl(path)
+        assert [ex.pair_id for ex in loaded] == ["idx-0", "given", "idx-2", "idx-3"]
+        save_jsonl(tmp_path / "saved.jsonl", loaded)
+        assert [json.loads(line)["pairID"] for line in (tmp_path / "saved.jsonl").read_text().splitlines()] == [
+            "idx-0", "given", "idx-2", "idx-3"]
+        assert load_jsonl(tmp_path / "saved.jsonl") == loaded
+
     @pytest.mark.parametrize("line", ["[1, 2]", '"x"', "3", "null"])
     def test_non_object_line_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"

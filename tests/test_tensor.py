@@ -627,7 +627,7 @@ class TestRecordReplay:
         premise, hypothesis = " ".join(words), "w1 w2 w3"
         cfg = CompAggrConfig(word_dim=4, repr_dim=4, filters_per_width=2)
         model = CompAggrModel(cfg, build_word_vocab([premise, hypothesis]), seed=0)
-        example = NLIExample(premise, hypothesis, "neutral")
+        example = NLIExample(premise, hypothesis, "neutral", "long-1")
         loss, _ = model.batch_loss([example], training=True, rng=np.random.default_rng(1))
         nodes = T.record(loss)
         assert len(nodes) > 2 * 300 * 5
