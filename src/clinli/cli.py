@@ -133,7 +133,7 @@ def _vocabulary(kind: str, vocab_size: int, sentences: list[str], where):
 def _dataset(path_str: str, what: str = "dataset") -> tuple[Path, list]:
     """The path and examples of the dataset ``what``, the one reader of every
     command.  A missing file is a ConfigError; an empty dataset, or a repeated
-    pair id, which eval cannot align, is a DataError naming the file."""
+    pair id, which eval cannot align, is a DataError naming the file and ``what``."""
     path = _require_file(path_str, what)
     examples = load_jsonl(path)
     if not examples:
@@ -141,7 +141,7 @@ def _dataset(path_str: str, what: str = "dataset") -> tuple[Path, list]:
     try:
         _gold_map(examples)
     except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        raise DataError(f"{path}: {what}: {exc}") from None
     return path, examples
 
 
@@ -190,7 +190,8 @@ def cmd_synth(args) -> int:
             raise ConfigError(f"--{flag.replace('_', '-')} must be at least {SYNTH_MIN_COUNT}, so that train, dev "
                               f"and test each get examples, got {getattr(args, flag)}")
     try:
-        spec = SynthSpec(vocab_size=args.vocab_size, count=args.count, seed=args.seed, shift=args.shift or 0.0)
+        spec = SynthSpec(vocab_size=args.vocab_size, count=getattr(args, counts[-1]), seed=args.seed,
+                         shift=args.shift or 0.0)
     except ConfigError as exc:  # the message starts with the rejected field, which its flag is named after
         field, rest = str(exc).split(" ", 1)
         raise ConfigError(f"--{field.replace('_', '-')} {rest}") from None

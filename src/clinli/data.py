@@ -52,17 +52,15 @@ class NLIExample:
 
 @dataclass
 class NLITriple:
-    """Three examples sharing one premise, one per class, each named by its own pair id."""
+    """The three pairs of one premise, each named by its own pair id; gold labels are not read."""
 
     examples: tuple[NLIExample, NLIExample, NLIExample]
 
     def __post_init__(self):
-        premises = {e.premise for e in self.examples}
-        if len(premises) != 1:
+        if len(self.examples) != 3:
+            raise DataError(f"a triple holds 3 examples, got {len(self.examples)}")
+        if len({e.premise for e in self.examples}) != 1:
             raise DataError("triple examples must share one premise")
-        labels = sorted(e.gold_label for e in self.examples)
-        if labels != sorted(LABELS):
-            raise DataError(f"triple must cover all three classes exactly once, got {labels}")
 
 
 def read_text(path) -> str:

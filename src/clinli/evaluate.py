@@ -1,10 +1,11 @@
 """Point-wise and list-wise inference plus the analysis metrics.
 
 Point-wise prediction classifies each pair independently.  List-wise
-prediction takes a triple of pairs sharing one premise and assigns the
-three labels exclusively, by scoring all six label permutations with the
-summed log of the point-wise probabilities and keeping the best
-(lexicographically smallest permutation on ties).
+prediction takes a triple, the three pairs of one premise (each premise of
+a clinical NLI corpus has one hypothesis per class), found without reading a
+gold label, and assigns the three labels exclusively, by scoring all six
+label permutations with the summed log of the point-wise probabilities and
+keeping the best (lexicographically smallest permutation on ties).
 
 Metrics: accuracy, the agreement partition between two prediction sets
 (which model got each example right), and the mean confidence over
@@ -145,23 +146,13 @@ def predict_listwise(model, triple: NLITriple) -> ListwiseResult:
 
 
 def group_into_triples(examples) -> tuple[list[NLITriple], int]:
-    """Group examples by shared premise text into label-complete triples for
-    list-wise inference.  Groups that are not one example per class are
-    skipped and counted in the second return value."""
+    """One triple per premise that exactly three pairs share, found without
+    reading a gold label, and the count of other premises, which are skipped."""
     groups: dict[str, list[NLIExample]] = {}
     for ex in examples:
         groups.setdefault(ex.premise, []).append(ex)
-    triples: list[NLITriple] = []
-    skipped = 0
-    for members in groups.values():
-        if len(members) != 3:
-            skipped += 1
-            continue
-        try:
-            triples.append(NLITriple(examples=tuple(members)))
-        except DataError:
-            skipped += 1
-    return triples, skipped
+    triples = [NLITriple(examples=tuple(members)) for members in groups.values() if len(members) == 3]
+    return triples, len(groups) - len(triples)
 
 
 def _gold_map(golds) -> dict[str, str]:

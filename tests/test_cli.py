@@ -145,7 +145,7 @@ class TestSynth:
         out = tmp_path / "pair"
         code = run_cli(
             "synth", "--out-dir", out, "--transfer-pair", "--shift", "0.5",
-            "--source-count", 60, "--target-count", 30,
+            "--source-count", 60, "--target-count", 30, "--count", 0,  # both corpora have a count: --count is unused
         )
         assert code == 0
         for stem in ("source_", "target_"):
@@ -526,32 +526,28 @@ class TestPredictEval:
         assert report["n_fallback_pointwise"] == "1"
         assert report["n_triples"] == "1"
 
-    def test_listwise_group_of_three_without_one_pair_per_label_keeps_pointwise_labels(self, tmp_path, trained,
-                                                                                        capsys):
+    def test_listwise_labels_do_not_depend_on_gold_labels(self, tmp_path, trained):
         data, ckpt = trained
-        examples = load_jsonl(data / "train.jsonl")[:6]  # two complete triples
+        examples = load_jsonl(data / "train.jsonl")[:6]  # two premises, three pairs each
         docs = [{"sentence1": ex.premise, "sentence2": ex.hypothesis,
                  "gold_label": ex.gold_label, "pairID": ex.pair_id} for ex in examples]
-        docs[4]["gold_label"] = docs[3]["gold_label"]  # the second premise's three pairs: two share a label
-        dataset = tmp_path / "two_alike.jsonl"
-        dataset.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in docs))
-        triples, skipped = group_into_triples(load_jsonl(dataset))
-        assert [tuple(ex.pair_id for ex in t.examples) for t in triples] == [tuple(d["pairID"] for d in docs[:3])]
-        assert skipped == 1
-        rows = {}
+        datasets = {"gold": tmp_path / "gold.jsonl", "neutral": tmp_path / "neutral.jsonl"}
+        datasets["gold"].write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in docs))
+        datasets["neutral"].write_text("".join(json.dumps({**d, "gold_label": "neutral"}, sort_keys=True) + "\n"
+                                               for d in docs))
+        triples, skipped = group_into_triples(load_jsonl(datasets["neutral"]))
+        assert [tuple(ex.pair_id for ex in t.examples) for t in triples] == [
+            tuple(d["pairID"] for d in docs[:3]), tuple(d["pairID"] for d in docs[3:])]
+        assert skipped == 0
         for mode in ("listwise", "pointwise"):
-            assert run_cli("predict", "--checkpoint", ckpt, "--dataset", dataset,
-                           "--mode", mode, "--out-dir", tmp_path / mode) == 0
-            rows[mode] = read_predictions(tmp_path / mode / "predictions.tsv")
-        assert "warning: 3 examples fell back to pointwise" in capsys.readouterr().out
-        report = dict(
-            line.split("=", 1) for line in (tmp_path / "listwise" / "predict_report.txt").read_text().splitlines()
-        )
-        assert (report["n_triples"], report["n_fallback_pointwise"], report["n_errors"]) == ("1", "3", "0")
-        labels = {mode: [p.predicted_label for p in preds] for mode, preds in rows.items()}
-        assert [p.pair_id for p in rows["listwise"]] == [d["pairID"] for d in docs]
-        assert labels["listwise"][3:] == labels["pointwise"][3:]
-        assert sorted(labels["listwise"][:3]) == ["contradiction", "entailment", "neutral"]
+            for name, dataset in datasets.items():
+                assert run_cli("predict", "--checkpoint", ckpt, "--dataset", dataset,
+                               "--mode", mode, "--out-dir", tmp_path / mode / name) == 0
+            for artifact in ("predictions.tsv", "predict_report.txt"):
+                gold, neutral = ((tmp_path / mode / name / artifact).read_bytes() for name in datasets)
+                assert gold == neutral, (mode, artifact)
+        report = (tmp_path / "listwise" / "neutral" / "predict_report.txt").read_text()
+        assert "n_triples=2\n" in report and "n_fallback_pointwise=0\n" in report
 
     def test_listwise_unencodable_pair_falls_back_to_pointwise(self, tmp_path, trained):
         data, ckpt = trained
@@ -653,6 +649,7 @@ class TestPredictEval:
         assert run_cli(*argv, "--out-dir", out) == 2
         err = capsys.readouterr().err
         assert f"{dataset}: " in err and f"repeat pair id {repeated!r}" in err, err
+        assert mode != "train" or f"{dataset}: stage dup train dataset: " in err, err
         assert not out.exists()
 
     def test_eval_rejects_duplicate_pair_ids(self, tmp_path, trained, capsys):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -200,11 +201,9 @@ class TestGroupIntoTriples:
         corpus = synth.generate_corpus(synth.SynthSpec(count=90, seed=8))
         kept = [ex for ex in corpus if rng.random() > 0.25]
         triples, skipped = ev.group_into_triples(kept)
-        # independent oracle: hash-group by premise, require one of each class
-        groups = {}
-        for ex in kept:
-            groups.setdefault(ex.premise, []).append(ex.gold_label)
-        complete = sum(1 for labels in groups.values() if sorted(labels) == sorted(LABELS))
+        # independent oracle: count pairs per premise, require exactly three pairs per premise
+        groups = Counter(ex.premise for ex in kept)
+        complete = sum(1 for n in groups.values() if n == 3)
         assert len(triples) == complete
         assert skipped == len(groups) - complete
 

@@ -2,7 +2,8 @@
 exports no name and loads no module that is not asked for, no module keeps
 state in a global it rebinds, only ``batch_loss`` takes both a
 ``training`` flag and an ``rng``, no model kind has a constructor of its
-own, and only the dataset reader names a pair that has no id."""
+own, only the dataset reader names a pair that has no id, and no
+prediction path reads a gold label."""
 
 import ast
 import importlib
@@ -82,3 +83,28 @@ def test_only_the_dataset_reader_names_a_pair_without_an_id():
     found = [path.name for path in sorted(Path(clinli.__file__).parent.glob("*.py"))
              if "idx-" in path.read_text(encoding="utf-8")]
     assert found == ["data.py"]
+
+
+def attribute_scopes(attr):
+    """(file name, dotted name of the innermost enclosing def or class) for every
+    use of the attribute ``attr`` in a clinli module; "" at module level."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                yield scope
+            yield from visit(child, scope)
+
+    for path in sorted(Path(clinli.__file__).parent.glob("*.py")):
+        for scope in visit(ast.parse(path.read_text(encoding="utf-8")), ""):
+            yield path.name, scope
+
+
+def test_only_validation_io_training_and_grading_read_a_gold_label():
+    # a list-wise triple is found by premise alone: were grouping or prediction to read the
+    # answer key, a file's gold labels could change its predictions
+    allowed = {("data.py", "NLIExample.__post_init__"), ("data.py", "save_jsonl"), ("abbrev.py", "expand_dataset"),
+               ("model.py", "PairClassifier._scored"), ("evaluate.py", "_gold_map")}
+    assert sorted(set(attribute_scopes("gold_label")) - allowed) == []

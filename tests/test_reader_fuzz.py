@@ -110,7 +110,7 @@ def test_edited_datasets_load_or_name_the_line(path, data):
         blob = edited_bytes(data, DATASET)
     for ex in load_or_name_the_line(load_jsonl, path, blob) or []:
         assert all(isinstance(v, str) for v in (ex.premise, ex.hypothesis, ex.gold_label))
-        assert ex.pair_id is None or isinstance(ex.pair_id, str)
+        assert isinstance(ex.pair_id, str)
 
 
 @FUZZ
